@@ -633,7 +633,7 @@ def run_service_cluster_benchmark(quick: bool = False) -> dict:
             for _ in range(fleet_size):
                 worker = PredictionDaemon(max_workers=2)
                 tasks.append(
-                    asyncio.ensure_future(worker.serve_tcp("127.0.0.1", 0))
+                    asyncio.ensure_future(worker.serve("tcp:127.0.0.1:0"))
                 )
                 while worker.listener is None or worker.listener.address.port in (
                     None,
@@ -825,11 +825,11 @@ def run_daemon_benchmark(quick: bool = False) -> dict:
             daemon = PredictionDaemon(
                 parameters=parameters, solver=SERVICE_SOLVER_CONFIG
             )
-            server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+            server = asyncio.ensure_future(daemon.serve(f"unix:{socket_path}"))
             while not os.path.exists(socket_path):
                 await asyncio.sleep(0.005)
             results = {}
-            async with await DaemonClient.connect_unix(socket_path) as client:
+            async with await DaemonClient.connect(f"unix:{socket_path}") as client:
                 start = time.perf_counter()
                 async for event in client.submit(manifest):
                     if event.get("event") == "error":
@@ -890,11 +890,11 @@ CORPUS_IO_SOLVER = SolverConfig(points_per_unit=4, max_step=0.25)
 #: The RSS-measurement child: open a corpus (store directory or inline
 #: manifest), resolve it, optionally score it in 512-story chunks keeping
 #: only accuracy floats (the streaming-consumer pattern the store exists
-#: for), and report the process's peak RSS.  Run as a fresh subprocess so
-#: ``ru_maxrss`` -- which is monotone over a process's lifetime -- is not
-#: inflated by the parent's earlier benchmark sections.
+#: for), and report the process's peak RSS.  The peak is ``VmHWM`` from
+#: ``/proc/self/status``: ``ru_maxrss`` survives fork/exec on Linux, so a
+#: child would report the parent benchmark's peak instead of its own.
 _CORPUS_RSS_CHILD = """
-import json, resource, sys
+import json, sys
 
 from repro.core.config import SolverConfig
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
@@ -916,11 +916,11 @@ if mode == "score":
             solver=SolverConfig(points_per_unit=4, max_step=0.25),
         )
         scored += sum(1 for r in results.values() if r.overall_accuracy is not None)
-print(json.dumps({
-    "stories": len(names),
-    "scored": scored,
-    "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-}))
+with open("/proc/self/status", encoding="ascii") as status:
+    peak_kb = next(
+        int(line.split()[1]) for line in status if line.startswith("VmHWM:")
+    )
+print(json.dumps({"stories": len(names), "scored": scored, "peak_rss_kb": peak_kb}))
 """
 
 
@@ -1042,13 +1042,13 @@ def run_corpus_io_benchmark(quick: bool = False) -> dict:
                 assert scoring["scored"] == size, scoring
                 budget_bytes = 64 * 1024 * 1024 + store.total_surface_nbytes // 4
                 excess = (
-                    (scoring["ru_maxrss_kb"] - baseline["ru_maxrss_kb"]) * 1024
+                    (scoring["peak_rss_kb"] - baseline["peak_rss_kb"]) * 1024
                     - budget_bytes
                 )
                 report["rss"] = {
                     "stories": size,
-                    "baseline_rss_kb": baseline["ru_maxrss_kb"],
-                    "scoring_rss_kb": scoring["ru_maxrss_kb"],
+                    "baseline_rss_kb": baseline["peak_rss_kb"],
+                    "scoring_rss_kb": scoring["peak_rss_kb"],
                     "budget_bytes": budget_bytes,
                 }
                 report["rss_budget_excess_bytes"] = float(excess)

@@ -150,7 +150,7 @@ async def main() -> None:
                     "connect_backoff": 0.25,
                 },
             )
-            server = asyncio.ensure_future(router.serve_unix(socket_path))
+            server = asyncio.ensure_future(router.serve(address))
             while not os.path.exists(socket_path):
                 await asyncio.sleep(0.01)
             print(f"router listening on {address}\n")

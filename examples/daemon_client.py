@@ -87,7 +87,7 @@ async def main() -> None:
             max_workers=4,
             autotune=True,
         )
-        server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+        server = asyncio.ensure_future(daemon.serve(address))
         while not os.path.exists(socket_path):
             await asyncio.sleep(0.01)
         print(f"daemon listening on {socket_path}\n")

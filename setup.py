@@ -1,8 +1,9 @@
 """Setup shim for environments without the `wheel` package.
 
-The canonical build configuration lives in pyproject.toml; this file only
-enables legacy editable installs (`pip install -e .`) on offline machines
-where the PEP 517 editable-wheel path is unavailable.
+The package metadata (name, version, Python requirement, dependencies)
+lives in the ``[project]`` table of pyproject.toml; this file only enables
+editable installs (`pip install -e .`) on offline machines where the
+PEP 517 editable-wheel path is unavailable.
 """
 
 from setuptools import setup

@@ -25,8 +25,7 @@ Five subcommands cover the common workflows without writing any Python:
 ``daemon``
     Run the long-lived prediction daemon: a JSON-lines protocol over
     stdin/stdout (default), a Unix-domain socket or TCP (``--listen
-    unix:PATH|tcp:HOST:PORT``; ``--socket PATH`` is the pre-transport
-    spelling of ``--listen unix:PATH``), serving submit/status/stats/
+    unix:PATH|tcp:HOST:PORT``), serving submit/status/stats/
     shutdown requests against one shared worker pool; ``--journal DIR``
     makes job lifecycles survive a crash (a restarted daemon reports the
     dead process's in-flight jobs as ``interrupted``), ``--max-client-jobs``
@@ -37,18 +36,18 @@ Five subcommands cover the common workflows without writing any Python:
     pool instead of in-process threads (``serve-batch`` takes the same
     flags).
 ``submit``
-    Submit a story manifest to a running daemon (``--socket PATH`` or
-    ``--connect unix:PATH|tcp:HOST:PORT``) and stream the per-story result
+    Submit a story manifest to a running daemon (``--connect
+    unix:PATH|tcp:HOST:PORT``) and stream the per-story result
     events to stdout as they complete; a daemon dying mid-stream exits 3
     (partial failure -- already-streamed results are valid).
 ``daemon-stats``
     Fetch a running daemon's stats snapshot (job counts, service counters,
-    telemetry registry) and print it as JSON (``--socket`` or ``--connect``
-    pick the daemon); ``--prometheus`` prints the telemetry in Prometheus
+    telemetry registry) and print it as JSON (``--connect`` picks the
+    daemon); ``--prometheus`` prints the telemetry in Prometheus
     text exposition format instead.
 ``trace``
     Reconstruct one daemon job's span tree with critical-path timing, from
-    a live daemon (``--socket`` / ``--connect``, requires the daemon to run
+    a live daemon (``--connect``, requires the daemon to run
     with ``--trace``) or offline from a ``--trace-dir`` export; ``--chrome``
     / ``--speedscope`` write viewer-ready JSON profiles and ``--check``
     validates tree well-formedness for CI.
@@ -72,10 +71,10 @@ Five subcommands cover the common workflows without writing any Python:
 
 The prediction commands accept ``--backend`` to pick the PDE solver backend
 by registry name (``internal`` is the package's own Crank-Nicolson engine
-with banded operator caching; ``thomas`` pins the pure-numpy tridiagonal
-fallback; ``scipy`` delegates to ``solve_ivp`` for cross-validation) and
-``--operator`` to pick the Crank-Nicolson operator factorization mode
-(``auto`` | ``banded`` | ``thomas`` | ``dense``).  They also accept
+with banded operator caching; ``scipy`` delegates to ``solve_ivp`` for
+cross-validation) and ``--operator`` to pick the Crank-Nicolson operator
+factorization mode (``auto`` | ``banded`` | ``thomas`` | ``dense``;
+``thomas`` is the pure-numpy tridiagonal solver).  They also accept
 ``--model`` to pick the prediction model by :mod:`repro.models` registry
 name (``dl``, ``logistic``, ``sis``, ``linear-influence``, or anything
 registered at runtime).  Unknown names exit with the engine's / registry's
@@ -147,9 +146,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default="internal",
         help=(
             "PDE solver backend: 'internal' is the package's Crank-Nicolson "
-            "engine with banded operator caching and batched solves; 'thomas' "
-            "pins the pure-numpy tridiagonal solver; 'scipy' cross-validates "
-            "through scipy.integrate.solve_ivp"
+            "engine with banded operator caching and batched solves; 'scipy' "
+            "cross-validates through scipy.integrate.solve_ivp"
         ),
     )
     # Same runtime-validation rationale: unknown modes exit with the engine's
@@ -160,7 +158,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "Crank-Nicolson operator factorization mode: 'auto' (the "
             "backend's default, banded for the internal engine), 'banded', "
-            "'thomas' or 'dense'"
+            "'thomas' (pure-numpy tridiagonal solver) or 'dense'"
         ),
     )
 
@@ -413,23 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
             "back to the submitting client as their shards complete."
         ),
     )
-    daemon_address = daemon.add_mutually_exclusive_group()
-    daemon_address.add_argument(
+    daemon.add_argument(
         "--listen",
         metavar="ADDR",
-        default=None,
+        default="stdio",
         help=(
-            "serve on this transport address: unix:PATH, tcp:HOST:PORT or "
-            "stdio (default stdio; tcp port 0 binds an ephemeral port)"
-        ),
-    )
-    daemon_address.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help=(
-            "serve on this Unix-domain socket instead of stdin/stdout "
-            "(equivalent to --listen unix:PATH)"
+            "serve on this transport address: unix:PATH (or a bare path), "
+            "tcp:HOST:PORT or stdio (default stdio; tcp port 0 binds an "
+            "ephemeral port)"
         ),
     )
     daemon.add_argument(
@@ -584,13 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
             "a daemon dying mid-stream after some results arrived."
         ),
     )
-    submit_address = submit.add_mutually_exclusive_group(required=True)
-    submit_address.add_argument(
-        "--socket", metavar="PATH", help="the daemon's Unix socket"
-    )
-    submit_address.add_argument(
+    submit.add_argument(
         "--connect",
         metavar="ADDR",
+        required=True,
         help="the daemon's transport address: unix:PATH or tcp:HOST:PORT",
     )
     submit.add_argument(
@@ -625,13 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
             "telemetry registry snapshot) and print it as indented JSON."
         ),
     )
-    stats_address = daemon_stats.add_mutually_exclusive_group(required=True)
-    stats_address.add_argument(
-        "--socket", metavar="PATH", help="the daemon's Unix socket"
-    )
-    stats_address.add_argument(
+    daemon_stats.add_argument(
         "--connect",
         metavar="ADDR",
+        required=True,
         help="the daemon's transport address: unix:PATH or tcp:HOST:PORT",
     )
     daemon_stats.add_argument(
@@ -648,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a daemon job's span tree (live daemon or exported spans)",
         description=(
             "Reconstruct one job's trace as a span tree with critical-path "
-            "timing.  Reads spans from a running daemon (--socket/--connect, "
+            "timing.  Reads spans from a running daemon (--connect, "
             "the 'trace' protocol op) or offline from a --trace-dir export "
             "(DIR/spans.jsonl, written by 'repro daemon --trace-dir').  "
             "--chrome/--speedscope export viewer-ready JSON; --check "
@@ -657,9 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("job", help="id of the job to reconstruct")
     trace_source = trace.add_mutually_exclusive_group(required=True)
-    trace_source.add_argument(
-        "--socket", metavar="PATH", help="the daemon's Unix socket"
-    )
     trace_source.add_argument(
         "--connect",
         metavar="ADDR",
@@ -1356,11 +1336,8 @@ def _command_daemon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # --socket PATH is the pre-transport spelling of --listen unix:PATH;
-    # the parser guarantees at most one of the two was given.
-    spec = args.listen if args.listen is not None else args.socket
     try:
-        address = parse_address(spec) if spec is not None else parse_address("stdio")
+        address = parse_address(args.listen)
     except AddressError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1398,16 +1375,13 @@ def _command_daemon(args: argparse.Namespace) -> int:
     )
     try:
         if address.scheme != "stdio":
-            # Keep the pre-transport banner for --socket PATH (a bare
-            # path), the full address form for --listen.
-            shown = args.socket if args.listen is None else str(address)
             fleet = (
                 f"fleet of {len(worker_addresses)}, "
                 if args.executor == "cluster"
                 else ""
             )
             print(
-                f"daemon listening on {shown} "
+                f"daemon listening on {address} "
                 f"({args.workers} {args.executor} workers, {fleet}"
                 f"queue depth {args.queue_depth}, "
                 f"{'autotuned' if args.autotune else 'fixed'} shards)",
@@ -1424,17 +1398,10 @@ def _command_daemon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client_address(args: argparse.Namespace) -> "tuple[str, str]":
-    """(daemon address, how-to-start-it hint) from --connect / --socket."""
-    if getattr(args, "connect", None):
-        return args.connect, f"repro daemon --listen {args.connect}"
-    return args.socket, f"repro daemon --socket {args.socket}"
-
-
-def _connect_error(address: str, error: OSError, hint: str) -> str:
+def _connect_error(address: str, error: OSError) -> str:
     return (
         f"error: cannot connect to the daemon at {address}: {error}; "
-        f"is '{hint}' running?"
+        f"is 'repro daemon --listen {address}' running?"
     )
 
 
@@ -1444,7 +1411,7 @@ def _command_submit(args: argparse.Namespace) -> int:
     from repro.core.errors import DaemonConnectionError
     from repro.service import DaemonClient
 
-    address, hint = _client_address(args)
+    address = args.connect
     if args.timeout is not None and args.timeout <= 0:
         print(f"error: --timeout must be > 0, got {args.timeout:g}", file=sys.stderr)
         return 2
@@ -1471,16 +1438,13 @@ def _command_submit(args: argparse.Namespace) -> int:
         if output_handle is not None:
             output_handle.write(line + "\n")
 
-    # --connect implies a daemon that may still be binding (a supervisor
-    # just spawned it); a few capped-backoff retries absorb the race.  The
-    # legacy --socket path keeps its immediate-failure behaviour.
-    connect_retries = 3 if getattr(args, "connect", None) else 0
-
     async def run() -> "tuple[dict, dict | None, str | None]":
         counts: "dict[str, int]" = {}
         job_event = None
         async with await DaemonClient.connect(
-            address, retries=connect_retries, backoff=0.25
+            # The daemon may still be binding (a supervisor just spawned
+            # it); a few capped-backoff retries absorb the race.
+            address, retries=3, backoff=0.25
         ) as client:
             async for event in client.submit(
                 manifest, job_id=args.id, timeout=args.timeout, model=args.model
@@ -1511,7 +1475,7 @@ def _command_submit(args: argparse.Namespace) -> int:
         print(f"error: {conn_error}", file=sys.stderr)
         return EXIT_PARTIAL_FAILURE
     except (ConnectionError, OSError) as oserror:
-        print(_connect_error(address, oserror, hint), file=sys.stderr)
+        print(_connect_error(address, oserror), file=sys.stderr)
         return 2
     finally:
         if output_handle is not None:
@@ -1551,7 +1515,7 @@ def _command_daemon_stats(args: argparse.Namespace) -> int:
 
     from repro.service import DaemonClient
 
-    address, hint = _client_address(args)
+    address = args.connect
     if args.prometheus:
         # Prometheus text exposition: one fetch, raw text to stdout so the
         # output can be served or scraped verbatim.
@@ -1562,7 +1526,7 @@ def _command_daemon_stats(args: argparse.Namespace) -> int:
         try:
             text = asyncio.run(run_metrics())
         except (ConnectionError, OSError) as error:
-            print(_connect_error(address, error, hint), file=sys.stderr)
+            print(_connect_error(address, error), file=sys.stderr)
             return 2
         sys.stdout.write(text)
         return 0
@@ -1574,7 +1538,7 @@ def _command_daemon_stats(args: argparse.Namespace) -> int:
     try:
         stats = asyncio.run(run())
     except (ConnectionError, OSError) as error:
-        print(_connect_error(address, error, hint), file=sys.stderr)
+        print(_connect_error(address, error), file=sys.stderr)
         return 2
     print(json.dumps(stats, indent=2, sort_keys=True))
     service = stats.get("service", {})
@@ -1639,7 +1603,7 @@ def _command_trace(args: argparse.Namespace) -> int:
 
         from repro.service import DaemonClient
 
-        address, hint = _client_address(args)
+        address = args.connect
 
         async def run() -> dict:
             async with await DaemonClient.connect(address) as client:
@@ -1648,7 +1612,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         try:
             event = asyncio.run(run())
         except (ConnectionError, OSError) as error:
-            print(_connect_error(address, error, hint), file=sys.stderr)
+            print(_connect_error(address, error), file=sys.stderr)
             return 2
         if event.get("event") == "error":
             print(f"error: {event.get('error')}", file=sys.stderr)

@@ -1,11 +1,8 @@
 """Typed, frozen configuration objects for the prediction stack.
 
-Historically every layer of the stack (predictors, sharder, service,
-daemon, CLI) re-declared the same four solver knobs as positional keyword
-arguments -- ``points_per_unit``, ``max_step``, ``backend``, ``operator`` --
-plus a ``calibration_batch`` flag, and adding a knob meant touching every
-signature.  This module replaces the scattered knobs with three frozen
-dataclasses that are threaded through the whole stack:
+Every layer of the stack (predictors, sharder, service, daemon, CLI) takes
+its solver and calibration settings as one of three frozen dataclasses,
+so adding a knob touches this module instead of every signature:
 
 * :class:`SolverConfig` -- the spatial/temporal discretisation and the
   solver backend/operator pair.  Hashable, so it can join shard keys.
@@ -13,23 +10,14 @@ dataclasses that are threaded through the whole stack:
   training window (batched grid-then-refine vs sequential).
 * :class:`ModelSpec` -- the full description of one model workload:
   registry name, model-specific parameters, solver and calibration config.
-
-Every constructor that grew a config object keeps accepting the legacy
-keyword knobs (``points_per_unit=...`` etc.) as thin shims --
-:func:`merge_solver_config` folds them into a :class:`SolverConfig` and
-rejects ambiguous calls that pass both forms.  The shims are deprecated:
-passing any legacy knob emits a :class:`DeprecationWarning` naming the
-typed-config replacement.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-#: The historical defaults of the scattered keyword knobs; SolverConfig()
-#: reproduces them exactly so old and new call sites mean the same solve.
+#: SolverConfig() defaults.
 DEFAULT_POINTS_PER_UNIT = 20
 DEFAULT_MAX_STEP = 0.02
 DEFAULT_BACKEND = "internal"
@@ -101,68 +89,6 @@ class CalibrationConfig:
 
     def to_json_dict(self) -> dict:
         return {"batch": self.batch}
-
-
-def merge_solver_config(
-    solver: "SolverConfig | None",
-    points_per_unit: "int | None" = None,
-    max_step: "float | None" = None,
-    backend: "str | None" = None,
-    operator: "str | None" = None,
-) -> SolverConfig:
-    """Fold legacy keyword knobs and a :class:`SolverConfig` into one config.
-
-    The deprecation shim behind every constructor that grew a ``solver=``
-    parameter: when ``solver`` is given, no legacy knob may be passed
-    alongside it (the call would be ambiguous); when it is omitted, the
-    legacy knobs (with the historical defaults) build the config.
-    """
-    legacy = {
-        "points_per_unit": points_per_unit,
-        "max_step": max_step,
-        "backend": backend,
-        "operator": operator,
-    }
-    given = {name: value for name, value in legacy.items() if value is not None}
-    if solver is not None:
-        if given:
-            raise ValueError(
-                f"pass either solver=SolverConfig(...) or the individual "
-                f"knobs {sorted(given)}, not both"
-            )
-        return solver
-    if given:
-        warnings.warn(
-            f"the scattered solver knobs {sorted(given)} are deprecated; "
-            f"pass solver=SolverConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return SolverConfig(**given)
-
-
-def merge_calibration_config(
-    calibration: "CalibrationConfig | None",
-    calibration_batch: "bool | None",
-    default_batch: bool,
-) -> CalibrationConfig:
-    """Fold the legacy ``calibration_batch`` flag into a :class:`CalibrationConfig`."""
-    if calibration is not None:
-        if calibration_batch is not None:
-            raise ValueError(
-                "pass either calibration=CalibrationConfig(...) or "
-                "calibration_batch=..., not both"
-            )
-        return calibration
-    if calibration_batch is None:
-        return CalibrationConfig(batch=default_batch)
-    warnings.warn(
-        "the calibration_batch flag is deprecated; pass "
-        "calibration=CalibrationConfig(batch=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return CalibrationConfig(batch=bool(calibration_batch))
 
 
 @dataclass(frozen=True)

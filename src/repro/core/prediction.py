@@ -29,12 +29,7 @@ import numpy as np
 from repro.cascade.density import DensitySurface
 from repro.core.accuracy import AccuracyTable, build_accuracy_table
 from repro.core.calibration import calibrate_dl_model
-from repro.core.config import (
-    CalibrationConfig,
-    SolverConfig,
-    merge_calibration_config,
-    merge_solver_config,
-)
+from repro.core.config import CalibrationConfig, SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel, DLSolution, solve_dl_batch
 from repro.core.errors import NotFittedError
 from repro.core.initial_density import InitialDensity
@@ -101,38 +96,24 @@ class DiffusionPredictor:
     solver:
         A :class:`~repro.core.config.SolverConfig` describing the grid
         resolution, time step, backend and operator mode of every solve.
-        The individual legacy knobs below remain accepted as a thin shim
-        (passing both forms raises).
     calibration:
-        A :class:`~repro.core.config.CalibrationConfig`; the legacy
-        ``calibration_batch`` flag remains accepted as a shim.
-    points_per_unit, max_step, backend, operator:
-        Legacy solver knobs; prefer ``solver=SolverConfig(...)``.
-    calibration_batch:
-        Legacy calibration flag; prefer ``calibration=CalibrationConfig(...)``.
-        When True, :meth:`fit` calibrates through the batched grid-then-refine
-        path (``calibrate_dl_model(batch=True)``) instead of the sequential
-        per-candidate protocol (the default here).
+        A :class:`~repro.core.config.CalibrationConfig`.  Omitted, :meth:`fit`
+        calibrates through the sequential per-candidate protocol
+        (``CalibrationConfig(batch=False)``); ``batch=True`` selects the
+        batched grid-then-refine path (``calibrate_dl_model(batch=True)``).
     """
 
     def __init__(
         self,
         parameters: "DLParameters | None" = None,
-        points_per_unit: "int | None" = None,
-        max_step: "float | None" = None,
-        backend: "str | None" = None,
-        operator: "str | None" = None,
-        calibration_batch: "bool | None" = None,
         *,
         solver: "SolverConfig | None" = None,
         calibration: "CalibrationConfig | None" = None,
     ) -> None:
         self._configured_parameters = parameters
-        self._solver = merge_solver_config(
-            solver, points_per_unit, max_step, backend, operator
-        )
-        self._calibration = merge_calibration_config(
-            calibration, calibration_batch, default_batch=False
+        self._solver = solver if solver is not None else SolverConfig()
+        self._calibration = (
+            calibration if calibration is not None else CalibrationConfig(batch=False)
         )
         self._fitted_parameters: "DLParameters | None" = None
         self._initial_density: "InitialDensity | None" = None
@@ -383,33 +364,22 @@ class BatchPredictor:
         :class:`DLParameters` shared by every story, or a mapping from story
         name to its parameters.
     solver, calibration:
-        Typed configs, as for :class:`DiffusionPredictor`; the legacy knobs
-        below remain accepted as a thin shim (passing both forms raises).
-    points_per_unit, max_step, backend, operator:
-        Legacy solver knobs; prefer ``solver=SolverConfig(...)``.
-    calibration_batch:
-        Legacy flag: calibrate through the batched grid evaluation (the
-        default here) or the sequential per-candidate protocol.
+        Typed configs, as for :class:`DiffusionPredictor`, except that
+        calibration defaults to the batched grid evaluation
+        (``CalibrationConfig(batch=True)``).
     """
 
     def __init__(
         self,
         parameters: "DLParameters | Mapping[str, DLParameters] | None" = None,
-        points_per_unit: "int | None" = None,
-        max_step: "float | None" = None,
-        backend: "str | None" = None,
-        operator: "str | None" = None,
-        calibration_batch: "bool | None" = None,
         *,
         solver: "SolverConfig | None" = None,
         calibration: "CalibrationConfig | None" = None,
     ) -> None:
         self._configured_parameters = parameters
-        self._solver = merge_solver_config(
-            solver, points_per_unit, max_step, backend, operator
-        )
-        self._calibration = merge_calibration_config(
-            calibration, calibration_batch, default_batch=True
+        self._solver = solver if solver is not None else SolverConfig()
+        self._calibration = (
+            calibration if calibration is not None else CalibrationConfig(batch=True)
         )
         self._initial_densities: "dict[str, InitialDensity]" = {}
         self._parameters: "dict[str, DLParameters]" = {}

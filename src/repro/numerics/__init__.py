@@ -16,7 +16,7 @@ on:
   the tridiagonal Neumann operator is stored banded (LAPACK ``gttrf``) or as
   a pure-numpy Thomas factorization, with dense LU as the reference mode.
 * :mod:`repro.numerics.backends` -- the pluggable solver-backend registry
-  (``"internal"``, ``"thomas"``, ``"scipy"``, and anything registered at
+  (``"internal"``, ``"scipy"``, and anything registered at
   runtime) plus the vectorised Crank-Nicolson engine behind batched solves.
 * :mod:`repro.numerics.pde_solver` -- a method-of-lines reaction-diffusion
   solver used by the DL model, with sequential and batched entry points.

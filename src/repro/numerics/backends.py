@@ -15,8 +15,6 @@ registry in this module.  Two backends ship with the package:
   candidates.  The ``operator_mode`` knob (``"banded"`` by default, via
   ``"auto"``) can force the pure-numpy ``"thomas"`` solver or the legacy
   ``"dense"`` LU for cross-checking.
-* ``"thomas"`` -- the internal engine pinned to the pure-numpy Thomas
-  tridiagonal solver; a scipy-free fallback for the Crank-Nicolson hot path.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
@@ -535,20 +533,5 @@ class ScipyBackend(SolverBackend):
         )
 
 
-class ThomasBackend(InternalBackend):
-    """The internal engine pinned to the pure-numpy Thomas tridiagonal solver.
-
-    Functionally identical to ``"internal"`` but its Crank-Nicolson hot path
-    never touches scipy: the operator is factorized and solved by the
-    :class:`~repro.numerics.operator_cache.ThomasFactorization` fallback.
-    """
-
-    name = "thomas"
-
-    def __init__(self) -> None:
-        super().__init__(operator_mode="thomas")
-
-
 register_backend(InternalBackend.name, InternalBackend)
 register_backend(ScipyBackend.name, ScipyBackend)
-register_backend(ThomasBackend.name, ThomasBackend)

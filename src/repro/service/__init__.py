@@ -14,8 +14,9 @@ job queue so whole corpora of cascades are scored concurrently:
   queue-depth backpressure and graceful drain.
 * :mod:`repro.service.execution` -- pluggable :class:`ExecutionBackend`
   registry deciding *where* shard solves run: the in-process ``thread``
-  pool or the ``process`` pool (picklable :class:`ShardPayload` per shard,
-  per-process operator caches, crashed-worker respawn).
+  pool or the ``process`` pool (per-process operator caches,
+  crashed-worker respawn).  Every backend takes a picklable
+  :class:`ShardPayload` and returns a :class:`ShardSolveReport`.
 * :mod:`repro.service.cluster` -- the ``cluster`` backend: a router
   daemon's :class:`WorkerPool` fans shards out to N worker daemons over
   the socket protocol, hash-routed for worker-cache affinity with work
@@ -72,7 +73,6 @@ from repro.service.execution import (
     ExecutionBackend,
     ProcessExecutionBackend,
     ShardPayload,
-    ShardRequest,
     ShardSolveReport,
     ThreadExecutionBackend,
     WorkerCrashError,
@@ -96,10 +96,7 @@ from repro.service.manifest import (
     ManifestStory,
     ResolvedManifest,
     StoryManifest,
-    load_manifest,
     open_corpus,
-    parse_manifest,
-    resolve_manifest,
 )
 from repro.service.service import (
     JobCancelledError,
@@ -161,7 +158,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessExecutionBackend",
     "ShardPayload",
-    "ShardRequest",
     "ShardSolveReport",
     "ThreadExecutionBackend",
     "WorkerCrashError",
@@ -232,8 +228,5 @@ __all__ = [
     "ManifestStory",
     "ResolvedManifest",
     "StoryManifest",
-    "load_manifest",
     "open_corpus",
-    "parse_manifest",
-    "resolve_manifest",
 ]

@@ -63,9 +63,7 @@ from repro.core.errors import DaemonConnectionError
 from repro.service.daemon import DaemonClient
 from repro.service.execution import (
     ExecutionBackend,
-    ShardOutcomes,
     ShardPayload,
-    ShardRequest,
     ShardSolveReport,
     WorkerCrashError,
     register_executor,
@@ -445,11 +443,9 @@ class ClusterExecutionBackend(ExecutionBackend):
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown()
 
-    async def solve(
-        self, request: ShardRequest
-    ) -> "tuple[str, ShardOutcomes]":
+    async def solve(self, payload: ShardPayload) -> "tuple[str, ShardSolveReport]":
         assert self._started, "backend not started"
-        return await self._pool.solve_payload(request.make_payload())
+        return await self._pool.solve_payload(payload)
 
     def describe(self) -> dict:
         info = super().describe()

@@ -13,8 +13,7 @@ The daemon is a thin composition of three layers, each its own module:
 * :mod:`repro.service.transport` -- addresses (``unix:/path``,
   ``tcp:HOST:PORT``, ``stdio``), listeners and client connections, behind
   a transport registry.  :meth:`PredictionDaemon.serve` takes any
-  registered address; :meth:`serve_unix` / :meth:`serve_tcp` /
-  :meth:`serve_stdio` are the named shortcuts.
+  registered address.
 * :mod:`repro.service.session` -- JSON-lines framing, request routing
   (submit/status/stats/metrics/trace/ping/shutdown), per-connection state
   and the per-client :class:`~repro.service.session.ClientQuota`.
@@ -254,18 +253,16 @@ class PredictionDaemon:
         evicted first); bounds trace memory over a long daemon life.
     **service_kwargs:
         Forwarded to :class:`~repro.service.service.PredictionService`
-        (workers, queue depth, shard size, autotune, backend, operator,
-        executor -- ``executor="process"`` runs shard solves on a
-        crash-respawning process pool -- ...).  All jobs share this one
+        (workers, queue depth, shard size, autotune, ``solver=`` /
+        ``calibration=`` configs, executor -- ``executor="process"`` runs
+        shard solves on a crash-respawning process pool -- ...).  All jobs share this one
         service, so every manifest benefits from the same warmed operator
         caches and autotuner state; the ``stats`` event reports the
         executor kind and worker-pool size the daemon is actually running
         with.
 
-    Call :meth:`serve` with any registered transport address, or the named
-    shortcuts :meth:`serve_unix` / :meth:`serve_tcp` / :meth:`serve_stdio`
-    -- all run until a ``shutdown`` request (or EOF on stdio) and drain
-    gracefully.
+    Call :meth:`serve` with any registered transport address; it runs
+    until a ``shutdown`` request (or EOF on stdio) and drains gracefully.
     """
 
     def __init__(
@@ -329,18 +326,6 @@ class PredictionDaemon:
         bare Unix-socket path.
         """
         await self._serve(create_listener(address))
-
-    async def serve_unix(self, socket_path: str) -> None:
-        """Serve on a Unix-domain socket until a ``shutdown`` request."""
-        await self.serve(Address(scheme="unix", path=socket_path))
-
-    async def serve_tcp(self, host: str, port: int) -> None:
-        """Serve on a TCP socket until a ``shutdown`` request."""
-        await self.serve(Address(scheme="tcp", host=host, port=port))
-
-    async def serve_stdio(self) -> None:
-        """Serve one client over stdin/stdout until ``shutdown`` or EOF."""
-        await self.serve(Address(scheme="stdio"))
 
     @property
     def listener(self) -> "Listener | None":
@@ -1142,14 +1127,6 @@ class DaemonClient:
                 attempt += 1
             else:
                 return cls(reader, writer)
-
-    @classmethod
-    async def connect_unix(cls, socket_path: str) -> "DaemonClient":
-        return await cls.connect(Address(scheme="unix", path=socket_path))
-
-    @classmethod
-    async def connect_tcp(cls, host: str, port: int) -> "DaemonClient":
-        return await cls.connect(Address(scheme="tcp", host=host, port=port))
 
     async def __aenter__(self) -> "DaemonClient":
         return self

@@ -2,31 +2,35 @@
 
 The :class:`~repro.service.service.PredictionService` drains its queue by
 handing each shard to an :class:`ExecutionBackend`.  Two backends are
-registered out of the box (the registry mirrors the solver-backend and
-model registries -- :func:`register_executor` / :func:`create_executor` /
+registered here and a third, ``cluster``, in :mod:`repro.service.cluster`
+(the registry mirrors the solver-backend and model registries --
+:func:`register_executor` / :func:`create_executor` /
 :func:`available_executors`):
 
-* ``thread`` -- the classic in-process ``ThreadPoolExecutor``.  The numpy
-  solver spends its time in LAPACK/BLAS, which release the GIL, so threads
+* ``thread`` -- an in-process ``ThreadPoolExecutor``.  The numpy solver
+  spends its time in LAPACK/BLAS, which release the GIL, so threads
   already overlap the linear algebra -- but every shard still shares one
   Python interpreter, and the pure-Python parts of calibration (grid
   bookkeeping, multi-start refinement control flow, per-story fitting of
   the temporal baselines) serialize on the GIL.
 * ``process`` -- a ``concurrent.futures.ProcessPoolExecutor``.  Shards
-  cross the process boundary as picklable :class:`ShardPayload` values
-  (story surfaces plus the :class:`~repro.core.config.ModelSpec`, never
-  live fitter/service objects); each worker process lazily builds and
-  reuses its *own* operator cache (the cache module is process-global, so
-  a worker's second shard with the same spatial signature hits warm
+  cross the process boundary pickled; each worker process lazily builds
+  and reuses its *own* operator cache (the cache module is process-global,
+  so a worker's second shard with the same spatial signature hits warm
   factorizations), and a warm-up hook on worker init imports the numerics
   stack -- optionally pre-solving a representative payload -- so the first
   real shard does not pay cold-start twice.
 
-Both backends resolve the shard through the same module-level
-:func:`solve_shard_payload`, so the numerics are shared code and the
-process path is bit-identical to the thread path by construction (the
-equivalence tests and the benchmark's ``service.scaling`` section assert
-the delta is exactly zero).
+Every backend honours one shard contract: :meth:`ExecutionBackend.solve`
+takes a picklable :class:`ShardPayload` (story surfaces plus the
+:class:`~repro.core.config.ModelSpec`, never live fitter/service objects)
+and returns ``(worker_label, ShardSolveReport)``, produced wherever the
+shard runs by :func:`solve_shard_report`.  That in turn resolves the
+numerics through the module-level :func:`solve_shard_payload`, so results
+are bit-identical across backends by construction (the equivalence tests
+and the benchmark's ``service.scaling`` section assert the delta is
+exactly zero), and patching ``solve_shard_payload`` injects a fault into
+every backend at once.
 
 Crash hardening: when a process worker dies mid-shard (OOM kill, segfault,
 ``kill -9``), ``ProcessPoolExecutor`` marks the whole pool broken and
@@ -49,7 +53,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping
 
 from repro.cascade.density import DensitySurface
 from repro.core.config import ModelSpec
@@ -99,8 +103,8 @@ class ShardSolveReport:
     """Everything a shard solve produced, in picklable form.
 
     ``outcomes`` is the classic story-name -> result/exception mapping;
-    ``spans`` carries span *records* collected in the worker (empty when the
-    solve recorded straight into a live tracer, i.e. on the thread path);
+    ``spans`` carries span *records* collected wherever the shard ran
+    (empty unless the payload carried a trace context);
     ``phase_seconds`` holds the fit/evaluate wall times feeding the
     ``service.solve_phase_seconds`` histograms, and the cache counters are
     the operator-cache hit/miss delta across this solve.
@@ -111,12 +115,6 @@ class ShardSolveReport:
     phase_seconds: "dict[str, float]" = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-
-
-#: What a backend's ``solve`` may hand back alongside the worker label:
-#: the plain outcomes dict (thread path -- spans/phases were recorded in
-#: process) or a full report (process path -- shipped across the pickle).
-ShardOutcomes = Union["dict[str, object]", ShardSolveReport]
 
 
 @dataclass
@@ -208,10 +206,10 @@ def solve_shard_payload(
     Resolves the shard's model from the registry, fits each story in
     isolation (a story whose *fit* fails maps to its own exception without
     poisoning shard-mates) and evaluates every fitted story in one joint
-    call -- for ``dl`` that is the batched spatial-group solve.  Both the
-    thread and the process backend land here, which is what makes their
-    results bit-identical: the backends only choose *where* this function
-    runs, never *how* it computes.
+    call -- for ``dl`` that is the batched spatial-group solve.  Every
+    backend lands here, which is what makes their results bit-identical:
+    the backends only choose *where* this function runs, never *how* it
+    computes.
 
     When invoked under :func:`solve_shard_report`, phase timings and spans
     are recorded through the ambient instrumentation state; called directly
@@ -300,30 +298,20 @@ def solve_shard_payload(
     return outcomes
 
 
-def solve_shard_report(
-    payload: ShardPayload, tracer: "TracerLike | None" = None
-) -> ShardSolveReport:
-    """Solve a shard with instrumentation; the traced sibling of
-    :func:`solve_shard_payload`.
+def solve_shard_report(payload: ShardPayload) -> ShardSolveReport:
+    """Solve a shard with instrumentation; what every backend's worker runs.
 
-    ``tracer`` is the live tracer on the thread path (spans are recorded
-    straight into it); when ``None`` and the payload carries a trace
-    context, a local collecting :class:`~repro.service.tracing.Tracer` is
-    created -- the process-worker case -- and its records are returned in
-    ``report.spans`` for the service to ingest and re-parent.  Phase wall
-    times and the operator-cache delta are measured either way (they feed
-    always-on histograms), and the numerics still route through the
-    module-level :func:`solve_shard_payload` name so monkeypatched fault
-    injection intercepts every backend identically.
+    When the payload carries a trace context, a local collecting
+    :class:`~repro.service.tracing.Tracer` records the solve's spans and
+    returns them in ``report.spans``; the service ingests them and they
+    re-parent under its shard span.  Phase wall times and the
+    operator-cache delta are measured either way (they feed always-on
+    histograms), and the numerics route through the module-level
+    :func:`solve_shard_payload` name so monkeypatched fault injection
+    intercepts every backend identically.
     """
-    collector: "Tracer | None" = None
-    if tracer is not None and tracer.enabled:
-        active: TracerLike = tracer
-    elif tracer is None and payload.trace is not None:
-        collector = Tracer(capacity=512)
-        active = collector
-    else:
-        active = NOOP_TRACER
+    collector = Tracer(capacity=512) if payload.trace is not None else None
+    active: TracerLike = collector if collector is not None else NOOP_TRACER
     report = ShardSolveReport(outcomes={})
     hits_before, misses_before = _operator_cache_counts()
     inst = _SolveInstrumentation(tracer=active, parent=payload.trace, report=report)
@@ -345,35 +333,21 @@ def solve_shard_report(
     return report
 
 
-@dataclass
-class ShardRequest:
-    """One shard solve handed to a backend, in both shapes backends need.
-
-    ``run_local`` executes the service's in-process solve path (closing
-    over the live job objects); the thread backend runs it verbatim, so
-    tests that monkeypatch ``PredictionService._solve_shard`` keep
-    intercepting every thread-backend solve.  ``make_payload`` builds the
-    picklable :class:`ShardPayload` for backends that ship the shard out
-    of process; it is a factory so the thread path never pays for it.
-    """
-
-    run_local: "Callable[[], dict[str, object]]"
-    make_payload: "Callable[[], ShardPayload]"
-
-
 class ExecutionBackend(ABC):
     """Where shard solves run: a started/stopped pool with an async ``solve``.
 
-    The contract with the service: :meth:`solve` returns
-    ``(worker_label, outcomes)`` where ``outcomes`` maps story name to a
+    The contract with the service: :meth:`solve` takes a
+    :class:`ShardPayload` and returns ``(worker_label, report)``, where
+    ``report`` is the :class:`ShardSolveReport` :func:`solve_shard_report`
+    produced for it -- ``report.outcomes`` maps story name to a
     :class:`~repro.core.prediction.PredictionResult` or the story's own
-    exception; a raise out of :meth:`solve` is a *shard-wide* failure that
+    exception.  A raise out of :meth:`solve` is a *shard-wide* failure that
     the service answers with bisect-and-requeue.  ``worker_label`` names
-    the pool member that solved the shard (thread name / process name) and
-    feeds the per-worker metric labels.
+    the pool member that solved the shard (thread name / process name /
+    worker-daemon address) and feeds the per-worker metric labels.
     """
 
-    #: Registry name of the backend kind (``thread`` / ``process``).
+    #: Registry name of the backend kind (``thread`` / ``process`` / ``cluster``).
     kind: str = "abstract"
 
     def __init__(self, max_workers: int) -> None:
@@ -390,10 +364,8 @@ class ExecutionBackend(ABC):
         """Tear the pool down; the backend cannot be restarted."""
 
     @abstractmethod
-    async def solve(
-        self, request: ShardRequest
-    ) -> "tuple[str, ShardOutcomes]":
-        """Run one shard; returns ``(worker_label, outcomes-or-report)``."""
+    async def solve(self, payload: ShardPayload) -> "tuple[str, ShardSolveReport]":
+        """Run one shard; returns ``(worker_label, report)``."""
 
     def bind_metrics(self, registry) -> None:
         """Adopt the service's :class:`~repro.service.telemetry.MetricsRegistry`.
@@ -411,7 +383,7 @@ class ExecutionBackend(ABC):
 
 
 class ThreadExecutionBackend(ExecutionBackend):
-    """The classic in-process thread pool (the pre-backend behaviour)."""
+    """Shard solving on an in-process thread pool."""
 
     kind = "thread"
 
@@ -429,15 +401,13 @@ class ThreadExecutionBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
 
-    async def solve(
-        self, request: ShardRequest
-    ) -> "tuple[str, ShardOutcomes]":
+    async def solve(self, payload: ShardPayload) -> "tuple[str, ShardSolveReport]":
         import asyncio
 
         assert self._pool is not None, "backend not started"
 
-        def entry() -> "tuple[str, ShardOutcomes]":
-            return threading.current_thread().name, request.run_local()
+        def entry() -> "tuple[str, ShardSolveReport]":
+            return threading.current_thread().name, solve_shard_report(payload)
 
         return await asyncio.get_running_loop().run_in_executor(self._pool, entry)
 
@@ -577,9 +547,7 @@ class ProcessExecutionBackend(ExecutionBackend):
             self._respawns += 1
         broken.shutdown(wait=False)
 
-    async def solve(
-        self, request: ShardRequest
-    ) -> "tuple[str, ShardOutcomes]":
+    async def solve(self, payload: ShardPayload) -> "tuple[str, ShardSolveReport]":
         import asyncio
 
         with self._lock:
@@ -587,7 +555,7 @@ class ProcessExecutionBackend(ExecutionBackend):
         assert pool is not None, "backend not started"
         # Pickle eagerly: an unpicklable payload must fail *this* shard with
         # a clear error instead of surfacing from the pool's feeder thread.
-        data = pickle.dumps(request.make_payload(), protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             return await asyncio.get_running_loop().run_in_executor(
                 pool, _solve_pickled_payload, data

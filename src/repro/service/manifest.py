@@ -47,17 +47,15 @@ may also carry optional ``group_sizes`` and ``unit`` fields (defaults:
 all-ones groups, percent), which is what lets ``repro corpus export``
 round-trip any store bit-identically through the inline format.
 
-**Use** :func:`open_corpus` **for everything**: it accepts a decoded
-payload, a manifest JSON path, a store directory or a store ``index.json``
-path, and returns a :class:`StoryManifest` whose :meth:`~StoryManifest.resolve`
-materialises the surfaces.  ``parse_manifest`` / ``load_manifest`` /
-``resolve_manifest`` survive as thin deprecated aliases.
+:func:`open_corpus` is the one entry point: it accepts a decoded payload,
+a manifest JSON path, a store directory or a store ``index.json`` path, and
+returns a :class:`StoryManifest` whose :meth:`~StoryManifest.resolve`
+materialises the surfaces.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -442,7 +440,7 @@ def _parse_story(entry, index: int, seen: "set[str]", source: str) -> ManifestSt
 
 
 def _parse_payload(payload: dict, source: str = "<memory>") -> StoryManifest:
-    """Validate a decoded manifest document (the non-deprecated parse path)."""
+    """Validate a decoded manifest document (the parse path behind :func:`open_corpus`)."""
     if not isinstance(payload, dict):
         raise ManifestError(
             f"{source}: the manifest root must be an object, got "
@@ -583,43 +581,3 @@ def open_corpus(path_or_payload, source: "str | None" = None) -> StoryManifest:
         except CorpusStoreError as error:
             raise ManifestError(str(error)) from error
     return _parse_payload(payload, source or str(path))
-
-
-# ---------------------------------------------------------------------- #
-# Deprecated aliases (the pre-open_corpus API surface)
-# ---------------------------------------------------------------------- #
-def parse_manifest(payload: dict, source: str = "<memory>") -> StoryManifest:
-    """Deprecated alias: use :func:`open_corpus` instead."""
-    warnings.warn(
-        "parse_manifest() is deprecated; use "
-        "repro.service.open_corpus(payload) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _parse_payload(payload, source)
-
-
-def load_manifest(path: str) -> StoryManifest:
-    """Deprecated alias: use :func:`open_corpus` instead."""
-    warnings.warn(
-        "load_manifest() is deprecated; use repro.service.open_corpus(path) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return open_corpus(path)
-
-
-def resolve_manifest(
-    manifest: StoryManifest,
-    corpus_overrides: "dict | None" = None,
-    training_times: "Sequence[float] | None" = None,
-) -> ResolvedManifest:
-    """Deprecated alias: use :meth:`StoryManifest.resolve` instead."""
-    warnings.warn(
-        "resolve_manifest() is deprecated; use StoryManifest.resolve() "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return manifest.resolve(corpus_overrides, training_times)

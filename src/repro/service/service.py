@@ -60,25 +60,17 @@ from enum import Enum
 from typing import AsyncIterator, Iterable, Mapping, Sequence
 
 from repro.cascade.density import DensitySurface
-from repro.core.config import (
-    CalibrationConfig,
-    ModelSpec,
-    SolverConfig,
-    merge_calibration_config,
-    merge_solver_config,
-)
+from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
 from repro.core.parameters import DLParameters
 from repro.core.prediction import PredictionResult
 from repro.models.registry import get_model
 from repro.service.execution import (
     ExecutionBackend,
     ShardPayload,
-    ShardRequest,
     ShardSolveReport,
     WorkerCrashError,
     create_executor,
     get_executor_factory,
-    solve_shard_report,
 )
 from repro.service.sharding import CorpusSharder, ShardAutotuner, ShardKey
 from repro.service.telemetry import MetricsRegistry
@@ -163,9 +155,6 @@ class PredictionJob:
     #: a retried job's next shard span parents here (the re-parenting link
     #: from a bisected half back to the failed shard).
     _shard_trace: "TraceContext | None" = field(default=None, repr=False)
-    #: Side channel for the thread path: _solve_shard parks the shard's
-    #: ShardSolveReport here (on the batch's first job) for _run_shard.
-    _solve_report: "ShardSolveReport | None" = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
@@ -232,19 +221,18 @@ class PredictionService:
         against the registry at construction.
     executor:
         Name of the :mod:`~repro.service.execution` backend shard solves
-        run on: ``"thread"`` (default, the in-process pool) or
-        ``"process"`` (a ``ProcessPoolExecutor``: picklable shard payloads,
-        per-process operator caches, crash respawn -- scales
-        calibration-heavy corpora past the GIL).
+        run on: ``"thread"`` (default, the in-process pool), ``"process"``
+        (a ``ProcessPoolExecutor``: per-process operator caches, crash
+        respawn -- scales calibration-heavy corpora past the GIL) or
+        ``"cluster"`` (a worker-daemon fleet).
     executor_options:
         Extra keyword arguments for the backend factory, e.g.
         ``{"start_method": "spawn"}`` or a ``warmup`` payload for the
         process backend.
     solver, calibration:
         Typed configs (:class:`~repro.core.config.SolverConfig` /
-        :class:`~repro.core.config.CalibrationConfig`); the legacy knobs
-        ``points_per_unit`` / ``max_step`` / ``backend`` / ``operator`` /
-        ``calibration_batch`` remain accepted as a thin shim.
+        :class:`~repro.core.config.CalibrationConfig`); omitted, they take
+        their defaults, with batched calibration.
     max_workers:
         Number of shard solves in flight at once (thread-pool size).
     queue_depth:
@@ -289,11 +277,6 @@ class PredictionService:
     def __init__(
         self,
         parameters: "DLParameters | Mapping[str, DLParameters] | None" = None,
-        points_per_unit: "int | None" = None,
-        max_step: "float | None" = None,
-        backend: "str | None" = None,
-        operator: "str | None" = None,
-        calibration_batch: "bool | None" = None,
         max_workers: int = DEFAULT_MAX_WORKERS,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_shard_size: "int | None" = DEFAULT_MAX_SHARD_SIZE,
@@ -336,11 +319,9 @@ class PredictionService:
                 f"parameters= carries DL parameters but the default model is "
                 f"{model!r}; pass model-specific options via model_params="
             )
-        solver_config = merge_solver_config(
-            solver, points_per_unit, max_step, backend, operator
-        )
-        calibration_config = merge_calibration_config(
-            calibration, calibration_batch, default_batch=True
+        solver_config = solver if solver is not None else SolverConfig()
+        calibration_config = (
+            calibration if calibration is not None else CalibrationConfig(batch=True)
         )
         params = dict(model_params or {})
         if parameters is not None:
@@ -939,24 +920,10 @@ class PredictionService:
                 job._shard_trace = shard_ctx
         try:
             start = time.perf_counter()
-            request = ShardRequest(
-                # The thread backend runs the service method (so tests that
-                # monkeypatch _solve_shard intercept every solve); the
-                # process backend ships the picklable payload instead.
-                run_local=lambda: self._solve_shard(jobs),
-                make_payload=lambda: self._payload_for(jobs),
-            )
-            worker, raw = await self._backend.solve(request)
+            worker, report = await self._backend.solve(self._payload_for(jobs))
             elapsed = time.perf_counter() - start
-            if isinstance(raw, ShardSolveReport):
-                report: "ShardSolveReport | None" = raw
-                outcomes = raw.outcomes
-            else:
-                outcomes = raw
-                report = jobs[0]._solve_report
-                jobs[0]._solve_report = None
-            if report is not None:
-                self._absorb_report(report, worker, shard_span)
+            self._absorb_report(report, worker, shard_span)
+            outcomes = report.outcomes
             worker_label = {"worker": worker}
             self._shard_seconds.observe(elapsed)
             self._story_seconds.observe(elapsed / len(jobs))
@@ -1017,9 +984,9 @@ class PredictionService:
     ) -> None:
         """Fold a shard's solve report into telemetry and the trace.
 
-        Worker-collected spans (the process path) are ingested into the
-        service tracer -- their trace/span ids already point at the shard
-        span that rode out in the payload, so they re-parent with no
+        Worker-collected spans are ingested into the service tracer, tagged
+        with the worker label -- their trace/span ids already point at the
+        shard span that rode out in the payload, so they re-parent with no
         rewriting.  Phase wall times feed the per-phase histograms, and the
         operator-cache delta lands as shard-span attributes.
         """
@@ -1061,7 +1028,7 @@ class PredictionService:
         return spec
 
     def _payload_for(self, jobs: "list[PredictionJob]") -> ShardPayload:
-        """The shard as plain picklable data (the process backend's input)."""
+        """The shard as plain picklable data: every backend's input."""
         key = jobs[0].key
         return ShardPayload(
             key=key,
@@ -1069,33 +1036,6 @@ class PredictionService:
             surfaces={job.name: job.surface for job in jobs},
             trace=jobs[0]._shard_trace,
         )
-
-    def _solve_shard(
-        self, jobs: "list[PredictionJob]"
-    ) -> "dict[str, PredictionResult | BaseException]":
-        """Synchronous shard solve, run on a worker thread.
-
-        A thin wrapper over the backend-shared
-        :func:`~repro.service.execution.solve_shard_payload` (the single
-        shard-numerics path): the shard's model is resolved from the
-        registry by the shard key's model name; for ``dl`` the fitter wraps
-        the synchronous :class:`~repro.core.prediction.BatchPredictor`
-        verbatim, so results stay bit-identical to the classic path and
-        keep its batched spatial-group solves.  A story whose *fit* fails
-        (bad surface, calibration error) is mapped to its own exception
-        without poisoning its shard-mates; only a failure of the joint
-        evaluate solve is shard-wide (and surfaces through the caller's
-        except path).
-
-        Runs through :func:`~repro.service.execution.solve_shard_report` so
-        phase timings (and spans, when tracing is on) are captured on the
-        thread path too; the report rides back to ``_run_shard`` on the
-        batch's first job, keeping this method's classic dict contract for
-        the tests that wrap it.
-        """
-        report = solve_shard_report(self._payload_for(jobs), tracer=self._tracer)
-        jobs[0]._solve_report = report
-        return report.outcomes
 
 
 def score_corpus_sync(

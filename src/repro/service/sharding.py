@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.cascade.density import DensitySurface
-from repro.core.config import SolverConfig, merge_solver_config
+from repro.core.config import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,7 @@ class CorpusSharder:
     solver:
         The :class:`~repro.core.config.SolverConfig` the shards will be
         scored with; baked into every :class:`ShardKey` so shards from
-        differently configured sharders never mix.  The individual legacy
-        knobs below remain accepted as a thin shim.
-    points_per_unit, max_step, backend, operator:
-        Legacy solver knobs; prefer ``solver=SolverConfig(...)``.
+        differently configured sharders never mix.
     model:
         Default registry name of the prediction model; joins every
         :class:`ShardKey` so shards never mix models.  Overridable per
@@ -232,10 +229,6 @@ class CorpusSharder:
 
     def __init__(
         self,
-        points_per_unit: "int | None" = None,
-        max_step: "float | None" = None,
-        backend: "str | None" = None,
-        operator: "str | None" = None,
         max_shard_size: "int | None" = None,
         *,
         model: str = "dl",
@@ -245,9 +238,7 @@ class CorpusSharder:
             raise ValueError(f"max_shard_size must be >= 1, got {max_shard_size}")
         if not model:
             raise ValueError("the sharder needs a non-empty default model name")
-        self._solver = merge_solver_config(
-            solver, points_per_unit, max_step, backend, operator
-        )
+        self._solver = solver if solver is not None else SolverConfig()
         self._model = model
         self._max_shard_size = max_shard_size
 

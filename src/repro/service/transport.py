@@ -9,8 +9,7 @@ lifecycle code:
 * :class:`Address` / :func:`parse_address` -- the textual address grammar
   shared by ``repro daemon --listen`` and ``repro submit --connect``:
   ``unix:/path/to.sock``, ``tcp:HOST:PORT``, ``stdio``, or a bare path
-  (treated as a Unix socket path, which is what every pre-transport
-  ``--socket`` flag passed).
+  (treated as a Unix socket path).
 * :class:`Connection` -- one JSON-lines peer with a serialized writer, so
   concurrent job streamers sharing a connection never interleave within a
   line.
@@ -64,9 +63,7 @@ class Address:
 def parse_address(spec: "str | Address") -> Address:
     """Parse ``unix:/path``, ``tcp:host:port``, ``stdio`` or a bare path.
 
-    A bare string with no recognised scheme prefix is a Unix socket path --
-    exactly what the pre-transport ``--socket PATH`` flags passed, so every
-    existing invocation keeps working unchanged.
+    A bare string with no recognised scheme prefix is a Unix socket path.
     """
     if isinstance(spec, Address):
         return spec
@@ -96,7 +93,7 @@ def parse_address(spec: "str | Address") -> Address:
         if not 0 <= port <= 65535:
             raise AddressError(f"address {text!r} port {port} is out of range")
         return Address(scheme="tcp", host=host, port=port)
-    # Backward compatibility: a bare path is a Unix socket path.
+    # A bare path is a Unix socket path.
     return Address(scheme="unix", path=text)
 
 
@@ -327,12 +324,12 @@ class TcpListener(Listener):
             self._server = None
 
 
-async def _connect_unix(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
+async def _dial_unix(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     assert address.path is not None
     return await asyncio.open_unix_connection(address.path)
 
 
-async def _connect_tcp(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
+async def _dial_tcp(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     assert address.host is not None and address.port is not None
     return await asyncio.open_connection(address.host, address.port)
 
@@ -422,7 +419,7 @@ register_transport(
         scheme="unix",
         description="Unix-domain socket (unix:PATH or a bare path)",
         listener=UnixListener,
-        connector=_connect_unix,
+        connector=_dial_unix,
     )
 )
 register_transport(
@@ -430,6 +427,6 @@ register_transport(
         scheme="tcp",
         description="TCP socket (tcp:HOST:PORT)",
         listener=TcpListener,
-        connector=_connect_tcp,
+        connector=_dial_tcp,
     )
 )

@@ -19,7 +19,7 @@ class TestParser:
         serve = build_parser().parse_args(["serve-batch", "--manifest", "m.json"])
         assert serve.model is None
         submit = build_parser().parse_args(
-            ["submit", "--socket", "s", "--manifest", "m.json"]
+            ["submit", "--connect", "s", "--manifest", "m.json"]
         )
         assert submit.model is None
 
@@ -37,10 +37,10 @@ class TestParser:
         assert args.json is None
 
     def test_daemon_stats_prometheus_flag(self):
-        args = build_parser().parse_args(["daemon-stats", "--socket", "s"])
+        args = build_parser().parse_args(["daemon-stats", "--connect", "s"])
         assert args.prometheus is False
         args = build_parser().parse_args(
-            ["daemon-stats", "--socket", "s", "--prometheus"]
+            ["daemon-stats", "--connect", "s", "--prometheus"]
         )
         assert args.prometheus is True
 

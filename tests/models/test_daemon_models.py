@@ -15,10 +15,10 @@ from tests.service.test_daemon import (
 
 
 def _surface_for(story: dict):
-    from repro.service.manifest import parse_manifest, resolve_manifest
+    from repro.service.manifest import open_corpus
 
-    manifest = parse_manifest(manifest_payload(story))
-    return resolve_manifest(manifest, None, TRAINING_TIMES).surfaces[story["name"]]
+    manifest = open_corpus(manifest_payload(story))
+    return manifest.resolve(None, TRAINING_TIMES).surfaces[story["name"]]
 
 
 class TestMixedModelManifest:
@@ -29,7 +29,7 @@ class TestMixedModelManifest:
                 {**inline_story("beta", scale=1.2), "model": "logistic"},
             )
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     accepted, results, job, errors = await collect_submission(
                         client, manifest
                     )
@@ -59,7 +59,7 @@ class TestMixedModelManifest:
         async def run():
             manifest = manifest_payload(inline_story("alpha"))
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     _, results, _, errors = await collect_submission(
                         client, manifest, model="sis"
                     )
@@ -73,7 +73,7 @@ class TestMixedModelManifest:
         async def run():
             manifest = manifest_payload(inline_story("alpha"))
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     _, results, _, errors = await collect_submission(
                         client, manifest, model="frobnicate"
                     )
@@ -89,7 +89,7 @@ class TestMixedModelManifest:
                 {**inline_story("alpha"), "model": "frobnicate"}
             )
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     _, results, _, errors = await collect_submission(
                         client, manifest
                     )
@@ -104,7 +104,7 @@ class TestMetricsOp:
         async def run():
             manifest = manifest_payload(inline_story("alpha"))
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(client, manifest)
                     return await client.metrics_text()
 

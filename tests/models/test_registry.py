@@ -90,21 +90,18 @@ class TestSolverConfig:
         assert hash(config) == hash(SolverConfig(points_per_unit=12))
 
     def test_mixing_config_and_legacy_knobs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
+        # The scattered knobs are gone: the typed configs are the one form.
+        with pytest.raises(TypeError):
             DiffusionPredictor(points_per_unit=12, solver=SolverConfig())
-        with pytest.raises(ValueError, match="not both"):
-            BatchPredictor(backend="scipy", solver=SolverConfig())
-        with pytest.raises(ValueError, match="not both"):
-            DiffusionPredictor(
-                calibration_batch=True, calibration=CalibrationConfig()
-            )
+        with pytest.raises(TypeError):
+            BatchPredictor(backend="scipy")
+        with pytest.raises(TypeError):
+            DiffusionPredictor(calibration_batch=True)
 
-    def test_legacy_knobs_build_the_config(self):
-        predictor = DiffusionPredictor(points_per_unit=12, backend="scipy")
-        assert predictor.solver_config == SolverConfig(
-            points_per_unit=12, backend="scipy"
-        )
-        assert predictor.calibration_config == CalibrationConfig(batch=False)
+    def test_typed_configs_and_calibration_defaults(self):
+        solver = SolverConfig(points_per_unit=12, backend="scipy")
+        assert DiffusionPredictor(solver=solver).solver_config == solver
+        assert DiffusionPredictor().calibration_config == CalibrationConfig(batch=False)
         assert BatchPredictor().calibration_config == CalibrationConfig(batch=True)
 
 

@@ -252,21 +252,6 @@ class TestOperatorModes:
         solver = ReactionDiffusionSolver(backend="scipy")
         assert solver.operator is None
 
-    def test_thomas_backend_registered(self):
-        assert "thomas" in available_backends()
-        solver = ReactionDiffusionSolver(backend="thomas")
-        assert solver.backend == "thomas"
-        assert solver.operator == "thomas"
-
-    def test_thomas_backend_matches_internal(self):
-        problem = dl_like_batch_problem(batch=3)
-        times = [1.0, 3.0]
-        internal = ReactionDiffusionSolver(max_step=0.05).solve_batch(problem, times)
-        thomas = ReactionDiffusionSolver(max_step=0.05, backend="thomas").solve_batch(
-            problem, times
-        )
-        assert np.max(np.abs(internal.states - thomas.states)) < 1e-12
-
     def test_single_solve_metadata_reports_operator(self):
         problem = dl_like_batch_problem(batch=2).column_problem(0)
         solution = ReactionDiffusionSolver(max_step=0.05).solve(problem, [2.0])

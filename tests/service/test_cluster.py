@@ -42,8 +42,7 @@ from repro.service import (
     available_executors,
     create_executor,
     load_worker_addresses,
-    parse_manifest,
-    resolve_manifest,
+    open_corpus,
     route_hash,
 )
 from repro.service.sharding import CorpusSharder, ShardKey
@@ -79,8 +78,8 @@ def manifest_payload(*stories) -> dict:
 
 def corpus_surfaces(count: int = 5) -> dict:
     stories = [inline_story(f"s{i}", scale=0.7 + 0.1 * i) for i in range(count)]
-    manifest = parse_manifest(manifest_payload(*stories), source="<test>")
-    return resolve_manifest(manifest, None, TRAINING_TIMES).surfaces
+    manifest = open_corpus(manifest_payload(*stories), source="<test>")
+    return manifest.resolve(None, TRAINING_TIMES).surfaces
 
 
 def shard_key(**overrides) -> ShardKey:
@@ -105,7 +104,7 @@ async def running_daemon(tmp_path, **daemon_kwargs):
     """A daemon serving a Unix socket in this loop; shut down on exit."""
     socket_path = str(tmp_path / "daemon.sock")
     daemon = PredictionDaemon(**daemon_kwargs)
-    server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+    server = asyncio.ensure_future(daemon.serve(socket_path))
     deadline = time.monotonic() + 5.0
     while not os.path.exists(socket_path):
         if server.done() or time.monotonic() > deadline:
@@ -117,35 +116,11 @@ async def running_daemon(tmp_path, **daemon_kwargs):
     finally:
         if not server.done():
             try:
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await client.shutdown()
             except (ConnectionError, OSError):
                 server.cancel()
         await asyncio.gather(server, return_exceptions=True)
-
-
-@contextlib.asynccontextmanager
-async def worker_fleet(count: int = 2, **daemon_kwargs):
-    """``count`` in-process worker daemons on ephemeral TCP ports."""
-    workers, tasks = [], []
-    try:
-        for _ in range(count):
-            worker = PredictionDaemon(max_workers=2, **daemon_kwargs)
-            tasks.append(asyncio.ensure_future(worker.serve_tcp("127.0.0.1", 0)))
-            deadline = time.monotonic() + 10.0
-            while worker.listener is None or worker.listener.address.port in (
-                None,
-                0,
-            ):
-                if time.monotonic() > deadline:
-                    raise RuntimeError("worker daemon never bound its port")
-                await asyncio.sleep(0.01)
-            workers.append(worker)
-        yield [str(worker.listener.address) for worker in workers]
-    finally:
-        for worker in workers:
-            worker.stop_event.set()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 def free_tcp_port() -> int:
@@ -305,7 +280,7 @@ class TestWorkerProtocolOp:
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     data = base64.b64encode(
                         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                     ).decode("ascii")
@@ -323,7 +298,7 @@ class TestWorkerProtocolOp:
     def test_worker_op_rejects_bad_payloads(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     missing = await client.request({"op": "worker", "id": "w-1"})
                     garbage = await client.request(
                         {"op": "worker", "id": "w-2", "payload": "not base64!!"}
@@ -336,7 +311,7 @@ class TestWorkerProtocolOp:
 
 
 class TestClusterExecution:
-    def test_results_bit_identical_to_thread_executor(self):
+    def test_results_bit_identical_to_thread_executor(self, worker_fleet):
         surfaces = corpus_surfaces(5)
 
         async def run():
@@ -519,7 +494,7 @@ class TestJournalResume:
             async with running_daemon(
                 tmp_path, journal_dir=str(journal_dir), resume=True
             ) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     deadline = time.monotonic() + 30.0
                     while True:
                         status = await client.status("job-resume")
@@ -555,7 +530,7 @@ class TestJournalResume:
             async with running_daemon(
                 tmp_path, journal_dir=str(journal_dir), resume=True
             ) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     status = await client.status("job-legacy")
                     stats = await client.stats()
                     return status, stats

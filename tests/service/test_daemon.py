@@ -21,9 +21,8 @@ from repro.service import (
     ClientQuota,
     DaemonClient,
     PredictionDaemon,
-    PredictionService,
-    parse_manifest,
-    resolve_manifest,
+    execution,
+    open_corpus,
 )
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -58,7 +57,7 @@ async def running_daemon(tmp_path, **daemon_kwargs):
     """A daemon serving a Unix socket in this loop; shut down on exit."""
     socket_path = str(tmp_path / "daemon.sock")
     daemon = PredictionDaemon(**daemon_kwargs)
-    server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+    server = asyncio.ensure_future(daemon.serve(socket_path))
     deadline = time.monotonic() + 5.0
     while not os.path.exists(socket_path):
         if server.done() or time.monotonic() > deadline:
@@ -70,7 +69,7 @@ async def running_daemon(tmp_path, **daemon_kwargs):
     finally:
         if not server.done():
             try:
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await client.shutdown()
             except (ConnectionError, OSError):
                 server.cancel()
@@ -97,7 +96,7 @@ class TestProtocolFraming:
     def test_malformed_and_unknown_requests_get_error_events(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     responses = []
                     for raw in (
                         "this is not json",
@@ -128,7 +127,7 @@ class TestProtocolFraming:
     def test_empty_manifest_and_bad_timeout_rejected(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     empty = await client.request(
                         {"op": "submit", "manifest": {"stories": []}}
                     )
@@ -154,7 +153,7 @@ class TestSubmission:
 
         async def run():
             async with running_daemon(tmp_path, max_workers=2) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     return await collect_submission(client, manifest, job_id="bits")
 
         accepted, results, job_event, errors = asyncio.run(run())
@@ -164,9 +163,7 @@ class TestSubmission:
         assert job_event["status"] == "completed"
         assert job_event["stories"]["succeeded"] == 2
 
-        surfaces = resolve_manifest(
-            parse_manifest(manifest), None, TRAINING_TIMES
-        ).surfaces
+        surfaces = open_corpus(manifest).resolve(None, TRAINING_TIMES).surfaces
         reference = (
             BatchPredictor()
             .fit(surfaces, training_times=TRAINING_TIMES)
@@ -194,7 +191,7 @@ class TestSubmission:
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     return await collect_submission(client, manifest)
 
         accepted, results, job_event, errors = asyncio.run(run())
@@ -210,7 +207,7 @@ class TestSubmission:
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     first = await collect_submission(client, manifest, job_id="dup")
                     second = await collect_submission(client, manifest, job_id="dup")
                     third = await collect_submission(client, manifest)
@@ -230,7 +227,7 @@ class TestSubmission:
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     explicit = await collect_submission(client, manifest, job_id="job-1")
                     generated = await collect_submission(client, manifest)
                     status = await client.status("job-1")
@@ -249,7 +246,7 @@ class TestSubmission:
                 socket_path,
                 daemon,
             ):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     for index in range(4):
                         await collect_submission(client, manifest, job_id=f"j{index}")
                     listing = await client.status()
@@ -265,7 +262,7 @@ class TestSubmission:
         async def run():
             async with running_daemon(tmp_path, max_workers=2) as (socket_path, _):
                 async def one(job_id, scale):
-                    async with await DaemonClient.connect_unix(socket_path) as client:
+                    async with await DaemonClient.connect(socket_path) as client:
                         return await collect_submission(
                             client,
                             manifest_payload(inline_story(f"{job_id}-story", scale)),
@@ -273,7 +270,7 @@ class TestSubmission:
                         )
 
                 outcomes = await asyncio.gather(one("left", 1.0), one("right", 0.7))
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     stats = await client.stats()
                 return outcomes, stats
 
@@ -286,17 +283,17 @@ class TestSubmission:
         assert stats["service"]["stories_solved"] == 2
 
     def test_story_timeout_streams_timed_out_result(self, tmp_path, monkeypatch):
-        original = PredictionService._solve_shard
+        original = execution.solve_shard_payload
 
-        def slow(self, jobs):
+        def slow(payload):
             time.sleep(0.5)
-            return original(self, jobs)
+            return original(payload)
 
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow)
+        monkeypatch.setattr(execution, "solve_shard_payload", slow)
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     return await collect_submission(
                         client,
                         manifest_payload(inline_story("slowpoke")),
@@ -315,7 +312,7 @@ class TestStatusAndStats:
     def test_status_reports_counts_and_listing(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a")), job_id="tracked"
                     )
@@ -331,7 +328,7 @@ class TestStatusAndStats:
     def test_stats_exposes_service_counters_and_telemetry(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path, autotune=True) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a"))
                     )
@@ -360,7 +357,7 @@ class TestStatusAndStats:
             async with running_daemon(
                 tmp_path, executor="process", max_workers=2
             ) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     outcome = await collect_submission(
                         client, manifest_payload(inline_story("a"))
                     )
@@ -380,13 +377,13 @@ class TestShutdown:
         # even when another connection requests shutdown right away.
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                submitter = await DaemonClient.connect_unix(socket_path)
+                submitter = await DaemonClient.connect(socket_path)
                 stream = submitter.submit(
                     manifest_payload(inline_story("draining")), job_id="draining"
                 )
                 accepted = await stream.__anext__()
                 assert accepted["event"] == "accepted"
-                async with await DaemonClient.connect_unix(socket_path) as other:
+                async with await DaemonClient.connect(socket_path) as other:
                     ack = await other.shutdown()
                 assert ack == {"event": "shutdown", "drain": True}
                 events = [event async for event in stream]
@@ -403,7 +400,7 @@ class TestShutdown:
         async def run():
             async with running_daemon(tmp_path) as (socket_path, daemon):
                 daemon._accepting = False  # as the shutdown op does first
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     return await client.request(
                         {"op": "submit", "manifest": manifest_payload(inline_story("a"))}
                     )
@@ -430,7 +427,7 @@ class TestCliSubmitExitCodes:
                 return await asyncio.get_running_loop().run_in_executor(
                     None,
                     main,
-                    ["submit", "--socket", socket_path, "--manifest", str(manifest_path)],
+                    ["submit", "--connect", socket_path, "--manifest", str(manifest_path)],
                 )
 
         exit_code = asyncio.run(run())
@@ -512,18 +509,18 @@ class TestClientQuota:
         assert not ClientQuota(max_jobs=3).unlimited
 
     def test_job_quota_rejects_second_inflight_submit(self, tmp_path, monkeypatch):
-        original = PredictionService._solve_shard
+        original = execution.solve_shard_payload
 
-        def slow(self, jobs):
+        def slow(payload):
             time.sleep(0.6)
-            return original(self, jobs)
+            return original(payload)
 
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow)
+        monkeypatch.setattr(execution, "solve_shard_payload", slow)
 
         async def run():
             quota = ClientQuota(max_jobs=1)
             async with running_daemon(tmp_path, quota=quota) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as first:
+                async with await DaemonClient.connect(socket_path) as first:
                     await first._send(
                         {
                             "op": "submit",
@@ -543,7 +540,7 @@ class TestClientQuota:
                     rejection = await first._receive()
                     # A different connection is a different client: its
                     # budget is untouched by the hog.
-                    async with await DaemonClient.connect_unix(socket_path) as second:
+                    async with await DaemonClient.connect(socket_path) as second:
                         _, _, other_job, other_errors = await collect_submission(
                             second,
                             manifest_payload(inline_story("c")),
@@ -557,7 +554,7 @@ class TestClientQuota:
                     _, _, retry_job, retry_errors = await collect_submission(
                         first, manifest_payload(inline_story("d")), job_id="retry"
                     )
-                    async with await DaemonClient.connect_unix(socket_path) as probe:
+                    async with await DaemonClient.connect(socket_path) as probe:
                         stats = await probe.stats()
                 return accepted, rejection, (other_job, other_errors), (
                     retry_job,
@@ -588,7 +585,7 @@ class TestClientQuota:
         async def run():
             quota = ClientQuota(max_stories=1)
             async with running_daemon(tmp_path, quota=quota) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     _, _, _, errors = await collect_submission(
                         client,
                         manifest_payload(inline_story("a"), inline_story("b")),
@@ -618,7 +615,7 @@ class TestTraceOp:
 
         async def run():
             async with running_daemon(tmp_path, trace=True) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a")), job_id="traced"
                     )
@@ -649,7 +646,7 @@ class TestTraceOp:
     def test_trace_op_unknown_job_and_disabled_daemon(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     missing = await client.trace("ghost")
                     await collect_submission(
                         client, manifest_payload(inline_story("a")), job_id="plain"
@@ -679,7 +676,7 @@ class TestTraceOp:
                 socket_path,
                 _,
             ):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a")), job_id="filed"
                     )
@@ -693,7 +690,7 @@ class TestTraceOp:
     def test_uptime_gauge_in_stats_and_prometheus(self, tmp_path):
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     stats = await client.stats()
                     text = await client.metrics_text()
                     return stats, text
@@ -719,7 +716,7 @@ class TestTraceOp:
             async with running_daemon(
                 tmp_path, trace=True, journal_dir=str(journal_dir)
             ) as (socket_path, _):
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a")), job_id="kept"
                     )

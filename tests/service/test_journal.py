@@ -148,7 +148,7 @@ class TestDaemonReplay:
 
         async def run():
             daemon = PredictionDaemon(max_workers=1, journal_dir=journal_dir)
-            server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+            server = asyncio.ensure_future(daemon.serve(socket_path))
             deadline = asyncio.get_running_loop().time() + 5.0
             try:
                 while not os.path.exists(socket_path):
@@ -156,7 +156,7 @@ class TestDaemonReplay:
                         await server
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.005)
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     status = await client.status("doomed")
                     all_jobs = await client.status()
                     stats = await client.stats()
@@ -183,13 +183,13 @@ class TestDaemonReplay:
 
         async def run():
             daemon = PredictionDaemon(max_workers=1)
-            server = asyncio.ensure_future(daemon.serve_unix(socket_path))
+            server = asyncio.ensure_future(daemon.serve(socket_path))
             deadline = asyncio.get_running_loop().time() + 5.0
             try:
                 while not os.path.exists(socket_path):
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.005)
-                async with await DaemonClient.connect_unix(socket_path) as client:
+                async with await DaemonClient.connect(socket_path) as client:
                     stats = await client.stats()
                     await client.shutdown()
                 return stats

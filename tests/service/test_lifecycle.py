@@ -13,6 +13,7 @@ These cover the daemon-era service guarantees:
 """
 
 import asyncio
+import contextlib
 import time
 
 import numpy as np
@@ -23,11 +24,13 @@ from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
 from repro.service import (
+    ClusterShardError,
     JobStatus,
     JobTimeoutError,
     MetricsRegistry,
     PredictionService,
     ShardAutotuner,
+    execution,
 )
 
 TRAINING_TIMES = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -55,12 +58,12 @@ def surfaces():
 
 
 def slow_solver(delay: float):
-    """A _solve_shard wrapper that sleeps before delegating (as a solve would)."""
-    original = PredictionService._solve_shard
+    """A solve_shard_payload wrapper that sleeps before delegating."""
+    original = execution.solve_shard_payload
 
-    def solve(self, jobs):
+    def solve(payload):
         time.sleep(delay)
-        return original(self, jobs)
+        return original(payload)
 
     return solve
 
@@ -70,7 +73,7 @@ class TestTimeouts:
         # One slow worker: the second job's deadline fires while it is still
         # queued behind the first.  It must complete as TIMED_OUT right then;
         # the first job must be untouched.
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow_solver(0.4))
+        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
 
         async def run():
             async with PredictionService(
@@ -101,7 +104,7 @@ class TestTimeouts:
         assert stats["timed_out"] == 1 and stats["succeeded"] == 1
 
     def test_mid_solve_timeout_discards_late_result(self, surfaces, monkeypatch):
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow_solver(0.4))
+        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
 
         async def run():
             async with PredictionService(
@@ -129,7 +132,7 @@ class TestTimeouts:
         assert metrics["service.late_results_discarded"] == 1
 
     def test_service_default_timeout_applies(self, surfaces, monkeypatch):
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow_solver(0.4))
+        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
 
         async def run():
             async with PredictionService(
@@ -182,31 +185,45 @@ class TestTimeouts:
 class TestShardRetry:
     @staticmethod
     def poisoned_solver(poison_name: str):
-        original = PredictionService._solve_shard
+        original = execution.solve_shard_payload
 
-        def solve(self, jobs):
-            if any(job.name == poison_name for job in jobs):
+        def solve(payload):
+            if poison_name in payload.surfaces:
                 raise RuntimeError("poisoned shard")
-            return original(self, jobs)
+            return original(payload)
 
         return solve
 
+    @pytest.mark.parametrize("executor", ["thread", "process", "cluster"])
     def test_poisoned_story_is_bisected_away_from_shardmates(
-        self, surfaces, monkeypatch
+        self, surfaces, monkeypatch, executor, worker_fleet
     ):
         # Four stories share one shard; the whole-shard solve raises whenever
         # the poisoned story is aboard.  Bisection must deliver every mate
-        # and fail only the poison, once its retry budget is spent.
+        # and fail only the poison, once its retry budget is spent.  The
+        # patched solve_shard_payload runs in a pool thread, a forked
+        # process worker or an in-process worker daemon (whose error event
+        # reaches the router as a ClusterShardError).
         monkeypatch.setattr(
-            PredictionService, "_solve_shard", self.poisoned_solver("poison")
+            execution, "solve_shard_payload", self.poisoned_solver("poison")
         )
 
         async def run():
-            async with PredictionService(
-                parameters=PAPER_S1_HOP_PARAMETERS,
-                max_shard_size=8,
-                max_shard_retries=4,
-            ) as service:
+            async with contextlib.AsyncExitStack() as stack:
+                executor_options = {}
+                if executor == "cluster":
+                    executor_options["workers"] = await stack.enter_async_context(
+                        worker_fleet(2)
+                    )
+                service = await stack.enter_async_context(
+                    PredictionService(
+                        parameters=PAPER_S1_HOP_PARAMETERS,
+                        max_shard_size=8,
+                        max_shard_retries=4,
+                        executor=executor,
+                        executor_options=executor_options,
+                    )
+                )
                 mates = [
                     await service.submit(
                         name, surfaces[name], TRAINING_TIMES, EVALUATION_TIMES
@@ -229,10 +246,12 @@ class TestShardRetry:
         assert poison.attempts == 4  # budget exhausted
         assert stats["succeeded"] == 3 and stats["failed"] == 1
         assert stats["shards_retried"] >= 2  # initial split + singleton retries
+        if executor == "cluster":
+            assert isinstance(poison.error, ClusterShardError)
 
     def test_zero_retries_fails_whole_shard(self, surfaces, monkeypatch):
         monkeypatch.setattr(
-            PredictionService, "_solve_shard", self.poisoned_solver("poison")
+            execution, "solve_shard_payload", self.poisoned_solver("poison")
         )
 
         async def run():
@@ -259,16 +278,16 @@ class TestShardRetry:
     def test_transient_failure_recovers_on_retry(self, surfaces, monkeypatch):
         # The first solve attempt fails shard-wide, every later one works:
         # all jobs must succeed after one requeue round.
-        original = PredictionService._solve_shard
+        original = execution.solve_shard_payload
         calls = {"n": 0}
 
-        def flaky(self, jobs):
+        def flaky(payload):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient backend hiccup")
-            return original(self, jobs)
+            return original(payload)
 
-        monkeypatch.setattr(PredictionService, "_solve_shard", flaky)
+        monkeypatch.setattr(execution, "solve_shard_payload", flaky)
 
         async def run():
             async with PredictionService(
@@ -314,7 +333,7 @@ class TestDrainAndShutdown:
         assert asyncio.run(run()) is JobStatus.SUCCEEDED
 
     def test_abort_close_cancels_queued_jobs(self, surfaces, monkeypatch):
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow_solver(0.3))
+        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.3))
 
         async def run():
             service = PredictionService(
@@ -358,7 +377,7 @@ class TestDrainAndShutdown:
     ):
         # Satellite: cancelling a job whose shard is mid-solve must be a
         # no-op (returns False), and the job must still deliver its result.
-        monkeypatch.setattr(PredictionService, "_solve_shard", slow_solver(0.3))
+        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.3))
 
         async def run():
             async with PredictionService(

@@ -1,4 +1,4 @@
-"""open_corpus facade: dispatch, store-backed manifests, deprecated aliases."""
+"""open_corpus facade: dispatch and store-backed manifests."""
 
 import json
 
@@ -9,10 +9,7 @@ from repro.corpus import LazySurface, build_store
 from repro.service import (
     ManifestError,
     StoryManifest,
-    load_manifest,
     open_corpus,
-    parse_manifest,
-    resolve_manifest,
 )
 from tests.corpus.test_store import make_surface
 
@@ -189,30 +186,6 @@ class TestErrorContext:
         entry["unit"] = "furlongs"
         with pytest.raises(ManifestError, match="'unit' must be one of"):
             open_corpus({"stories": [entry]})
-
-
-class TestDeprecatedAliases:
-    def test_parse_manifest_warns_and_delegates(self, corpus):
-        payload = {"stories": [inline_entry("a", corpus["story-0"])]}
-        with pytest.warns(DeprecationWarning, match="open_corpus"):
-            manifest = parse_manifest(payload)
-        assert [s.name for s in manifest.stories] == ["a"]
-
-    def test_load_manifest_warns_and_delegates(self, tmp_path, corpus):
-        path = tmp_path / "manifest.json"
-        path.write_text(
-            json.dumps({"stories": [inline_entry("a", corpus["story-0"])]})
-        )
-        with pytest.warns(DeprecationWarning, match="open_corpus"):
-            manifest = load_manifest(str(path))
-        assert [s.name for s in manifest.stories] == ["a"]
-
-    def test_resolve_manifest_warns_and_delegates(self, corpus):
-        payload = {"stories": [inline_entry("a", corpus["story-0"])]}
-        manifest = open_corpus(payload)
-        with pytest.warns(DeprecationWarning, match="StoryManifest.resolve"):
-            resolved = resolve_manifest(manifest)
-        assert sorted(resolved.surfaces) == ["a"]
 
 
 class TestServiceEquivalence:

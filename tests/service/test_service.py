@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cascade.density import DensitySurface
+from repro.core.config import SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import (
@@ -395,14 +396,14 @@ class TestServiceConfiguration:
             training_times=TRAINING_TIMES,
             evaluation_times=EVALUATION_TIMES,
             parameters=PAPER_S1_HOP_PARAMETERS,
-            operator="banded",
+            solver=SolverConfig(operator="banded"),
         )
         thomas = score_corpus_sync(
             one,
             training_times=TRAINING_TIMES,
             evaluation_times=EVALUATION_TIMES,
             parameters=PAPER_S1_HOP_PARAMETERS,
-            operator="thomas",
+            solver=SolverConfig(operator="thomas"),
         )
         assert banded["story0"].solution.pde_solution.metadata["operator"] == "banded"
         assert thomas["story0"].solution.pde_solution.metadata["operator"] == "thomas"

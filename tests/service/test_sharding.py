@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cascade.density import DensitySurface
+from repro.core.config import SolverConfig
 from repro.service import CorpusSharder, ShardAutotuner, ShardKey
 
 
@@ -16,7 +17,11 @@ def make_surface(distances, times, scale=1.0):
 
 class TestShardKey:
     def test_key_includes_spatial_signature_and_solver_config(self):
-        sharder = CorpusSharder(points_per_unit=12, max_step=0.05, backend="internal", operator="banded")
+        sharder = CorpusSharder(
+            solver=SolverConfig(
+                points_per_unit=12, max_step=0.05, backend="internal", operator="banded"
+            )
+        )
         key = sharder.key_for(make_surface([1, 2, 3], [1, 2, 3, 4]))
         assert key == ShardKey(
             lower=1.0,
@@ -40,8 +45,8 @@ class TestShardKey:
 
     def test_different_solver_config_gives_different_keys(self):
         surface = make_surface([1, 2, 3], [1, 2, 3])
-        banded = CorpusSharder(operator="banded").key_for(surface)
-        thomas = CorpusSharder(operator="thomas").key_for(surface)
+        banded = CorpusSharder(solver=SolverConfig(operator="banded")).key_for(surface)
+        thomas = CorpusSharder(solver=SolverConfig(operator="thomas")).key_for(surface)
         assert banded != thomas
 
 

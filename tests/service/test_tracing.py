@@ -30,6 +30,7 @@ from repro.service import (
     JobStatus,
     PredictionService,
     configure_service_logging,
+    execution,
     log_job_event,
 )
 from repro.service.logs import SERVICE_LOGGER_NAME, JsonLineFormatter
@@ -237,6 +238,13 @@ class TestServicePropagation:
         assert root.name == "job"
         stories = [c for c in root.children if c.name == "story"]
         assert len(stories) == len(surfaces)
+        # Thread-solved spans come back in the shard's report, attributed
+        # to the pool thread exactly as process-worker spans are.
+        by_id = {r["span_id"]: r for r in records}
+        for record in records:
+            if record["name"] == "solve.fit":
+                shard = by_id[record["parent_id"]]
+                assert record["attributes"]["worker"] == shard["attributes"]["worker"]
         # Per-phase histograms flow through the registry even with tracing on.
         assert metrics["service.queue_wait_seconds"]["count"] == len(surfaces)
         assert metrics['service.solve_phase_seconds{phase="fit"}']["count"] >= 1
@@ -287,16 +295,16 @@ class TestBisectionRetryLinkage:
         # The first shard-wide attempt fails; the bisected halves must
         # carry retry_of and parent themselves under the failed shard's
         # span instead of starting fresh trees.
-        original = PredictionService._solve_shard
+        original = execution.solve_shard_payload
         calls = {"n": 0}
 
-        def flaky(self, jobs):
+        def flaky(payload):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient backend hiccup")
-            return original(self, jobs)
+            return original(payload)
 
-        monkeypatch.setattr(PredictionService, "_solve_shard", flaky)
+        monkeypatch.setattr(execution, "solve_shard_payload", flaky)
         tracer = Tracer()
 
         async def run():

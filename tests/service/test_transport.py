@@ -84,7 +84,7 @@ class TestAddressGrammar:
             scheme="tcp", host="127.0.0.1", port=7631
         )
         assert parse_address("stdio") == Address(scheme="stdio")
-        # Backward compatibility: every pre-transport --socket PATH value.
+        # A bare path is a Unix socket path.
         assert parse_address("/tmp/d.sock") == Address(
             scheme="unix", path="/tmp/d.sock"
         )
@@ -263,7 +263,7 @@ class TestStaleSocketReclaim:
         daemon = PredictionDaemon(max_workers=1)
         pong, _ = asyncio.run(
             _serve_and_ping(
-                daemon, daemon.serve_unix(socket_path), lambda: socket_path
+                daemon, daemon.serve(socket_path), lambda: socket_path
             )
         )
         assert pong == {"event": "pong"}
@@ -273,7 +273,7 @@ class TestStaleSocketReclaim:
 
         async def run():
             first = PredictionDaemon(max_workers=1)
-            server = asyncio.ensure_future(first.serve_unix(socket_path))
+            server = asyncio.ensure_future(first.serve(socket_path))
             deadline = asyncio.get_running_loop().time() + 5.0
             try:
                 while True:
@@ -287,7 +287,7 @@ class TestStaleSocketReclaim:
                         await asyncio.sleep(0.01)
                 second = PredictionDaemon(max_workers=1)
                 with pytest.raises(AddressInUseError) as excinfo:
-                    await second.serve_unix(socket_path)
+                    await second.serve(socket_path)
                 assert "already listening" in str(excinfo.value)
                 # The live daemon and its socket survived the probe.
                 async with probe:
@@ -342,7 +342,7 @@ class TestMidStreamEof:
         ).encode()
 
         async def run():
-            async with await DaemonClient.connect_unix(socket_path) as client:
+            async with await DaemonClient.connect(socket_path) as client:
                 events = []
                 with pytest.raises(DaemonConnectionError) as excinfo:
                     async for event in client.submit({"stories": []}):
@@ -359,7 +359,7 @@ class TestMidStreamEof:
         socket_path = str(tmp_path / "dead.sock")
 
         async def run():
-            async with await DaemonClient.connect_unix(socket_path) as client:
+            async with await DaemonClient.connect(socket_path) as client:
                 with pytest.raises(DaemonConnectionError) as excinfo:
                     await client.request({"op": "ping"})
                 return str(excinfo.value)

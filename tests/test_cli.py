@@ -157,7 +157,7 @@ class TestPredict:
         assert exit_code == 2
         assert captured.err.startswith("error:")
         assert "cuda" in captured.err
-        for registered in ("'internal'", "'scipy'", "'thomas'"):
+        for registered in ("'internal'", "'scipy'"):
             assert registered in captured.err
 
     def test_runtime_registered_backend_accepted(self, capsys):
@@ -529,7 +529,7 @@ class TestServeBatch:
 class TestDaemonCommands:
     def test_daemon_parser_defaults(self):
         args = build_parser().parse_args(["daemon"])
-        assert args.socket is None  # stdio by default
+        assert args.listen == "stdio"
         assert args.workers == 4
         assert args.queue_depth == 128
         assert args.shard_size == 32
@@ -542,9 +542,9 @@ class TestDaemonCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "--manifest", "m.json"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["submit", "--socket", "d.sock"])
+            build_parser().parse_args(["submit", "--connect", "d.sock"])
         args = build_parser().parse_args(
-            ["submit", "--socket", "d.sock", "--manifest", "m.json", "--id", "j1"]
+            ["submit", "--connect", "d.sock", "--manifest", "m.json", "--id", "j1"]
         )
         assert args.id == "j1" and args.timeout is None and args.output is None
 
@@ -554,7 +554,7 @@ class TestDaemonCommands:
 
     def test_daemon_invalid_pool_bounds_exit_cleanly(self, capsys):
         for flag in ("--workers", "--queue-depth", "--shard-size"):
-            exit_code = main(["daemon", "--socket", "d.sock", flag, "0"])
+            exit_code = main(["daemon", "--listen", "d.sock", flag, "0"])
             captured = capsys.readouterr()
             assert exit_code == 2
             assert f"{flag} must be >= 1" in captured.err
@@ -571,7 +571,7 @@ class TestDaemonCommands:
 
     def test_submit_missing_manifest_exits_2(self, tmp_path, capsys):
         exit_code = main(
-            ["submit", "--socket", str(tmp_path / "d.sock"), "--manifest",
+            ["submit", "--connect", str(tmp_path / "d.sock"), "--manifest",
              str(tmp_path / "nope.json")]
         )
         captured = capsys.readouterr()
@@ -581,15 +581,15 @@ class TestDaemonCommands:
     def test_submit_unreachable_daemon_exits_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {"stories": []})
         exit_code = main(
-            ["submit", "--socket", str(tmp_path / "gone.sock"), "--manifest", manifest]
+            ["submit", "--connect", str(tmp_path / "gone.sock"), "--manifest", manifest]
         )
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "cannot connect to the daemon" in captured.err
-        assert "repro daemon --socket" in captured.err
+        assert "repro daemon --listen" in captured.err
 
     def test_daemon_stats_unreachable_daemon_exits_2(self, tmp_path, capsys):
-        exit_code = main(["daemon-stats", "--socket", str(tmp_path / "gone.sock")])
+        exit_code = main(["daemon-stats", "--connect", str(tmp_path / "gone.sock")])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "cannot connect to the daemon" in captured.err
