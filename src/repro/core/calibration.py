@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cascade.density import DensitySurface
-from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch
+from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch_states
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
 from repro.numerics.optimization import (
@@ -118,13 +118,18 @@ def _surface_residuals(
     calibration optimises the same quantity the tables report, rather than
     letting the high-density distance-1 cells dominate the fit.
     """
+    actual, scale = _observed_targets(observed, target_times)
+    profiles = np.stack([predicted.profile(time) for time in target_times])
+    return ((profiles - actual) / scale).ravel()
+
+
+def _observed_targets(
+    observed: DensitySurface, target_times: Sequence[float]
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Observed ``(target times, distances)`` values and their residual scales."""
+    actual = np.stack([observed.profile(time) for time in target_times])
     floor = max(0.05 * observed.max_density, 1e-9)
-    residuals = []
-    for time in target_times:
-        actual = observed.profile(time)
-        scale = np.maximum(np.abs(actual), floor)
-        residuals.append((predicted.profile(time) - actual) / scale)
-    return np.concatenate(residuals)
+    return actual, np.maximum(np.abs(actual), floor)
 
 
 def _prediction_residuals(
@@ -159,8 +164,14 @@ def _batch_prediction_residuals(
     backend: str = "internal",
     operator: str = "auto",
 ) -> "list[np.ndarray]":
-    """Residuals of many candidates, all advanced in one batched solve."""
-    solutions = solve_dl_batch(
+    """Residuals of many candidates, all advanced in one batched solve.
+
+    Every candidate is sampled at once from the ``(times, nodes, batch)``
+    state tensor; each returned vector equals :func:`_surface_residuals` of
+    that candidate bit for bit and is C-contiguous (``np.dot`` on a strided
+    view may round differently, which the refinement would amplify).
+    """
+    solution = solve_dl_batch_states(
         parameter_sets,
         initial_density,
         list(target_times),
@@ -169,10 +180,14 @@ def _batch_prediction_residuals(
         backend=backend,
         operator=operator,
     )
-    return [
-        _surface_residuals(solution.to_surface(observed.distances), observed, target_times)
-        for solution in solutions
-    ]
+    # The time lookup DensitySurface.profile makes, once for every candidate.
+    rows = [int(np.nonzero(np.isclose(solution.times, t))[0][0]) for t in target_times]
+    predicted = np.maximum(solution.sample_surface(observed.distances)[rows], 0.0)
+    actual, scale = _observed_targets(observed, target_times)
+    residuals = np.empty((solution.batch_size,) + actual.shape)
+    np.subtract(predicted.transpose(2, 0, 1), actual, out=residuals)
+    residuals /= scale
+    return list(residuals.reshape(solution.batch_size, -1))
 
 
 def fit_growth_rate(
@@ -296,6 +311,8 @@ def calibrate_dl_model(
     faster at equal accuracy and is what the batched predictor and the
     ``repro predict-batch`` CLI use.
     """
+    if len(diffusion_candidates) == 0:
+        raise ValueError("diffusion_candidates must not be empty")
     if batch:
         return calibrate_dl_model_batched(
             observed,
@@ -328,9 +345,7 @@ def calibrate_dl_model(
         per_candidate[float(candidate)] = result.loss
         if best is None or result.loss < best.loss:
             best = result
-    assert best is not None  # diffusion_candidates is validated non-empty below
-    if not per_candidate:
-        raise ValueError("diffusion_candidates must not be empty")
+    assert best is not None  # diffusion_candidates is validated non-empty above
     best.details["diffusion_grid"] = per_candidate
     best.details["carrying_capacity"] = carrying_capacity
     return best
@@ -376,7 +391,16 @@ def calibrate_dl_model_batched(
         solves; ``"sequential"`` evaluates candidate by candidate through the
         sequential solver.  Both run the *same* algorithm and agree to ~1e-8
         (the equivalence tests assert this); sequential mode exists for
-        verification and as the baseline of the substrate benchmark.
+        verification and as the baseline of the substrate benchmark.  The
+        sequential engine also solves every rung of the damping ladder, one
+        column at a time, so its refinement costs about as many solves as
+        ``details["refinement"]["n_evaluations"]``.
+
+    ``details["refinement"]`` records the refinement's cost:
+    ``residual_batches`` is the number of batched residual solves (one for
+    the seeds, then one Jacobian block and one damping ladder per
+    iteration) and ``n_evaluations`` the residual columns solved, which
+    counts every ladder rung, including rungs past the one a start takes.
     """
     if engine not in ("batched", "sequential"):
         raise ValueError(f"engine must be 'batched' or 'sequential', got {engine!r}")
@@ -542,6 +566,7 @@ def calibrate_dl_model_batched(
         "best_start": multi.best_start,
         "iterations": multi.iterations,
         "n_evaluations": multi.n_evaluations,
+        "residual_batches": multi.residual_batches,
         "seconds": refinement_seconds,
     }
 

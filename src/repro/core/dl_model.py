@@ -39,6 +39,7 @@ from repro.core.parameters import (
 from repro.numerics.grid import UniformGrid
 from repro.numerics.integrators import TimeIntegrator
 from repro.numerics.pde_solver import (
+    BatchPDESolution,
     BatchReactionDiffusionProblem,
     PDESolution,
     ReactionDiffusionProblem,
@@ -212,24 +213,51 @@ class DiffusiveLogisticModel:
 # ---------------------------------------------------------------------- #
 # Batched solving
 # ---------------------------------------------------------------------- #
-_SPATIALLY_UNIFORM_RATES = (ConstantGrowthRate, ExponentialDecayGrowthRate)
+def _growth_rate_arrays(parameter_sets: "Sequence[DLParameters]"):
+    """Per-column ``(a, -b, t0, c)`` with ``r_j(t) = a_j e^{-b_j (t - t0_j)} + c_j``.
+
+    Returns ``None`` unless every growth rate is an exponential-decay or a
+    constant rate (subclasses may override the closed form); a constant rate
+    is ``a = 0, c = rate`` (``0 * e^0 + rate`` is exactly ``rate``).
+    """
+    terms: "list[tuple[float, float, float, float]]" = []
+    for parameters in parameter_sets:
+        rate = parameters.growth_rate
+        if type(rate) is ExponentialDecayGrowthRate:
+            terms.append((rate.amplitude, rate.decay, rate.reference_time, rate.floor))
+        elif type(rate) is ConstantGrowthRate:
+            terms.append((0.0, 0.0, 0.0, rate.rate))
+        else:
+            return None
+    amplitude, decay, reference, floor = (np.asarray(values, dtype=float) for values in zip(*terms))
+    return amplitude, -decay, reference, floor
 
 
 def _build_batch_reaction(parameter_sets: "Sequence[DLParameters]"):
     """Vectorised logistic reaction ``r_j(t) * U_j * (1 - U_j / K_j)``.
 
-    When every growth rate is spatially uniform (the paper's setting) the
-    per-column rates collapse to one scalar per column and the whole reaction
-    is a single broadcast expression; otherwise each column's rate profile is
-    evaluated separately (still one call per step, not per solve).
+    When every growth rate is an exponential-decay or constant rate (the
+    paper's setting) the per-column rates are one ``a * exp(-b * (t - t0)) +
+    c`` array expression and the whole reaction is a single broadcast
+    expression; otherwise each column's rate profile is evaluated separately
+    (still one call per step, not per solve).
     """
-    capacities = np.asarray([p.carrying_capacity for p in parameter_sets])
-    if all(isinstance(p.growth_rate, _SPATIALLY_UNIFORM_RATES) for p in parameter_sets):
-        growth_rates = [p.growth_rate for p in parameter_sets]
+    capacities = np.asarray([p.carrying_capacity for p in parameter_sets])[None, :]
+    growth = _growth_rate_arrays(parameter_sets)
+    if growth is not None:
+        amplitude, negative_decay, reference, floor = growth
+        # Every Picard iteration of a step evaluates the rates at the same
+        # time, so the last time's rates are kept.
+        last_rates: "dict[float, np.ndarray]" = {}
 
         def reaction(states: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
-            rates = np.asarray([rate.at_time(time) for rate in growth_rates])
-            return rates[None, :] * states * (1.0 - states / capacities[None, :])
+            rates = last_rates.get(time)
+            if rates is None:
+                last_rates.clear()
+                rates = last_rates[time] = (
+                    amplitude * np.exp(negative_decay * (time - reference)) + floor
+                )[None, :]
+            return rates * states * (1.0 - states / capacities)
 
         return reaction
 
@@ -269,6 +297,86 @@ def solve_dl_batch(
     matching what :meth:`DiffusiveLogisticModel.solve` produces one at a
     time (the batched engine steps identically, per column).
     """
+    parameter_sets, initial_densities = _broadcast_members(parameter_sets, initial_densities)
+    batch_solution = solve_dl_batch_states(
+        parameter_sets,
+        initial_densities,
+        times,
+        points_per_unit=points_per_unit,
+        max_step=max_step,
+        backend=backend,
+        operator=operator,
+        grid=grid,
+    )
+    return [
+        DLSolution(
+            pde_solution=batch_solution.column(j),
+            parameters=parameter_sets[j],
+            initial_density=initial_densities[j],
+        )
+        for j in range(len(parameter_sets))
+    ]
+
+
+def solve_dl_batch_states(
+    parameter_sets: "Sequence[DLParameters] | DLParameters",
+    initial_densities: "Sequence[InitialDensity] | InitialDensity",
+    times: "np.ndarray | list[float]",
+    points_per_unit: int = 20,
+    max_step: float = 0.02,
+    backend: str = "internal",
+    operator: str = "auto",
+    grid: "UniformGrid | None" = None,
+) -> BatchPDESolution:
+    """:func:`solve_dl_batch` without the per-member split.
+
+    Returns the batched solution itself, whose ``states`` tensor has shape
+    ``(times, nodes, batch)``, for callers that read every member at once
+    (the batched calibration samples all candidates with one index).
+    """
+    parameter_sets, initial_densities = _broadcast_members(parameter_sets, initial_densities)
+    reference = initial_densities[0]
+    for phi in initial_densities[1:]:
+        if (
+            phi.lower != reference.lower
+            or phi.upper != reference.upper
+            or phi.initial_time != reference.initial_time
+        ):
+            raise ValueError(
+                "all initial densities in a batch must share the same distance "
+                f"interval and initial time; got [{phi.lower}, {phi.upper}] at "
+                f"t={phi.initial_time} vs [{reference.lower}, {reference.upper}] "
+                f"at t={reference.initial_time}"
+            )
+
+    grid = grid if grid is not None else reference.default_grid(points_per_unit)
+    times = sorted(set(float(t) for t in times) | {reference.initial_time})
+    # A broadcast phi (calibration) is sampled once, not once per column.
+    distinct = {id(phi): phi for phi in initial_densities}
+    samples = {key: phi.sample(grid) for key, phi in distinct.items()}
+    initial_states = np.column_stack([samples[id(phi)] for phi in initial_densities])
+    diffusion_rates = np.asarray([p.diffusion_rate for p in parameter_sets])
+
+    problem = BatchReactionDiffusionProblem(
+        grid=grid,
+        initial_states=initial_states,
+        diffusion_rates=diffusion_rates,
+        reaction=_build_batch_reaction(parameter_sets),
+        start_time=reference.initial_time,
+        # Per-column reactions keep non-batched backends (e.g. scipy) at
+        # O(batch) instead of O(batch^2) when they fall back to sequential
+        # column solves.
+        column_reactions=[p.reaction for p in parameter_sets],
+    )
+    solver = ReactionDiffusionSolver(max_step=max_step, backend=backend, operator=operator)
+    return solver.solve_batch(problem, times)
+
+
+def _broadcast_members(
+    parameter_sets: "Sequence[DLParameters] | DLParameters",
+    initial_densities: "Sequence[InitialDensity] | InitialDensity",
+) -> "tuple[list[DLParameters], list[InitialDensity]]":
+    """Equal-length member lists, broadcasting a single object or 1-sequence."""
     if isinstance(parameter_sets, DLParameters):
         parameter_sets = [parameter_sets]
     else:
@@ -288,44 +396,4 @@ def solve_dl_batch(
             f"cannot broadcast {len(parameter_sets)} parameter sets against "
             f"{len(initial_densities)} initial densities"
         )
-
-    reference = initial_densities[0]
-    for phi in initial_densities[1:]:
-        if (
-            phi.lower != reference.lower
-            or phi.upper != reference.upper
-            or phi.initial_time != reference.initial_time
-        ):
-            raise ValueError(
-                "all initial densities in a batch must share the same distance "
-                f"interval and initial time; got [{phi.lower}, {phi.upper}] at "
-                f"t={phi.initial_time} vs [{reference.lower}, {reference.upper}] "
-                f"at t={reference.initial_time}"
-            )
-
-    grid = grid if grid is not None else reference.default_grid(points_per_unit)
-    times = sorted(set(float(t) for t in times) | {reference.initial_time})
-    initial_states = np.column_stack([phi.sample(grid) for phi in initial_densities])
-    diffusion_rates = np.asarray([p.diffusion_rate for p in parameter_sets])
-
-    problem = BatchReactionDiffusionProblem(
-        grid=grid,
-        initial_states=initial_states,
-        diffusion_rates=diffusion_rates,
-        reaction=_build_batch_reaction(parameter_sets),
-        start_time=reference.initial_time,
-        # Per-column reactions keep non-batched backends (e.g. scipy) at
-        # O(batch) instead of O(batch^2) when they fall back to sequential
-        # column solves.
-        column_reactions=[p.reaction for p in parameter_sets],
-    )
-    solver = ReactionDiffusionSolver(max_step=max_step, backend=backend, operator=operator)
-    batch_solution = solver.solve_batch(problem, times)
-    return [
-        DLSolution(
-            pde_solution=batch_solution.column(j),
-            parameters=parameter_sets[j],
-            initial_density=initial_densities[j],
-        )
-        for j in range(len(parameter_sets))
-    ]
+    return parameter_sets, initial_densities

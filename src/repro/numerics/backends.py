@@ -348,12 +348,13 @@ class InternalBackend(SolverBackend):
             if operator_mode == "dense"
             else None
         )
+        # Columns sharing a diffusion rate share one factorization per dt,
+        # looked up once per solve.
         rates = problem.diffusion_rates
-        # Columns sharing a diffusion rate share one LU factorization per dt.
-        unique_rates, group_of_column = np.unique(rates, return_inverse=True)
-        group_columns = [np.nonzero(group_of_column == g)[0] for g in range(unique_rates.size)]
-
+        groups = _diffusion_groups(rates)
+        factors_by_dt: "dict[float, list]" = {}
         states = problem.initial_states.copy()
+
         current_time = problem.start_time
         batch = problem.batch_size
 
@@ -368,21 +369,29 @@ class InternalBackend(SolverBackend):
             target = times[output_index]
             while current_time < target - _TIME_EPS:
                 dt = min(max_step, target - current_time)
+                factors = factors_by_dt.get(dt)
+                if factors is None:
+                    factors = factors_by_dt[dt] = [
+                        (
+                            operator_cache.crank_nicolson_operator(
+                                num_points, spacing, dt, rate, operator_mode
+                            ),
+                            columns,
+                        )
+                        for rate, columns in groups
+                    ]
                 states = self._crank_nicolson_step_batch(
                     states,
                     current_time,
                     dt,
                     laplacian,
                     rates,
-                    unique_rates,
-                    group_columns,
+                    factors,
                     problem.reaction,
                     nodes,
-                    num_points,
                     spacing,
                     tolerance,
                     max_iterations,
-                    operator_mode,
                 )
                 current_time += dt
                 steps_taken += 1
@@ -401,7 +410,7 @@ class InternalBackend(SolverBackend):
                 "steps": steps_taken,
                 "max_step": max_step,
                 "batch_size": batch,
-                "diffusion_groups": int(unique_rates.size),
+                "diffusion_groups": len(groups),
             },
         )
 
@@ -412,50 +421,67 @@ class InternalBackend(SolverBackend):
         dt: float,
         laplacian: "np.ndarray | None",
         rates: np.ndarray,
-        unique_rates: np.ndarray,
-        group_columns: "list[np.ndarray]",
+        factors: "list[tuple[object, slice | np.ndarray]]",
         reaction: "Callable[[np.ndarray, np.ndarray, float], np.ndarray]",
         nodes: np.ndarray,
-        num_points: int,
         spacing: float,
         tolerance: float,
         max_iterations: int,
-        operator_mode: str,
     ) -> np.ndarray:
         """One IMEX Crank-Nicolson step for every column at once.
 
-        Matches the sequential integrator's Picard iteration per column: a
-        column keeps updating until its own change drops below ``tolerance``,
-        then freezes, so batched trajectories are identical to sequential
-        ones regardless of how the rest of the batch converges.
+        ``factors`` pairs each diffusion group's factorized operator with its
+        columns (see :func:`_diffusion_groups`).  Matches the sequential
+        integrator's Picard iteration per column: a column keeps updating
+        until its own change drops below ``tolerance``, then freezes, so
+        batched trajectories are identical to sequential ones regardless of
+        how the rest of the batch converges.
         """
-        factors = [
-            operator_cache.crank_nicolson_operator(
-                num_points, spacing, dt, float(rate), operator_mode
-            )
-            for rate in unique_rates
-        ]
+        half_dt = 0.5 * dt
         if laplacian is None:
             diffusion_term = second_derivative(states, spacing) * rates[None, :]
         else:
             diffusion_term = (laplacian @ states) * rates[None, :]
-        explicit_part = states + 0.5 * dt * diffusion_term
+        explicit_part = states + half_dt * diffusion_term
         reaction_old = reaction(states, nodes, time)
+        new_time = time + dt
 
         new_states = states.copy()
+        # ``candidate`` holds the right-hand side, then is solved in place.
         candidate = np.empty_like(states)
+        change = np.empty_like(states)
         active = np.ones(states.shape[1], dtype=bool)
         for _ in range(max_iterations):
-            reaction_new = reaction(new_states, nodes, time + dt)
-            rhs = explicit_part + 0.5 * dt * (reaction_old + reaction_new)
-            for factor, columns in zip(factors, group_columns):
-                candidate[:, columns] = factor.solve(rhs[:, columns])
-            change = np.max(np.abs(candidate - new_states), axis=0)
-            new_states[:, active] = candidate[:, active]
-            active &= change >= tolerance
+            np.add(reaction_old, reaction(new_states, nodes, new_time), out=candidate)
+            np.multiply(half_dt, candidate, out=candidate)
+            np.add(explicit_part, candidate, out=candidate)
+            for factor, columns in factors:
+                candidate[:, columns] = factor.solve(candidate[:, columns])
+            np.subtract(candidate, new_states, out=change)
+            np.abs(change, out=change)
+            column_change = np.maximum.reduce(change, axis=0)
+            np.copyto(new_states, candidate, where=active)
+            active &= column_change >= tolerance
             if not active.any():
                 break
         return new_states
+
+
+def _diffusion_groups(rates: np.ndarray) -> "list[tuple[float, slice | np.ndarray]]":
+    """``(rate, columns)`` for every distinct diffusion rate of a batch.
+
+    ``columns`` is a slice when the rate's columns are contiguous (as every
+    calibration batch lays them out), so its solve reads and writes a view;
+    otherwise it is their index array.
+    """
+    groups: "list[tuple[float, slice | np.ndarray]]" = []
+    for rate in np.unique(rates):
+        columns = np.flatnonzero(rates == rate)
+        first, last = int(columns[0]), int(columns[-1])
+        groups.append(
+            (float(rate), slice(first, last + 1) if last - first + 1 == columns.size else columns)
+        )
+    return groups
 
 
 def _as_batch_of_one(problem: ReactionDiffusionProblem) -> BatchReactionDiffusionProblem:

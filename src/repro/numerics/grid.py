@@ -11,6 +11,7 @@ distance is integer").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,21 @@ class UniformGrid:
         """Distance ``h`` between adjacent nodes."""
         return (self.upper - self.lower) / (self.num_points - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        """All grid nodes as a 1-D array of length ``num_points``."""
-        return np.linspace(self.lower, self.upper, self.num_points)
+        """All grid nodes as a 1-D array of length ``num_points``.
+
+        Computed once per grid and shared by every caller, so it is
+        read-only; copy it before modifying.
+        """
+        nodes = np.linspace(self.lower, self.upper, self.num_points)
+        nodes.setflags(write=False)
+        return nodes
+
+    def __getstate__(self) -> dict:
+        # Unpickled arrays are writeable: leave the cached nodes behind so
+        # the copy recomputes its own read-only array.
+        return {name: value for name, value in self.__dict__.items() if name != "nodes"}
 
     @property
     def length(self) -> float:

@@ -135,6 +135,7 @@ class BandedFactorization:
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
         self._bands = (sub, diag, sup)
         self._factor = None
+        self._gttrs = None
         self._tiny = None
         if np.asarray(diag).size < 3:
             # The LAPACK gtt* wrappers reject the degenerate 2x2 case; the
@@ -142,7 +143,7 @@ class BandedFactorization:
             self._tiny = ThomasFactorization(sub, diag, sup)
             return
         try:
-            from scipy.linalg.lapack import dgttrf
+            from scipy.linalg.lapack import dgttrf, dgttrs
         except ImportError:  # pragma: no cover - old scipy without the wrapper
             return
         dl, d, du, du2, ipiv, info = dgttrf(sub, diag, sup)
@@ -151,6 +152,20 @@ class BandedFactorization:
                 f"tridiagonal factorization failed (gttrf info={info})"
             )
         self._factor = (dl, d, du, du2, ipiv)
+        # Bound once: the per-solve import lookup costs as much as a small
+        # solve's arithmetic.
+        self._gttrs = dgttrs
+
+    def __getstate__(self) -> dict:
+        # LAPACK wrappers do not pickle; __setstate__ binds it again.
+        return {**self.__dict__, "_gttrs": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._factor is not None:
+            from scipy.linalg.lapack import dgttrs
+
+            self._gttrs = dgttrs
 
     @property
     def nbytes(self) -> int:
@@ -171,11 +186,7 @@ class BandedFactorization:
             ab[1, :] = diag
             ab[2, :-1] = sub
             return solve_banded((1, 1), ab, rhs)
-        from scipy.linalg.lapack import dgttrs
-
-        dl, d, du, du2, ipiv = self._factor
-        rhs = np.asarray(rhs, dtype=float)
-        solution, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        solution, info = self._gttrs(*self._factor, rhs)
         if info != 0:  # pragma: no cover - cannot happen for a valid factorization
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
         return solution

@@ -9,8 +9,9 @@ s1.  For the reproduction we additionally provide automated calibration
   ``scipy.optimize.least_squares`` returning a structured :class:`FitResult`.
 * :func:`multi_start_least_squares` -- a projected Levenberg-Marquardt
   refinement that advances *many* starting points in lockstep, evaluating
-  every residual and finite-difference Jacobian column of every start through
-  one batched callback per iteration.  This is what lets the DL calibration
+  every finite-difference Jacobian column of every start through one batched
+  callback per iteration, and every rung of every start's damping ladder
+  through a second one.  This is what lets the DL calibration
   refine N seed candidates as columns of a single batched PDE solve instead
   of running N sequential ``scipy.optimize.least_squares`` loops.
 * :func:`grid_search` -- coarse exhaustive search used to seed the local
@@ -168,9 +169,14 @@ class MultiStartFitResult:
     iterations:
         Levenberg-Marquardt iterations performed (shared by all starts).
     n_evaluations:
-        Total number of residual evaluations (rows passed to the callback).
+        Total number of residual evaluations: every row passed to the
+        callback, including damping-ladder rungs that were solved but not
+        taken.
     converged:
         Per-start convergence flags.
+    residual_batches:
+        Number of ``residual_batch`` calls: one for the seeds, then at most
+        two per iteration (the Jacobian block and the damping ladder).
     """
 
     best: FitResult
@@ -180,6 +186,7 @@ class MultiStartFitResult:
     iterations: int
     n_evaluations: int
     converged: np.ndarray
+    residual_batches: int
 
 
 def multi_start_least_squares(
@@ -203,6 +210,16 @@ def multi_start_least_squares(
     sees large blocks of parameter vectors it can evaluate together -- for the
     DL calibration those blocks become columns of a single batched PDE solve.
 
+    The step is chosen from a damping ladder: rung ``k`` of a start damps by
+    ``4**k`` times its current damping, and the start takes the first rung,
+    in escalation order, whose loss decreases (then relaxes its damping by
+    0.3; if no rung decreases the loss, the start is converged).  All
+    ``max_step_retries`` rungs of every start are evaluated in a *second*
+    ``residual_batch`` call, so an iteration costs at most two calls however
+    many rungs are rejected.  The iterates are exactly those of trying one
+    rung per call; the price is that ``n_evaluations`` counts every rung
+    solved, including rungs past the accepted one.
+
     The algorithm is deterministic and uses only accepted (loss-decreasing)
     steps, so the final loss of each start never exceeds its seed loss.
 
@@ -224,12 +241,14 @@ def multi_start_least_squares(
         A start freezes when its projected gradient, accepted step or loss
         improvement falls below the corresponding tolerance.
     max_step_retries:
-        Damping escalations tried per iteration before a start is declared
-        stalled.
+        Rungs of the damping ladder (damping escalations tried per iteration
+        before a start is declared stalled); at least 1.
     """
     points = np.array(seeds, dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise ValueError("seeds must be a non-empty (n_starts, n_params) array")
+    if max_step_retries < 1:
+        raise ValueError(f"max_step_retries must be >= 1, got {max_step_retries}")
     n_starts, n_params = points.shape
     if bounds is None:
         lower = np.full(n_params, -np.inf)
@@ -250,6 +269,7 @@ def multi_start_least_squares(
         )
     losses = np.array([sum_of_squares(r) for r in residuals])
     n_evaluations = n_starts
+    residual_batches = 1
     damping = np.full(n_starts, 1e-3)
     active = np.isfinite(losses)
     converged = np.zeros(n_starts, dtype=bool)
@@ -278,6 +298,7 @@ def multi_start_least_squares(
                 block[row * n_params + j] = perturbed
                 block_start[row * n_params + j] = s
         perturbed_residuals = residual_batch(block, block_start)
+        residual_batches += 1
         n_evaluations += block.shape[0]
 
         jacobians: dict[int, np.ndarray] = {}
@@ -292,53 +313,60 @@ def multi_start_least_squares(
                 active[s] = False
                 converged[s] = True
 
-        # Damped Gauss-Newton steps, escalating the damping of any start whose
-        # candidate fails to decrease its loss.
+        # Damped Gauss-Newton steps: the whole damping ladder of every
+        # pending start (rung k damps by 4**k) is solved in one batched call,
+        # and each start takes the first rung, in escalation order, whose
+        # loss decreases -- the step a one-rung-per-call retry loop takes.
         pending = [s for s in active_idx if active[s]]
-        for _retry in range(max_step_retries):
-            if not pending:
-                break
-            candidates = np.empty((len(pending), n_params))
+        if pending:
+            ladder = np.empty((len(pending), max_step_retries, n_params))
             for row, s in enumerate(pending):
                 jacobian = jacobians[s]
                 normal = jacobian.T @ jacobian
                 gradient = jacobian.T @ residuals[s]
                 scaling = np.maximum(np.diag(normal), 1e-12)
-                try:
-                    delta = np.linalg.solve(
-                        normal + damping[s] * np.diag(scaling), -gradient
-                    )
-                except np.linalg.LinAlgError:
-                    delta = -gradient / scaling
-                candidates[row] = np.clip(points[s] + delta, lower, upper)
-            candidate_residuals = residual_batch(candidates, np.asarray(pending))
-            n_evaluations += len(pending)
+                rung_damping = damping[s]
+                for rung in range(max_step_retries):
+                    try:
+                        delta = np.linalg.solve(
+                            normal + rung_damping * np.diag(scaling), -gradient
+                        )
+                    except np.linalg.LinAlgError:
+                        delta = -gradient / scaling
+                    ladder[row, rung] = np.clip(points[s] + delta, lower, upper)
+                    rung_damping *= 4.0
+            ladder_residuals = residual_batch(
+                ladder.reshape(-1, n_params), np.repeat(pending, max_step_retries)
+            )
+            residual_batches += 1
+            n_evaluations += ladder.shape[0] * max_step_retries
 
-            still_pending = []
             for row, s in enumerate(pending):
-                candidate_residual = np.asarray(candidate_residuals[row], dtype=float)
-                candidate_loss = sum_of_squares(candidate_residual)
-                if np.isfinite(candidate_loss) and candidate_loss < losses[s]:
-                    improvement = losses[s] - candidate_loss
-                    step_size = np.max(np.abs(candidates[row] - points[s]))
-                    points[s] = candidates[row]
-                    residuals[s] = candidate_residual
-                    losses[s] = candidate_loss
-                    damping[s] = max(damping[s] * 0.3, 1e-12)
-                    if improvement < loss_tolerance * max(1.0, candidate_loss) or (
-                        step_size < step_tolerance * (1.0 + np.max(np.abs(points[s])))
-                    ):
-                        active[s] = False
-                        converged[s] = True
-                else:
+                for rung in range(max_step_retries):
+                    candidate = ladder[row, rung]
+                    candidate_residual = np.asarray(
+                        ladder_residuals[row * max_step_retries + rung], dtype=float
+                    )
+                    candidate_loss = sum_of_squares(candidate_residual)
+                    if np.isfinite(candidate_loss) and candidate_loss < losses[s]:
+                        improvement = losses[s] - candidate_loss
+                        step_size = np.max(np.abs(candidate - points[s]))
+                        points[s] = candidate
+                        residuals[s] = candidate_residual
+                        losses[s] = candidate_loss
+                        damping[s] = max(damping[s] * 0.3, 1e-12)
+                        if improvement < loss_tolerance * max(1.0, candidate_loss) or (
+                            step_size < step_tolerance * (1.0 + np.max(np.abs(points[s])))
+                        ):
+                            active[s] = False
+                            converged[s] = True
+                        break
                     damping[s] *= 4.0
-                    still_pending.append(s)
-            pending = still_pending
-        for s in pending:
-            # Damping exhausted without an accepted step: treat as converged
-            # at the current (best-known) point.
-            active[s] = False
-            converged[s] = True
+                else:
+                    # Damping exhausted without an accepted step: treat as
+                    # converged at the current (best-known) point.
+                    active[s] = False
+                    converged[s] = True
 
     finite = np.where(np.isfinite(losses), losses, np.inf)
     best_start = int(np.argmin(finite))
@@ -363,6 +391,7 @@ def multi_start_least_squares(
         iterations=iterations,
         n_evaluations=n_evaluations,
         converged=converged,
+        residual_batches=residual_batches,
     )
 
 

@@ -50,6 +50,20 @@ BatchReactionTerm = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 """f(U, x, t) with ``U`` of shape ``(n_nodes, batch)``; returns the same shape."""
 
 
+def _node_indices(grid: UniformGrid, positions: np.ndarray) -> "np.ndarray | None":
+    """Indices of the grid nodes equal to ``positions``, or ``None``.
+
+    ``np.interp`` returns the node value itself at a position equal to a
+    node, so when every position is a node, sampling is a gather with the
+    same result (non-finite values included).
+    """
+    nodes = grid.nodes
+    index = np.minimum(np.searchsorted(nodes, positions), nodes.size - 1)
+    if np.array_equal(nodes[index], positions):
+        return index
+    return None
+
+
 @dataclass(frozen=True)
 class ReactionDiffusionProblem:
     """A fully specified 1-D reaction-diffusion initial-boundary-value problem.
@@ -246,6 +260,9 @@ class PDESolution:
     def sample_surface(self, positions: Sequence[float]) -> np.ndarray:
         """Sample all output times at the given positions -> (n_times, n_positions)."""
         positions = np.asarray(positions, dtype=float)
+        index = _node_indices(self.grid, positions)
+        if index is not None:
+            return self.states[:, index]
         surface = np.empty((self.times.size, positions.size))
         for i in range(self.times.size):
             surface[i] = np.interp(positions, self.grid.nodes, self.states[i])
@@ -307,6 +324,9 @@ class BatchPDESolution:
     def sample_surface(self, positions: Sequence[float]) -> np.ndarray:
         """Interpolate all columns -> ``(n_times, n_positions, batch)``."""
         positions = np.asarray(positions, dtype=float)
+        index = _node_indices(self.grid, positions)
+        if index is not None:
+            return self.states[:, index, :]
         surface = np.empty((self.times.size, positions.size, self.batch_size))
         for j in range(self.batch_size):
             for i in range(self.times.size):

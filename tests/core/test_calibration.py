@@ -10,15 +10,21 @@ import pytest
 
 from repro.cascade.density import DensitySurface
 from repro.core.calibration import (
+    _batch_prediction_residuals,
+    _surface_residuals,
     calibrate_dl_model,
     calibrate_dl_model_batched,
     choose_carrying_capacity,
     fit_growth_rate,
     growth_rate_grid_result,
 )
-from repro.core.dl_model import DiffusiveLogisticModel
+from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch
 from repro.core.initial_density import InitialDensity
-from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
+from repro.core.parameters import (
+    ConstantGrowthRate,
+    DLParameters,
+    ExponentialDecayGrowthRate,
+)
 
 
 def synthetic_dl_surface(
@@ -118,8 +124,13 @@ class TestCalibrateDLModel:
 
     def test_rejects_empty_candidates(self):
         surface = synthetic_dl_surface()
-        with pytest.raises((ValueError, AssertionError)):
+        with pytest.raises(ValueError, match="diffusion_candidates"):
             calibrate_dl_model(surface, diffusion_candidates=())
+
+    def test_rejects_empty_candidates_batched(self):
+        surface = synthetic_dl_surface()
+        with pytest.raises(ValueError, match="diffusion_candidates"):
+            calibrate_dl_model(surface, diffusion_candidates=(), batch=True)
 
 
 class TestBatchedCalibration:
@@ -208,6 +219,39 @@ class TestBatchedCalibration:
         surface = synthetic_dl_surface()
         result = calibrate_dl_model_batched(surface, refine=False, **self.SMALL_GRIDS)
         assert result.details["candidates_evaluated"] == 3 * 2 * 2 * 2
+
+
+class TestBatchResiduals:
+    def test_tensor_sampling_matches_per_candidate_surfaces(self):
+        observed = synthetic_dl_surface(hours=6)
+        phi = InitialDensity.from_surface(observed)
+        target_times = [float(t) for t in observed.times[1:]]
+        # Mixed diffusion rates and growth-rate families, plus two candidates
+        # whose states overflow to non-finite values.
+        candidates = [
+            DLParameters(0.01, ExponentialDecayGrowthRate(1.4, 1.5, 0.25), 25.0),
+            DLParameters(0.05, ConstantGrowthRate(0.3), 25.0),
+            DLParameters(0.01, ExponentialDecayGrowthRate(1e150, 1.0, 0.1), 25.0),
+            DLParameters(0.002, ExponentialDecayGrowthRate(0.5, 0.5, 0.05), 25.0),
+            DLParameters(0.05, ExponentialDecayGrowthRate(1e306, 1.0, 0.1), 25.0),
+        ]
+        with np.errstate(all="ignore"):
+            batched = _batch_prediction_residuals(
+                candidates, phi, observed, target_times, points_per_unit=8, max_step=0.05
+            )
+            solutions = solve_dl_batch(
+                candidates, phi, target_times, points_per_unit=8, max_step=0.05
+            )
+        assert len(batched) == len(candidates)
+        finite = [bool(np.isfinite(vector).all()) for vector in batched]
+        assert finite == [True, True, False, True, False]
+        for vector, solution in zip(batched, solutions):
+            expected = _surface_residuals(
+                solution.to_surface(observed.distances), observed, target_times
+            )
+            assert vector.flags["C_CONTIGUOUS"]
+            # Bit for bit: compare the float64 bit patterns.
+            np.testing.assert_array_equal(vector.view(np.int64), expected.view(np.int64))
 
 
 class TestGridSearchHelper:

@@ -126,6 +126,31 @@ class TestBatchedEngine:
             sequential = solver.solve(problem.column_problem(j), times)
             assert np.max(np.abs(batched.states[:, :, j] - sequential.states)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "diffusion_rates",
+        [
+            [0.01, 0.05, 0.02, 0.01, 0.05, 0.02],  # interleaved groups
+            [0.05, 0.05, 0.01, 0.01, 0.01, 0.02],  # contiguous groups
+            [0.02] * 6,  # one group
+        ],
+    )
+    def test_diffusion_grouping_is_bit_identical_per_column(self, diffusion_rates):
+        base = dl_like_batch_problem(batch=6)
+        problem = BatchReactionDiffusionProblem(
+            grid=base.grid,
+            initial_states=base.initial_states,
+            diffusion_rates=np.asarray(diffusion_rates),
+            reaction=base.reaction,
+            start_time=base.start_time,
+        )
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 2.0, 3.5]
+        batched = solver.solve_batch(problem, times)
+        assert batched.metadata["diffusion_groups"] == len(set(diffusion_rates))
+        for j in range(problem.batch_size):
+            alone = solver.solve(problem.column_problem(j), times)
+            np.testing.assert_array_equal(batched.states[:, :, j], alone.states)
+
     def test_batch_solution_column_extraction(self):
         problem = dl_like_batch_problem(batch=3)
         solver = ReactionDiffusionSolver(max_step=0.05)

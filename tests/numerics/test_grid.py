@@ -20,6 +20,23 @@ class TestConstruction:
         grid = UniformGrid(0.0, 1.0, 11)
         assert np.allclose(np.diff(grid.nodes), grid.spacing)
 
+    def test_nodes_computed_once_and_read_only(self):
+        grid = UniformGrid(1.0, 5.0, 33)
+        assert grid.nodes is grid.nodes
+        np.testing.assert_array_equal(grid.nodes, np.linspace(1.0, 5.0, 33))
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 0.0
+
+    def test_nodes_stay_read_only_across_pickling(self):
+        import pickle
+
+        grid = UniformGrid(1.0, 5.0, 9)
+        grid.nodes
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy == grid
+        assert not copy.nodes.flags.writeable
+        np.testing.assert_array_equal(copy.nodes, grid.nodes)
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             UniformGrid(0.0, 1.0, 1)

@@ -122,6 +122,14 @@ class TestBandedEquivalence:
         crank_nicolson_operator(11, 0.1, 0.02, 0.05, "dense")
         assert cache_stats()["crank_nicolson_factor"]["misses"] == 1
 
+    def test_banded_factorization_pickles(self):
+        import pickle
+
+        operator = crank_nicolson_operator(21, 0.1, 0.02, 0.05, "banded")
+        copy = pickle.loads(pickle.dumps(operator))
+        rhs = np.random.default_rng(0).random((21, 3))
+        np.testing.assert_array_equal(copy.solve(rhs), operator.solve(rhs))
+
     def test_banded_factor_is_small(self):
         num_points = 2000
         dense = crank_nicolson_operator(num_points, 0.05, 0.02, 0.05, "dense")

@@ -198,6 +198,156 @@ class TestMultiStartLeastSquares:
             multi_start_least_squares(nan_batch, [[1.0]])
 
 
+def one_rung_per_call_reference(
+    residual_batch, seeds, bounds, max_iterations=40, max_step_retries=6
+):
+    """The damping retry loop that solves one ladder rung per callback call.
+
+    Reference for the one-call ladder of :func:`multi_start_least_squares`
+    (same defaults for the step, tolerances and damping schedule).  Returns
+    ``(points, losses, iterations, converged, rejected_rungs)``.
+    """
+    points = np.clip(np.array(seeds, dtype=float), bounds[0], bounds[1])
+    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
+    n_starts, n_params = points.shape
+    residuals = list(residual_batch(points, np.arange(n_starts)))
+    losses = np.array([sum_of_squares(r) for r in residuals])
+    damping = np.full(n_starts, 1e-3)
+    active = np.isfinite(losses)
+    converged = np.zeros(n_starts, dtype=bool)
+    iterations = rejected_rungs = 0
+    for _ in range(max_iterations):
+        active_idx = np.nonzero(active)[0]
+        if active_idx.size == 0:
+            break
+        iterations += 1
+        steps, block, block_start = [], [], []
+        for s in active_idx:
+            x = points[s]
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
+            h = np.where(x + h > upper, -h, h)
+            steps.append(h)
+            for j in range(n_params):
+                perturbed = x.copy()
+                perturbed[j] += h[j]
+                block.append(perturbed)
+                block_start.append(s)
+        perturbed_residuals = residual_batch(np.array(block), np.array(block_start))
+        jacobians = {}
+        for row, s in enumerate(active_idx):
+            jacobian = np.empty((residuals[s].size, n_params))
+            for j in range(n_params):
+                shifted = perturbed_residuals[row * n_params + j]
+                jacobian[:, j] = (shifted - residuals[s]) / steps[row][j]
+            jacobians[s] = jacobian
+            if np.max(np.abs(jacobian.T @ residuals[s])) < 1e-10:
+                active[s] = False
+                converged[s] = True
+        pending = [s for s in active_idx if active[s]]
+        for _retry in range(max_step_retries):
+            if not pending:
+                break
+            candidates = np.empty((len(pending), n_params))
+            for row, s in enumerate(pending):
+                normal = jacobians[s].T @ jacobians[s]
+                gradient = jacobians[s].T @ residuals[s]
+                scaling = np.maximum(np.diag(normal), 1e-12)
+                try:
+                    delta = np.linalg.solve(normal + damping[s] * np.diag(scaling), -gradient)
+                except np.linalg.LinAlgError:
+                    delta = -gradient / scaling
+                candidates[row] = np.clip(points[s] + delta, lower, upper)
+            candidate_residuals = residual_batch(candidates, np.asarray(pending))
+            still_pending = []
+            for row, s in enumerate(pending):
+                candidate_loss = sum_of_squares(candidate_residuals[row])
+                if np.isfinite(candidate_loss) and candidate_loss < losses[s]:
+                    improvement = losses[s] - candidate_loss
+                    step_size = np.max(np.abs(candidates[row] - points[s]))
+                    points[s] = candidates[row]
+                    residuals[s] = candidate_residuals[row]
+                    losses[s] = candidate_loss
+                    damping[s] = max(damping[s] * 0.3, 1e-12)
+                    if improvement < 1e-12 * max(1.0, candidate_loss) or (
+                        step_size < 1e-10 * (1.0 + np.max(np.abs(points[s])))
+                    ):
+                        active[s] = False
+                        converged[s] = True
+                else:
+                    damping[s] *= 4.0
+                    rejected_rungs += 1
+                    still_pending.append(s)
+            pending = still_pending
+        for s in pending:
+            active[s] = False
+            converged[s] = True
+    return points, losses, iterations, converged, rejected_rungs
+
+
+class TestDampingLadder:
+    """The one-call damping ladder takes exactly the one-rung-per-call steps."""
+
+    @staticmethod
+    def residual_batch(points, start_indices):
+        # A Rosenbrock valley plus a log term that is NaN left of zero: full
+        # Gauss-Newton steps overshoot the curved valley or leave the domain,
+        # so early rungs are rejected and the damping has to climb.
+        return [
+            np.array([10.0 * (y - x * x), 1.0 - x, 0.1 * np.log(x + 0.5 + 0.01 * s)])
+            for (x, y), s in zip(points, start_indices)
+        ]
+
+    SEEDS = [[-1.2, 1.0], [2.5, -1.0], [0.0, 3.0], [-0.45, 0.2]]
+    BOUNDS = ([-3.0, -3.0], [3.0, 3.0])
+
+    def counting_batch(self, calls):
+        def residual_batch(points, start_indices):
+            calls.append(len(points))
+            return self.residual_batch(points, start_indices)
+
+        return residual_batch
+
+    @pytest.mark.parametrize("max_iterations", [3, 40])
+    def test_matches_one_rung_per_call(self, max_iterations):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            points, losses, iterations, converged, rejected = one_rung_per_call_reference(
+                self.residual_batch, self.SEEDS, self.BOUNDS, max_iterations=max_iterations
+            )
+            calls: "list[int]" = []
+            result = multi_start_least_squares(
+                self.counting_batch(calls),
+                self.SEEDS,
+                bounds=self.BOUNDS,
+                max_iterations=max_iterations,
+            )
+        assert rejected > 0, "the residual must make the reference reject rungs"
+        np.testing.assert_array_equal(result.start_parameters, points)
+        np.testing.assert_array_equal(result.start_losses, losses)
+        assert result.iterations == iterations
+        np.testing.assert_array_equal(result.converged, converged)
+        assert result.residual_batches == len(calls)
+        assert result.residual_batches <= 1 + 2 * result.iterations
+        assert result.n_evaluations == sum(calls)
+
+    def test_every_rung_is_one_call(self):
+        calls: "list[int]" = []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            result = multi_start_least_squares(
+                self.counting_batch(calls),
+                self.SEEDS[1:2],
+                bounds=self.BOUNDS,
+                max_iterations=1,
+                max_step_retries=5,
+            )
+        # Seeds, Jacobian block, then all five rungs of the one start.
+        assert calls == [1, 2, 5]
+        assert result.residual_batches == 3
+
+    def test_rejects_an_empty_ladder(self):
+        with pytest.raises(ValueError, match="max_step_retries"):
+            multi_start_least_squares(self.residual_batch, self.SEEDS, max_step_retries=0)
+
+
 class TestGridSearch:
     def test_finds_minimum_of_quadratic(self):
         def objective(theta):

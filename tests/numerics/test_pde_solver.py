@@ -6,6 +6,7 @@ import pytest
 from repro.numerics.grid import UniformGrid
 from repro.numerics.integrators import RungeKutta4Integrator
 from repro.numerics.pde_solver import (
+    BatchPDESolution,
     PDESolution,
     ReactionDiffusionProblem,
     ReactionDiffusionSolver,
@@ -97,6 +98,32 @@ class TestPDESolution:
 
     def test_final_state(self):
         assert np.allclose(self._solution().final_state, [3, 4, 5, 6, 7])
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[1.0, 2.0, 5.0], [3.0, 1.0, 3.0], [1.0, 2.5, 5.0], [0.5, 4.0], [5.5]],
+    )
+    def test_sample_surface_equals_np_interp(self, positions):
+        # Positions on nodes are gathered, others interpolated; both must
+        # give np.interp's values bit for bit, non-finite states included.
+        grid = UniformGrid(1.0, 5.0, 9)
+        rng = np.random.default_rng(3)
+        states = rng.random((3, 9, 4))
+        states[1, 2, 0] = np.inf
+        states[2, 4, 1] = np.nan
+        states[2, 8, 3] = -np.inf
+        times = np.array([1.0, 2.0, 3.0])
+        batch = BatchPDESolution(grid=grid, times=times, states=states)
+        expected = np.empty((3, len(positions), 4))
+        for i in range(3):
+            for j in range(4):
+                expected[i, :, j] = np.interp(positions, grid.nodes, states[i, :, j])
+        surface = batch.sample_surface(positions)
+        np.testing.assert_array_equal(surface.view(np.int64), expected.view(np.int64))
+        column = PDESolution(grid=grid, times=times, states=states[:, :, 2]).sample_surface(
+            positions
+        )
+        np.testing.assert_array_equal(column, expected[:, :, 2])
 
     def test_shape_validation(self):
         grid = UniformGrid(1.0, 5.0, 5)
