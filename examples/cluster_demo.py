@@ -76,7 +76,7 @@ def free_tcp_port() -> int:
 def launch_worker(address: str) -> subprocess.Popen:
     """One worker = one ordinary ``repro daemon`` process."""
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "daemon", "--listen", address, "--workers", "2"],
+        [sys.executable, "-m", "repro", "daemon", "--listen", address],
         env={**os.environ, "PYTHONPATH": REPO_SRC},
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -140,7 +140,6 @@ async def main() -> None:
             router = PredictionDaemon(
                 parameters=PAPER_S1_HOP_PARAMETERS,
                 solver=SolverConfig(points_per_unit=12, max_step=0.02),
-                max_workers=4,
                 max_shard_size=1,
                 executor="cluster",
                 executor_options={

@@ -68,7 +68,6 @@ async def score_with_service(corpus: "dict[str, DensitySurface]", model: str) ->
     async with PredictionService(
         solver=SOLVER,
         model=model,
-        max_workers=4,
         max_shard_size=16,
         **kwargs,
     ) as service:

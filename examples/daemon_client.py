@@ -84,7 +84,6 @@ async def main() -> None:
         daemon = PredictionDaemon(
             parameters=PAPER_S1_HOP_PARAMETERS,
             solver=SolverConfig(points_per_unit=12, max_step=0.02),
-            max_workers=4,
             autotune=True,
         )
         server = asyncio.ensure_future(daemon.serve(address))

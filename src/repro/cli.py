@@ -198,19 +198,23 @@ def _resolve_model(name: str) -> "str | None":
     return None
 
 
-def _resolve_executor(name: str) -> "str | None":
-    """Validate an executor name against the execution-backend registry.
+def _resolve_executor(args: argparse.Namespace) -> "str | None":
+    """Validate ``--executor`` and resolve an omitted ``--workers``.
 
-    Returns an error message (for stderr) when the name is unknown, None
-    when it resolves -- mirroring :func:`_resolve_model`.
+    Returns an error message (for stderr) when the executor name is
+    unknown, None when it resolves -- mirroring :func:`_resolve_model`.
+    An omitted ``--workers`` becomes the executor's default pool size
+    (1 thread, 4 processes or in-flight cluster shards).
     """
     from repro.core.errors import UnknownExecutorError
-    from repro.service import get_executor_factory
+    from repro.service import executor_default_workers
 
     try:
-        get_executor_factory(name)
+        default_workers = executor_default_workers(args.executor)
     except UnknownExecutorError as error:
         return f"error: {error}"
+    if args.workers is None:
+        args.workers = default_workers
     return None
 
 
@@ -368,8 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_batch.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="number of shard solves in flight at once (worker pool size)",
+        default=None,
+        help=(
+            "number of shard solves in flight at once (worker pool size; "
+            "default: the executor's, 1 for 'thread', 4 otherwise)"
+        ),
     )
     _add_executor_argument(serve_batch)
     serve_batch.add_argument(
@@ -495,8 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="number of shard solves in flight at once (worker pool size)",
+        default=None,
+        help=(
+            "number of shard solves in flight at once (worker pool size; "
+            "default: the executor's, 1 for 'thread', 4 otherwise)"
+        ),
     )
     _add_executor_argument(daemon)
     daemon.add_argument(
@@ -1068,7 +1078,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         if model_error is not None:
             print(model_error, file=sys.stderr)
             return 2
-    executor_error = _resolve_executor(args.executor)
+    executor_error = _resolve_executor(args)
     if executor_error is not None:
         print(executor_error, file=sys.stderr)
         return 2
@@ -1281,7 +1291,7 @@ def _command_daemon(args: argparse.Namespace) -> int:
     if model_error is not None:
         print(model_error, file=sys.stderr)
         return 2
-    executor_error = _resolve_executor(args.executor)
+    executor_error = _resolve_executor(args)
     if executor_error is not None:
         print(executor_error, file=sys.stderr)
         return 2

@@ -28,6 +28,10 @@ no matter which model produced it:
   job's events).  Subclasses :class:`ConnectionError`; ``repro submit``
   maps it to exit code 3 (partial failure) because earlier events of the
   stream may already have been consumed.
+* :class:`LineTooLongError` -- a JSON line exceeded the transport's line
+  limit.  The reader skipped the line and the connection stays usable.
+  Subclasses :class:`ValueError`, which is what asyncio raises for an
+  over-long line.
 * :class:`QuotaExceededError` -- a client exceeded its
   :class:`~repro.service.session.ClientQuota`; carries the structured
   payload the daemon attaches to the rejecting ``error`` event.
@@ -133,6 +137,15 @@ class DaemonConnectionError(ConnectionError):
     :class:`OSError`/:class:`ConnectionError`) where no request was ever
     accepted.  ``repro submit`` maps it to exit code 3: events already
     streamed may have been consumed, so the failure is partial, not total.
+    """
+
+
+class LineTooLongError(ValueError):
+    """A JSON line was longer than the transport's line limit.
+
+    Raised by :func:`~repro.service.transport.read_line` after it has read
+    past the rest of the line, so the next read returns the next line: the
+    message is lost, the connection is not.
     """
 
 

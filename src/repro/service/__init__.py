@@ -78,6 +78,7 @@ from repro.service.execution import (
     WorkerCrashError,
     available_executors,
     create_executor,
+    executor_default_workers,
     get_executor_factory,
     register_executor,
     solve_shard_payload,
@@ -163,6 +164,7 @@ __all__ = [
     "WorkerCrashError",
     "available_executors",
     "create_executor",
+    "executor_default_workers",
     "get_executor_factory",
     "register_executor",
     "solve_shard_payload",

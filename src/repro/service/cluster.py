@@ -42,7 +42,11 @@ Scheduling is **hash-routed with work stealing**:
   requeues them, the dead worker is excluded from routing, and the job
   completes on the survivors.  A worker-side *solve* error (a poisoned
   surface) instead raises :class:`ClusterShardError`, which takes the
-  same bisection path without declaring the worker dead.
+  same bisection path without declaring the worker dead.  So does a
+  ``worker_result`` line over the transport's
+  :data:`~repro.service.transport.LINE_LIMIT`: the client skips it, and
+  every shard then in flight on that worker fails and is retried in
+  smaller halves.
 
 Telemetry: the pool reports into the registry the service binds via
 :meth:`~repro.service.execution.ExecutionBackend.bind_metrics` --
@@ -59,7 +63,7 @@ import base64
 import hashlib
 import pickle
 
-from repro.core.errors import DaemonConnectionError
+from repro.core.errors import DaemonConnectionError, LineTooLongError
 from repro.service.daemon import DaemonClient
 from repro.service.execution import (
     ExecutionBackend,
@@ -230,7 +234,11 @@ class WorkerPool:
         assert link.client is not None
         try:
             while True:
-                event = await link.client.receive()
+                try:
+                    event = await link.client.receive()
+                except LineTooLongError as error:
+                    self._fail_pending(link, error)
+                    continue
                 request_id = event.get("id")
                 future = (
                     link.pending.pop(str(request_id), None)
@@ -254,6 +262,24 @@ class WorkerPool:
             self._mark_dead(link)
         except asyncio.CancelledError:
             raise
+
+    def _fail_pending(self, link: _WorkerLink, error: Exception) -> None:
+        """Fail every shard in flight on a live worker after a lost event.
+
+        The skipped line's request id is unknown, so any pending shard may
+        have been its owner.  Each fails with :class:`ClusterShardError`:
+        the worker stays alive and the service bisects the shards into
+        smaller ones, whose results fit the line limit.
+        """
+        pending = list(link.pending.values())
+        link.pending.clear()
+        for future in pending:
+            if not future.done():
+                future.set_exception(
+                    ClusterShardError(
+                        f"worker {link.label}: a result was lost ({error})"
+                    )
+                )
 
     def _mark_dead(self, link: _WorkerLink) -> None:
         """Fail the worker's in-flight shards so the service reroutes them."""

@@ -113,6 +113,7 @@ from repro.service.transport import (
     Listener,
     create_listener,
     open_client_connection,
+    read_line,
 )
 
 DEFAULT_HOURS = 6
@@ -142,10 +143,13 @@ def story_result_payload(result: PredictionResult) -> dict:
 class DaemonJob:
     """One submitted manifest tracked for its whole lifetime.
 
-    ``interrupted`` jobs were replayed from the journal of a daemon
-    process that died with them in flight: their per-story counts come
-    from ``replayed_counts`` (reconstructed journal state) instead of live
-    :class:`PredictionJob` objects.
+    While the job runs, its per-story counts come from the live
+    :class:`PredictionJob` objects in ``story_jobs``.  A terminal job
+    answers from ``final_counts`` instead: a completed job freezes its
+    counts and drops ``story_jobs`` (so the stories' surfaces and results
+    are freed once streamed), and an ``interrupted`` job -- replayed from
+    the journal of a daemon process that died with it in flight -- carries
+    the counts reconstructed from the journal.
     """
 
     id: str
@@ -156,7 +160,7 @@ class DaemonJob:
     completed: bool = False
     interrupted: bool = False
     stories_pending: int = 0
-    replayed_counts: "dict[str, int] | None" = None
+    final_counts: "dict[str, int] | None" = None
     trace_id: "str | None" = None
     _span: "Span | None" = field(default=None, repr=False)
 
@@ -167,8 +171,8 @@ class DaemonJob:
 
     def story_counts(self) -> dict:
         """Per-status story counts (``skipped`` included)."""
-        if self.replayed_counts is not None:
-            return dict(self.replayed_counts)
+        if self.final_counts is not None:
+            return dict(self.final_counts)
         counts = {status.value: 0 for status in JobStatus}
         for job in self.story_jobs.values():
             counts[job.status.value] += 1
@@ -409,7 +413,7 @@ class PredictionDaemon:
                 timeout=None,
                 skipped=list(job.skipped),
                 interrupted=True,
-                replayed_counts=job.story_counts(),
+                final_counts=job.story_counts(),
                 trace_id=job.trace_id,
             )
             self._service.metrics.counter("daemon.jobs_interrupted").inc()
@@ -963,6 +967,8 @@ class PredictionDaemon:
                 await asyncio.gather(*watchers)
         finally:
             job.completed = True
+            job.final_counts = job.story_counts()
+            job.story_jobs = {}
             if self._journal is not None:
                 self._journal.record_job(job.id, "completed")
                 self._sync_journal_gauge()
@@ -994,13 +1000,13 @@ class PredictionDaemon:
     def _prune_jobs(self) -> None:
         """Evict the oldest terminal jobs beyond the retention cap.
 
-        A long-lived daemon would otherwise retain every DaemonJob -- with
-        its per-story PredictionJob objects, surfaces and results -- for the
-        life of the process.  Only terminal jobs (completed or replayed as
-        interrupted) are evicted (dict order is submission order, so the
-        oldest go first); their results were already streamed (or lost with
-        the process that owned them), so eviction only trims ``status``
-        history.
+        A long-lived daemon would otherwise retain every DaemonJob for the
+        life of the process (a completed job keeps only its frozen story
+        counts, but those still add up).  Only terminal jobs (completed or
+        replayed as interrupted) are evicted (dict order is submission
+        order, so the oldest go first); their results were already streamed
+        (or lost with the process that owned them), so eviction only trims
+        ``status`` history.
         """
         terminal = [
             job_id for job_id, job in self._jobs.items() if not job.active
@@ -1162,9 +1168,11 @@ class DaemonClient:
         -- it was stopped or killed between a request and its response (or
         part-way through an event stream), which callers must be able to
         tell from a connect-time failure.  A truncated or malformed line is
-        the same condition caught mid-write.
+        the same condition caught mid-write.  A line longer than
+        :data:`~repro.service.transport.LINE_LIMIT` is skipped and raises
+        :class:`~repro.core.errors.LineTooLongError`.
         """
-        line = await self._reader.readline()
+        line = await read_line(self._reader)
         if not line:
             raise DaemonConnectionError(
                 "the daemon closed the connection mid-stream (it may have "

@@ -7,12 +7,13 @@ registered here and a third, ``cluster``, in :mod:`repro.service.cluster`
 :func:`register_executor` / :func:`create_executor` /
 :func:`available_executors`):
 
-* ``thread`` -- an in-process ``ThreadPoolExecutor``.  The numpy solver
-  spends its time in LAPACK/BLAS, which release the GIL, so threads
-  already overlap the linear algebra -- but every shard still shares one
-  Python interpreter, and the pure-Python parts of calibration (grid
-  bookkeeping, multi-start refinement control flow, per-story fitting of
-  the temporal baselines) serialize on the GIL.
+* ``thread`` -- an in-process ``ThreadPoolExecutor``, one thread by
+  default.  The solver's hot loop is many short GIL-releasing calls (about
+  ten per Picard iteration: the per-group ``dgttrs`` f2py calls plus numpy
+  ufuncs), so a second thread does not overlap the linear algebra -- the
+  two threads hand the GIL back and forth thousands of times a second.
+  Measured on a 2-CPU box, two calibration jobs took 6.6 s back to back on
+  one thread and 13.5 s (17.1 s CPU) on two.
 * ``process`` -- a ``concurrent.futures.ProcessPoolExecutor``.  Shards
   cross the process boundary pickled; each worker process lazily builds
   and reuses its *own* operator cache (the cache module is process-global,
@@ -349,6 +350,9 @@ class ExecutionBackend(ABC):
 
     #: Registry name of the backend kind (``thread`` / ``process`` / ``cluster``).
     kind: str = "abstract"
+    #: The pool size a service's ``max_workers=None`` resolves to on this
+    #: backend (see :func:`executor_default_workers`).
+    default_workers: int = 4
 
     def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
@@ -383,9 +387,16 @@ class ExecutionBackend(ABC):
 
 
 class ThreadExecutionBackend(ExecutionBackend):
-    """Shard solving on an in-process thread pool."""
+    """Shard solving on an in-process thread pool.
+
+    One thread by default: shard solves hold the GIL between many short
+    LAPACK/ufunc calls, so extra threads contend instead of overlapping
+    (see the module docstring).  A long shard therefore delays the shards
+    queued behind it; use ``executor="process"`` to use more than one core.
+    """
 
     kind = "thread"
+    default_workers = 1
 
     def __init__(self, max_workers: int) -> None:
         super().__init__(max_workers)
@@ -621,6 +632,17 @@ def get_executor_factory(name: str) -> "Callable[..., ExecutionBackend]":
         return _REGISTRY[name]
     except KeyError:
         raise UnknownExecutorError(name, available_executors()) from None
+
+
+def executor_default_workers(name: str) -> int:
+    """The pool size ``max_workers=None`` resolves to on executor ``name``.
+
+    The factory's ``default_workers`` (every built-in backend is its own
+    factory class); factories without one get the base
+    :attr:`ExecutionBackend.default_workers`.
+    """
+    factory = get_executor_factory(name)
+    return getattr(factory, "default_workers", ExecutionBackend.default_workers)
 
 
 def create_executor(

@@ -15,12 +15,12 @@ whole corpora of cascades:
   the columns of one vectorised PDE solve.
 * **drain** -- a bounded worker pool offloads the numpy-heavy shard solves
   through a pluggable :class:`~repro.service.execution.ExecutionBackend`:
-  ``executor="thread"`` (the default) keeps the classic in-process thread
-  pool (the solver spends its time in LAPACK/BLAS, which release the GIL),
-  ``executor="process"`` ships picklable shard payloads to a
-  ``ProcessPoolExecutor`` and scales calibration-heavy corpora past the
-  GIL entirely; either way the asyncio side stays responsive for
-  submissions, streaming and cancellation.
+  ``executor="thread"`` (the default) solves on one in-process thread
+  (the solver holds the GIL between many short LAPACK/ufunc calls, so more
+  threads only contend for it), ``executor="process"`` ships picklable
+  shard payloads to a ``ProcessPoolExecutor`` and scales calibration-heavy
+  corpora past the GIL entirely; either way the asyncio side stays
+  responsive for submissions, streaming and cancellation.
 * **backpressure** -- at most ``queue_depth`` jobs may be queued or running;
   further ``submit`` calls suspend until capacity frees up, so an unbounded
   producer cannot exhaust memory.
@@ -70,13 +70,13 @@ from repro.service.execution import (
     ShardSolveReport,
     WorkerCrashError,
     create_executor,
+    executor_default_workers,
     get_executor_factory,
 )
 from repro.service.sharding import CorpusSharder, ShardAutotuner, ShardKey
 from repro.service.telemetry import MetricsRegistry
 from repro.service.tracing import NOOP_TRACER, Span, TraceContext, TracerLike
 
-DEFAULT_MAX_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 128
 DEFAULT_MAX_SHARD_SIZE = 32
 #: Default bound on how often one job may be requeued after shard-wide solve
@@ -234,7 +234,11 @@ class PredictionService:
         :class:`~repro.core.config.CalibrationConfig`); omitted, they take
         their defaults, with batched calibration.
     max_workers:
-        Number of shard solves in flight at once (thread-pool size).
+        Number of shard solves in flight at once (the executor's pool
+        size); ``None`` takes the executor's ``default_workers``: 1 on
+        ``thread`` (extra threads contend for the GIL, and a long shard
+        delays the shards queued behind it -- per-story deadlines still
+        fire), 4 on ``process`` and ``cluster``.
     queue_depth:
         Backpressure bound: the maximum number of jobs queued or running
         before :meth:`submit` suspends.
@@ -277,7 +281,7 @@ class PredictionService:
     def __init__(
         self,
         parameters: "DLParameters | Mapping[str, DLParameters] | None" = None,
-        max_workers: int = DEFAULT_MAX_WORKERS,
+        max_workers: "int | None" = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_shard_size: "int | None" = DEFAULT_MAX_SHARD_SIZE,
         job_timeout: "float | None" = None,
@@ -295,6 +299,8 @@ class PredictionService:
         calibration: "CalibrationConfig | None" = None,
         tracer: "TracerLike | None" = None,
     ) -> None:
+        if max_workers is None:
+            max_workers = executor_default_workers(executor)
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if queue_depth < 1:
@@ -737,13 +743,21 @@ class PredictionService:
             self._kick.clear()
             while self._has_pending():
                 await self._workers.acquire()
-                batch = self._next_batch()
-                if not batch:
+                # The batch is never bound to a local here: this frame lives
+                # as long as the service and would pin the last shard's
+                # jobs (surfaces and results) after they complete.
+                if not self._start_shard(self._next_batch()):
                     self._workers.release()
                     break
-                task = asyncio.get_running_loop().create_task(self._run_shard(batch))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
+
+    def _start_shard(self, batch: "list[PredictionJob]") -> bool:
+        """Solve ``batch`` in a background task; False when it is empty."""
+        if not batch:
+            return False
+        task = asyncio.get_running_loop().create_task(self._run_shard(batch))
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
+        return True
 
     _TERMINAL_STATUSES = (
         JobStatus.SUCCEEDED,

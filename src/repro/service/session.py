@@ -31,9 +31,9 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.core.errors import QuotaExceededError
+from repro.core.errors import LineTooLongError, QuotaExceededError
 from repro.service.telemetry import MetricsRegistry
-from repro.service.transport import Connection
+from repro.service.transport import Connection, read_line
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class ClientSession:
         stop_wait = asyncio.ensure_future(stop.wait())
         try:
             while not stop.is_set():
-                read = asyncio.ensure_future(self.connection.reader.readline())
+                read = asyncio.ensure_future(read_line(self.connection.reader))
                 await asyncio.wait(
                     {read, stop_wait}, return_when=asyncio.FIRST_COMPLETED
                 )
@@ -197,6 +197,9 @@ class ClientSession:
                     line = read.result()
                 except (ConnectionResetError, BrokenPipeError):
                     return
+                except LineTooLongError as error:
+                    await self.error(f"request rejected: {error}")
+                    continue
                 if not line:
                     return
                 text = line.decode("utf-8", errors="replace").strip()

@@ -12,7 +12,8 @@ lifecycle code:
   (treated as a Unix socket path).
 * :class:`Connection` -- one JSON-lines peer with a serialized writer, so
   concurrent job streamers sharing a connection never interleave within a
-  line.
+  line.  :func:`read_line` reads one line under :data:`LINE_LIMIT`, the
+  line limit of every stream opened here, and skips a longer line whole.
 * :class:`Listener` -- the server side: ``start(handler)`` accepts
   connections and invokes the handler per peer; :class:`StdioListener`,
   :class:`UnixListener` and :class:`TcpListener` implement it.
@@ -36,7 +37,13 @@ import sys
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
-from repro.core.errors import AddressInUseError, UnknownTransportError
+from repro.core.errors import AddressInUseError, LineTooLongError, UnknownTransportError
+
+#: Longest line, in bytes, any stream opened here will buffer.  asyncio's
+#: 64 KiB default is smaller than a ``worker_result`` line for a 16-story
+#: shard (80-310 KB) or a large inline ``submit``, so every listener and
+#: connector in this module uses this one limit instead.
+LINE_LIMIT = 16 * 1024 * 1024
 
 
 class AddressError(ValueError):
@@ -126,6 +133,33 @@ def load_worker_addresses(path: str) -> "list[Address]":
     return addresses
 
 
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """Read one line: ``b""`` at EOF, no trailing newline if the peer hung up.
+
+    A line longer than the reader's limit is read past in full and raises
+    :class:`~repro.core.errors.LineTooLongError`, so the next call returns
+    the next line.  (``StreamReader.readline`` drops only the buffered part
+    of an over-long line, so its tail would come back as a bogus line.)
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError:
+            return b""  # EOF part-way through the over-long line
+        else:
+            raise LineTooLongError(
+                "a line longer than the stream's line limit was skipped"
+            )
+
+
 class Connection:
     """One JSON-lines peer: a serialized writer shared by event streamers."""
 
@@ -208,7 +242,7 @@ class StdioListener(Listener):
 
     async def start(self, handler: ConnectionHandler) -> None:
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=LINE_LIMIT)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
         )
@@ -254,7 +288,9 @@ class UnixListener(Listener):
         if not os.path.exists(self.path):
             return
         try:
-            _, writer = await asyncio.open_unix_connection(self.path)
+            _, writer = await asyncio.open_unix_connection(
+                self.path, limit=LINE_LIMIT
+            )
         except OSError:
             os.unlink(self.path)  # stale: nobody home, reclaim the path
         else:
@@ -276,7 +312,9 @@ class UnixListener(Listener):
         ) -> None:
             await handler(Connection(reader, writer, scheme=self.scheme))
 
-        self._server = await asyncio.start_unix_server(on_client, path=self.path)
+        self._server = await asyncio.start_unix_server(
+            on_client, path=self.path, limit=LINE_LIMIT
+        )
         self._bound = True
 
     async def stop(self) -> None:
@@ -310,7 +348,9 @@ class TcpListener(Listener):
         ) -> None:
             await handler(Connection(reader, writer, scheme=self.scheme))
 
-        self._server = await asyncio.start_server(on_client, self.host, self.port)
+        self._server = await asyncio.start_server(
+            on_client, self.host, self.port, limit=LINE_LIMIT
+        )
         if self.port == 0 and self._server.sockets:
             # An ephemeral bind resolved to a concrete port; report it so
             # tests and supervisors can discover where to connect.
@@ -326,12 +366,14 @@ class TcpListener(Listener):
 
 async def _dial_unix(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     assert address.path is not None
-    return await asyncio.open_unix_connection(address.path)
+    return await asyncio.open_unix_connection(address.path, limit=LINE_LIMIT)
 
 
 async def _dial_tcp(address: Address) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     assert address.host is not None and address.port is not None
-    return await asyncio.open_connection(address.host, address.port)
+    return await asyncio.open_connection(
+        address.host, address.port, limit=LINE_LIMIT
+    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ModelSpec, SolverConfig
+from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
 from repro.service import (
     ClusterExecutionBackend,
     DaemonClient,
@@ -45,6 +46,7 @@ from repro.service import (
     open_corpus,
     route_hash,
 )
+from repro.service import transport
 from repro.service.sharding import CorpusSharder, ShardKey
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -372,6 +374,69 @@ class TestClusterExecution:
 
         with pytest.raises(WorkerCrashError, match="no cluster worker is reachable"):
             asyncio.run(run())
+
+
+class TestWireLineLimit:
+    def _score_sixteen_stories(self, worker_fleet, monkeypatch=None, line_limit=None):
+        """One 16-story shard through a 1-worker fleet, and the thread reference.
+
+        With known parameters a 16-story ``worker_result`` line is about
+        79 KB, over asyncio's default 64 KiB line limit.
+        """
+        surfaces = corpus_surfaces(16)
+
+        async def run():
+            async with worker_fleet(1) as addresses:
+                if line_limit is not None:
+                    # Only the router's connection, dialled after the
+                    # worker started listening, reads under this limit.
+                    monkeypatch.setattr(transport, "LINE_LIMIT", line_limit)
+                async with PredictionService(
+                    parameters=PAPER_S1_HOP_PARAMETERS,
+                    executor="cluster",
+                    executor_options={"workers": addresses},
+                    max_shard_size=16,
+                ) as service:
+                    results = await asyncio.wait_for(
+                        service.score_corpus(
+                            surfaces, TRAINING_TIMES, EVALUATION_TIMES
+                        ),
+                        timeout=120,
+                    )
+                    stats = service.stats()
+            async with PredictionService(
+                parameters=PAPER_S1_HOP_PARAMETERS, max_shard_size=16
+            ) as ref:
+                reference = await ref.score_corpus(
+                    surfaces, TRAINING_TIMES, EVALUATION_TIMES
+                )
+            return results, reference, stats
+
+        results, reference, stats = asyncio.run(run())
+        assert set(results) == set(reference) == set(surfaces)
+        for name in reference:
+            assert results[name].overall_accuracy == reference[name].overall_accuracy
+            assert np.array_equal(
+                results[name].predicted.values, reference[name].predicted.values
+            )
+        return stats
+
+    def test_sixteen_story_shard_fits_the_line_limit(self, worker_fleet):
+        stats = self._score_sixteen_stories(worker_fleet)
+        assert stats["shards_solved"] == 1
+        assert stats["shards_retried"] == 0
+
+    def test_over_long_result_bisects_instead_of_hanging(
+        self, worker_fleet, monkeypatch
+    ):
+        stats = self._score_sixteen_stories(
+            worker_fleet, monkeypatch, line_limit=32 * 1024
+        )
+        # The lost 16-story result failed the shard without killing the
+        # worker; the bisected halves and quarters fit the limit.
+        assert stats["shards_retried"] >= 1
+        assert stats["failed"] == 0
+        assert all(entry["alive"] for entry in stats["executor_info"]["fleet"])
 
 
 class TestWorkerLoss:

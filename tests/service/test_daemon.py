@@ -9,11 +9,13 @@ bit-identical to the synchronous :class:`BatchPredictor`.
 
 import asyncio
 import contextlib
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 from repro.core.prediction import BatchPredictor
@@ -21,6 +23,7 @@ from repro.service import (
     ClientQuota,
     DaemonClient,
     PredictionDaemon,
+    daemon as daemon_module,
     execution,
     open_corpus,
 )
@@ -324,6 +327,57 @@ class TestStatusAndStats:
         assert single["id"] == "tracked" and single["status"] == "completed"
         assert single["stories"]["succeeded"] == 1
         assert [job["id"] for job in listing["jobs"]] == ["tracked"]
+
+    def test_completed_job_keeps_only_its_story_counts(self, tmp_path, monkeypatch):
+        # A finished job freezes its per-status counts and drops its
+        # PredictionJobs, so their surfaces and results are freed once
+        # streamed instead of living as long as the job's status history.
+        results = []
+
+        def capture(result):
+            results.append(weakref.ref(result))
+            return story_result_payload(result)
+
+        story_result_payload = daemon_module.story_result_payload
+        monkeypatch.setattr(daemon_module, "story_result_payload", capture)
+        manifest = manifest_payload(inline_story("a"), inline_story("b", 0.8))
+
+        async def run():
+            async with running_daemon(tmp_path) as (socket_path, daemon):
+                async with await DaemonClient.connect(socket_path) as client:
+                    _, _, job_event, _ = await collect_submission(
+                        client, manifest, job_id="freed"
+                    )
+                    status = await client.status("freed")
+                    story_jobs = dict(daemon._jobs["freed"].story_jobs)
+                    gc.collect()
+                    alive = [ref() is not None for ref in results]
+                    return job_event, status, story_jobs, alive
+
+        job_event, status, story_jobs, alive = asyncio.run(run())
+        assert job_event["stories"]["succeeded"] == 2
+        assert status["status"] == "completed"
+        assert status["stories"] == job_event["stories"]
+        assert story_jobs == {}
+        assert len(alive) == 2 and not any(alive)
+
+    def test_default_workers_follow_the_executor(self, tmp_path):
+        async def stats_for(**daemon_kwargs):
+            async with running_daemon(tmp_path, **daemon_kwargs) as (socket_path, _):
+                async with await DaemonClient.connect(socket_path) as client:
+                    return (await client.stats())["service"]
+
+        thread = asyncio.run(stats_for())
+        process = asyncio.run(stats_for(executor="process"))
+        cluster = asyncio.run(
+            stats_for(
+                executor="cluster",
+                executor_options={"workers": ["tcp:127.0.0.1:1"]},
+            )
+        )
+        assert (thread["executor"], thread["workers"]) == ("thread", 1)
+        assert (process["executor"], process["workers"]) == ("process", 4)
+        assert (cluster["executor"], cluster["workers"]) == ("cluster", 4)
 
     def test_stats_exposes_service_counters_and_telemetry(self, tmp_path):
         async def run():

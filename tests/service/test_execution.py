@@ -38,6 +38,7 @@ from repro.service import (
     WorkerCrashError,
     available_executors,
     create_executor,
+    executor_default_workers,
     get_executor_factory,
     register_executor,
     score_corpus_sync,
@@ -147,6 +148,27 @@ class TestExecutorRegistry:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="max_workers"):
             create_executor("thread", max_workers=0)
+
+    def test_default_workers_per_backend(self):
+        # One solver thread (more only contend for the GIL); the process
+        # pool and the cluster router keep four shards in flight.
+        assert executor_default_workers("thread") == 1
+        assert executor_default_workers("process") == 4
+        assert executor_default_workers("cluster") == 4
+        with pytest.raises(UnknownExecutorError):
+            executor_default_workers("frobnicate")
+
+    def test_factory_without_default_workers_gets_the_base_default(self):
+        register_executor(
+            "plain-factory",
+            lambda max_workers: ThreadExecutionBackend(max_workers),
+        )
+        try:
+            assert executor_default_workers("plain-factory") == 4
+            service = PredictionService(solver=SOLVER, executor="plain-factory")
+            assert service.stats()["workers"] == 4
+        finally:
+            unregister_executor("plain-factory")
 
 
 class TestProcessBackendEquivalence:

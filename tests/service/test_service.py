@@ -413,6 +413,49 @@ class TestServiceConfiguration:
             atol=1e-10,
         )
 
+    def test_default_workers_follow_the_executor(self):
+        cases = [
+            ("thread", {}, 1),
+            ("process", {}, 4),
+            ("cluster", {"workers": ["tcp:127.0.0.1:1"]}, 4),
+        ]
+        for executor, options, expected in cases:
+            service = PredictionService(executor=executor, executor_options=options)
+            stats = service.stats()
+            assert stats["workers"] == stats["max_workers"] == expected, executor
+        # An explicit max_workers still wins.
+        assert PredictionService(max_workers=3).stats()["workers"] == 3
+
+    def test_concurrent_jobs_on_default_service_match_batch_predictor(
+        self, corpus_surfaces
+    ):
+        names = sorted(corpus_surfaces)
+        first = {name: corpus_surfaces[name] for name in names[:2]}
+        second = {name: corpus_surfaces[name] for name in names[2:4]}
+
+        async def run():
+            async with PredictionService() as service:
+                assert service.stats()["workers"] == 1
+                return await asyncio.gather(
+                    service.score_corpus(first, TRAINING_TIMES, EVALUATION_TIMES),
+                    service.score_corpus(second, TRAINING_TIMES, EVALUATION_TIMES),
+                )
+
+        results = asyncio.run(run())
+        for corpus, got in zip((first, second), results):
+            expected = (
+                BatchPredictor()
+                .fit(corpus, training_times=TRAINING_TIMES)
+                .evaluate(corpus, times=EVALUATION_TIMES)
+            )
+            assert set(got) == set(corpus)
+            for name in corpus:
+                assert got[name].parameters == expected[name].parameters
+                assert got[name].overall_accuracy == expected[name].overall_accuracy
+                assert np.array_equal(
+                    got[name].predicted.values, expected[name].predicted.values
+                )
+
     def test_heterogeneous_corpus_shards_by_signature(self):
         surfaces = {
             "wide": synthetic_surface([5.0, 2.0, 2.5, 1.5, 1.0]),

@@ -17,9 +17,10 @@ import pytest
 from repro.core.errors import (
     AddressInUseError,
     DaemonConnectionError,
+    LineTooLongError,
     UnknownTransportError,
 )
-from repro.service import DaemonClient, PredictionDaemon
+from repro.service import DaemonClient, PredictionDaemon, transport
 from repro.service.transport import (
     Address,
     AddressError,
@@ -30,6 +31,7 @@ from repro.service.transport import (
     get_transport,
     open_client_connection,
     parse_address,
+    read_line,
     register_transport,
     transport_descriptions,
     unregister_transport,
@@ -372,3 +374,67 @@ class TestMidStreamEof:
     def test_typed_error_is_still_a_connection_error(self):
         # Pre-transport callers catch ConnectionError; they keep working.
         assert issubclass(DaemonConnectionError, ConnectionError)
+
+
+class TestLineLimit:
+    @staticmethod
+    def _read_all(*chunks, limit=64):
+        async def run():
+            reader = asyncio.StreamReader(limit=limit)
+            for chunk in chunks:
+                reader.feed_data(chunk)
+            reader.feed_eof()
+            lines = []
+            while True:
+                try:
+                    line = await read_line(reader)
+                except LineTooLongError:
+                    lines.append("too long")
+                    continue
+                if not line:
+                    return lines
+                lines.append(line)
+
+        return asyncio.run(run())
+
+    def test_over_long_line_is_skipped_whole(self):
+        # Newline already buffered (past the limit) and newline not yet
+        # seen when the limit trips: either way the whole line goes and
+        # the next line is intact.
+        long_line = b'{"pad": "' + b"x" * 500 + b'"}\n'
+        assert self._read_all(long_line + b'{"a": 1}\n') == ["too long", b'{"a": 1}\n']
+        assert self._read_all(long_line[:300], long_line[300:], b"next\n") == [
+            "too long",
+            b"next\n",
+        ]
+
+    def test_eof_inside_an_over_long_line_reads_as_eof(self):
+        assert self._read_all(b"x" * 500) == []
+        assert self._read_all(b"ok\n", b"torn") == [b"ok\n", b"torn"]
+
+    def test_daemon_rejects_over_long_request_and_keeps_connection(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(transport, "LINE_LIMIT", 1024)
+        socket_path = str(tmp_path / "d.sock")
+        daemon = PredictionDaemon(max_workers=1)
+
+        async def run():
+            server = asyncio.ensure_future(daemon.serve(f"unix:{socket_path}"))
+            try:
+                client = await DaemonClient.connect(
+                    f"unix:{socket_path}", retries=40, backoff=0.05
+                )
+                async with client:
+                    await client.send({"op": "ping", "pad": "x" * 5000})
+                    rejected = await client.receive()
+                    pong = await client.ping()
+                    await client.shutdown()
+                    return rejected, pong
+            finally:
+                await asyncio.wait_for(server, timeout=10)
+
+        rejected, pong = asyncio.run(run())
+        assert rejected["event"] == "error"
+        assert "line limit" in rejected["error"]
+        assert pong == {"event": "pong"}

@@ -65,7 +65,7 @@ class TestParser:
     def test_serve_batch_defaults(self):
         args = build_parser().parse_args(["serve-batch", "--manifest", "m.json"])
         assert args.manifest == "m.json"
-        assert args.workers == 4
+        assert args.workers is None  # the executor's default pool size
         assert args.queue_depth == 128
         assert args.shard_size == 32
         assert args.hours is None
@@ -344,6 +344,28 @@ class TestServeBatch:
         # --output mirrors the streamed lines.
         assert json.loads(output.read_text().strip()) == record
 
+    def test_workers_default_to_the_executor(self, tmp_path, capsys):
+        inline = {
+            "name": "cascade-1",
+            "distances": [1, 2, 3, 4, 5],
+            "times": [1, 2, 3, 4],
+            "values": [
+                [5.0, 2.0, 2.5, 1.5, 1.0],
+                [7.0, 3.0, 3.5, 2.0, 1.4],
+                [9.0, 4.2, 4.6, 2.6, 1.9],
+                [11.0, 5.5, 5.8, 3.3, 2.5],
+            ],
+        }
+        manifest = write_manifest(tmp_path, {"hours": 4, "stories": [inline]})
+        for executor, expected in (("thread", 1), ("process", 4)):
+            exit_code = main(
+                ["serve-batch", "--manifest", manifest, "--model", "logistic",
+                 "--executor", executor]
+            )
+            captured = capsys.readouterr()
+            assert exit_code == 0
+            assert f"{expected} {executor} workers" in captured.err
+
     def test_process_executor_matches_thread_run(self, tmp_path, capsys):
         inline = {
             "name": "cascade-1",
@@ -530,13 +552,39 @@ class TestDaemonCommands:
     def test_daemon_parser_defaults(self):
         args = build_parser().parse_args(["daemon"])
         assert args.listen == "stdio"
-        assert args.workers == 4
+        assert args.workers is None  # the executor's default pool size
         assert args.queue_depth == 128
         assert args.shard_size == 32
         assert args.autotune is False
         assert args.timeout is None
         assert args.backend == "internal"
         assert args.operator == "auto"
+
+    def test_daemon_workers_default_to_the_executor(self, monkeypatch):
+        import repro.service
+
+        built = []
+
+        class RecordingDaemon:
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+
+            async def serve(self, address):
+                return None
+
+        monkeypatch.setattr(repro.service, "PredictionDaemon", RecordingDaemon)
+        assert main(["daemon"]) == 0
+        assert main(["daemon", "--executor", "process"]) == 0
+        assert main(
+            ["daemon", "--executor", "cluster", "--worker", "tcp:127.0.0.1:1"]
+        ) == 0
+        assert main(["daemon", "--workers", "3"]) == 0
+        assert [(kw["executor"], kw["max_workers"]) for kw in built] == [
+            ("thread", 1),
+            ("process", 4),
+            ("cluster", 4),
+            ("thread", 3),
+        ]
 
     def test_submit_requires_socket_and_manifest(self):
         with pytest.raises(SystemExit):
