@@ -1167,6 +1167,7 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
         float(np.max(np.abs(a.pde_solution.states - b.pde_solution.states)))
         for a, b in zip(solo, together)
     )
+    batch_metadata = together[0].pde_solution.metadata
 
     refine_sequential = sequential.details["refinement"]
     refine_batched = batched.details["refinement"]
@@ -1209,6 +1210,11 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
             "batched_seconds": solver_batched_seconds,
             "speedup": solver_sequential_seconds / solver_batched_seconds,
             "max_state_delta": max_state_delta,
+            # Crank-Nicolson fixed-point iterations (G evaluations) per time
+            # step of the batched solve, ceiling-gated at 4.
+            "picard_iterations_per_step": (
+                batch_metadata["picard_iterations"] / batch_metadata["steps"]
+            ),
         },
         "operator": run_operator_mode_benchmark(quick=quick),
         "service": {

@@ -132,6 +132,25 @@ def _observed_targets(
     return actual, np.maximum(np.abs(actual), floor)
 
 
+@dataclass
+class _ResidualTargets:
+    """What every batched residual evaluation of one calibration shares.
+
+    The observed targets and their scales (see :func:`_observed_targets`),
+    and the rows of the solution's output times that hold the target times
+    -- found on the first solve, since every solve of a calibration has the
+    same output times.
+    """
+
+    actual: np.ndarray
+    scale: np.ndarray
+    rows: "list[int] | None" = None
+
+    @classmethod
+    def of(cls, observed: DensitySurface, target_times: Sequence[float]) -> "_ResidualTargets":
+        return cls(*_observed_targets(observed, target_times))
+
+
 def _prediction_residuals(
     parameters: DLParameters,
     initial_density: InitialDensity,
@@ -163,6 +182,7 @@ def _batch_prediction_residuals(
     max_step: float,
     backend: str = "internal",
     operator: str = "auto",
+    targets: "_ResidualTargets | None" = None,
 ) -> "list[np.ndarray]":
     """Residuals of many candidates, all advanced in one batched solve.
 
@@ -170,6 +190,8 @@ def _batch_prediction_residuals(
     state tensor; each returned vector equals :func:`_surface_residuals` of
     that candidate bit for bit and is C-contiguous (``np.dot`` on a strided
     view may round differently, which the refinement would amplify).
+    A calibration passes one ``targets`` to all its evaluations so the
+    observed side is computed once.
     """
     solution = solve_dl_batch_states(
         parameter_sets,
@@ -180,13 +202,17 @@ def _batch_prediction_residuals(
         backend=backend,
         operator=operator,
     )
-    # The time lookup DensitySurface.profile makes, once for every candidate.
-    rows = [int(np.nonzero(np.isclose(solution.times, t))[0][0]) for t in target_times]
-    predicted = np.maximum(solution.sample_surface(observed.distances)[rows], 0.0)
-    actual, scale = _observed_targets(observed, target_times)
-    residuals = np.empty((solution.batch_size,) + actual.shape)
-    np.subtract(predicted.transpose(2, 0, 1), actual, out=residuals)
-    residuals /= scale
+    if targets is None:
+        targets = _ResidualTargets.of(observed, target_times)
+    if targets.rows is None:
+        # The time lookup DensitySurface.profile makes, once for every candidate.
+        targets.rows = [
+            int(np.nonzero(np.isclose(solution.times, t))[0][0]) for t in target_times
+        ]
+    predicted = np.maximum(solution.sample_surface(observed.distances)[targets.rows], 0.0)
+    residuals = np.empty((solution.batch_size,) + targets.actual.shape)
+    np.subtract(predicted.transpose(2, 0, 1), targets.actual, out=residuals)
+    residuals /= targets.scale
     return list(residuals.reshape(solution.batch_size, -1))
 
 
@@ -434,6 +460,7 @@ def calibrate_dl_model_batched(
         for diffusion, amplitude, decay, floor in candidates
     ]
 
+    targets = _ResidualTargets.of(training, target_times)
     if engine == "batched":
         residual_vectors = _batch_prediction_residuals(
             parameter_sets,
@@ -444,6 +471,7 @@ def calibrate_dl_model_batched(
             max_step,
             backend=backend,
             operator=operator,
+            targets=targets,
         )
     else:
         residual_vectors = [
@@ -528,6 +556,7 @@ def calibrate_dl_model_batched(
                 max_step,
                 backend=backend,
                 operator=operator,
+                targets=targets,
             )
 
     else:

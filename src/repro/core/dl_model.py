@@ -41,6 +41,7 @@ from repro.numerics.integrators import TimeIntegrator
 from repro.numerics.pde_solver import (
     BatchPDESolution,
     BatchReactionDiffusionProblem,
+    LogisticReaction,
     PDESolution,
     ReactionDiffusionProblem,
     ReactionDiffusionSolver,
@@ -162,9 +163,9 @@ class DiffusiveLogisticModel:
         """Assemble the reaction-diffusion problem for a given phi."""
         grid = grid if grid is not None else initial_density.default_grid(self._points_per_unit)
         parameters = self._parameters
-
-        def reaction(density: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
-            return parameters.reaction(density, positions, time)
+        reaction = _dl_reaction([parameters])
+        if not isinstance(reaction, LogisticReaction):
+            reaction = parameters.reaction
 
         return ReactionDiffusionProblem(
             grid=grid,
@@ -213,53 +214,30 @@ class DiffusiveLogisticModel:
 # ---------------------------------------------------------------------- #
 # Batched solving
 # ---------------------------------------------------------------------- #
-def _growth_rate_arrays(parameter_sets: "Sequence[DLParameters]"):
-    """Per-column ``(a, -b, t0, c)`` with ``r_j(t) = a_j e^{-b_j (t - t0_j)} + c_j``.
+def _dl_reaction(parameter_sets: "Sequence[DLParameters]"):
+    """The batch reaction ``r_j(t) * U_j * (1 - U_j / K_j)`` of the given parameters.
 
-    Returns ``None`` unless every growth rate is an exponential-decay or a
-    constant rate (subclasses may override the closed form); a constant rate
-    is ``a = 0, c = rate`` (``0 * e^0 + rate`` is exactly ``rate``).
+    When every growth rate is an exponential-decay or a constant rate (the
+    paper's setting; subclasses may override the closed form), this is a
+    typed :class:`~repro.numerics.pde_solver.LogisticReaction` -- a constant
+    rate is ``a = 0, c = rate`` (``0 * e^0 + rate`` is exactly ``rate``) --
+    which the Crank-Nicolson engine tabulates once per solve and iterates
+    with Newton-scaled updates.  Otherwise each column's rate profile is
+    evaluated separately by an opaque callable, iterated with plain Picard
+    updates.
     """
-    terms: "list[tuple[float, float, float, float]]" = []
+    terms: "list[tuple[float, float, float, float, float]]" = []
     for parameters in parameter_sets:
         rate = parameters.growth_rate
         if type(rate) is ExponentialDecayGrowthRate:
-            terms.append((rate.amplitude, rate.decay, rate.reference_time, rate.floor))
+            growth = (rate.amplitude, rate.decay, rate.reference_time, rate.floor)
         elif type(rate) is ConstantGrowthRate:
-            terms.append((0.0, 0.0, 0.0, rate.rate))
+            growth = (0.0, 0.0, 0.0, rate.rate)
         else:
-            return None
-    amplitude, decay, reference, floor = (np.asarray(values, dtype=float) for values in zip(*terms))
-    return amplitude, -decay, reference, floor
-
-
-def _build_batch_reaction(parameter_sets: "Sequence[DLParameters]"):
-    """Vectorised logistic reaction ``r_j(t) * U_j * (1 - U_j / K_j)``.
-
-    When every growth rate is an exponential-decay or constant rate (the
-    paper's setting) the per-column rates are one ``a * exp(-b * (t - t0)) +
-    c`` array expression and the whole reaction is a single broadcast
-    expression; otherwise each column's rate profile is evaluated separately
-    (still one call per step, not per solve).
-    """
-    capacities = np.asarray([p.carrying_capacity for p in parameter_sets])[None, :]
-    growth = _growth_rate_arrays(parameter_sets)
-    if growth is not None:
-        amplitude, negative_decay, reference, floor = growth
-        # Every Picard iteration of a step evaluates the rates at the same
-        # time, so the last time's rates are kept.
-        last_rates: "dict[float, np.ndarray]" = {}
-
-        def reaction(states: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
-            rates = last_rates.get(time)
-            if rates is None:
-                last_rates.clear()
-                rates = last_rates[time] = (
-                    amplitude * np.exp(negative_decay * (time - reference)) + floor
-                )[None, :]
-            return rates * states * (1.0 - states / capacities)
-
-        return reaction
+            break
+        terms.append((*growth, parameters.carrying_capacity))
+    else:
+        return LogisticReaction(*(np.asarray(values, dtype=float) for values in zip(*terms)))
 
     def reaction(states: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
         out = np.empty_like(states)
@@ -361,11 +339,11 @@ def solve_dl_batch_states(
         grid=grid,
         initial_states=initial_states,
         diffusion_rates=diffusion_rates,
-        reaction=_build_batch_reaction(parameter_sets),
+        reaction=_dl_reaction(parameter_sets),
         start_time=reference.initial_time,
         # Per-column reactions keep non-batched backends (e.g. scipy) at
         # O(batch) instead of O(batch^2) when they fall back to sequential
-        # column solves.
+        # column solves of an opaque reaction.
         column_reactions=[p.reaction for p in parameter_sets],
     )
     solver = ReactionDiffusionSolver(max_step=max_step, backend=backend, operator=operator)

@@ -53,6 +53,7 @@ from repro.numerics.operator_cache import (
 from repro.numerics.pde_solver import (
     BatchPDESolution,
     BatchReactionDiffusionProblem,
+    LogisticReaction,
     PDESolution,
     ReactionDiffusionProblem,
     ReactionDiffusionSolver,
@@ -103,6 +104,7 @@ __all__ = [
     "ThomasFactorization",
     "ReactionDiffusionProblem",
     "BatchReactionDiffusionProblem",
+    "LogisticReaction",
     "ReactionDiffusionSolver",
     "PDESolution",
     "BatchPDESolution",

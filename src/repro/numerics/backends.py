@@ -8,13 +8,18 @@ registry in this module.  Two backends ship with the package:
   plus a vectorised Crank-Nicolson engine that advances every column of a
   :class:`~repro.numerics.pde_solver.BatchReactionDiffusionProblem` in
   lockstep.  The Neumann Laplacian is tridiagonal, so each step applies the
-  diffusion term matrix-free and performs one multi-right-hand-side *banded*
-  solve per distinct diffusion rate -- O(n) memory and O(n) work per step --
-  with the factorizations shared through
+  diffusion term matrix-free and solves banded systems -- O(n) memory and
+  O(n) work per step -- with the factorizations shared through
   :mod:`repro.numerics.operator_cache` across steps, solves and calibration
-  candidates.  The ``operator_mode`` knob (``"banded"`` by default, via
-  ``"auto"``) can force the pure-numpy ``"thomas"`` solver or the legacy
-  ``"dense"`` LU for cross-checking.
+  candidates.  Each step iterates to the Crank-Nicolson fixed point from an
+  explicit predictor, with updates scaled by the Newton factor of a
+  :class:`~repro.numerics.pde_solver.LogisticReaction` (about three
+  iterations per step on calibration batches), and when every diffusion
+  rate has the same number of columns one in-place LAPACK ``gttrs`` call
+  per iteration solves all of them (see :class:`_CrankNicolsonStepper`).
+  The ``operator_mode`` knob (``"banded"`` by default, via ``"auto"``) can
+  force the pure-numpy ``"thomas"`` solver or the legacy ``"dense"`` LU for
+  cross-checking; those solve one diffusion rate at a time.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
@@ -26,6 +31,7 @@ message listing everything registered.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Callable
 
@@ -37,6 +43,7 @@ from repro.numerics.integrators import CrankNicolsonIntegrator, TimeIntegrator
 from repro.numerics.pde_solver import (
     BatchPDESolution,
     BatchReactionDiffusionProblem,
+    LogisticReaction,
     PDESolution,
     ReactionDiffusionProblem,
 )
@@ -172,9 +179,11 @@ class InternalBackend(SolverBackend):
 
     Constant-diffusion Crank-Nicolson solves (the DL model's standard
     configuration) are routed through the batched engine with a batch of one,
-    so sequential and batched paths share both the code and the cached
-    operator factorizations.  Other integrators and time-varying diffusion
-    use the generic stepping loop.
+    so sequential and batched paths share the code, the iteration and the
+    cached operator factorizations.  Other integrators and time-varying
+    diffusion use the generic stepping loop.  Crank-Nicolson solutions
+    report ``metadata["picard_iterations"]``, the fixed-point iterations
+    summed over all steps (for a batch, until its last column converged).
 
     Parameters
     ----------
@@ -236,6 +245,7 @@ class InternalBackend(SolverBackend):
                     "backend": self.name,
                     "integrator": integrator.name,
                     "steps": batch_solution.metadata["steps"],
+                    "picard_iterations": batch_solution.metadata["picard_iterations"],
                     "max_step": max_step,
                     "operator": batch_solution.metadata["operator"],
                     "operator_cache": True,
@@ -335,167 +345,306 @@ class InternalBackend(SolverBackend):
         tolerance: float,
         max_iterations: int,
     ) -> BatchPDESolution:
-        grid = problem.grid
-        num_points = grid.num_points
-        spacing = grid.spacing
-        nodes = grid.nodes
-        operator_mode = self.resolved_operator_mode
-        # The dense matrix is only materialised for the dense reference mode;
-        # banded/thomas apply the diffusion term matrix-free, keeping the whole
-        # step O(n) in time and memory.
-        laplacian = (
-            operator_cache.neumann_laplacian_matrix(num_points, spacing)
-            if operator_mode == "dense"
-            else None
+        step_times, dts, rows = _step_schedule(problem.start_time, times, max_step)
+        stepper = _CrankNicolsonStepper(
+            problem, self.resolved_operator_mode, step_times, dts, tolerance, max_iterations
         )
-        # Columns sharing a diffusion rate share one factorization per dt,
-        # looked up once per solve.
-        rates = problem.diffusion_rates
-        groups = _diffusion_groups(rates)
-        factors_by_dt: "dict[float, list]" = {}
-        states = problem.initial_states.copy()
-
-        current_time = problem.start_time
-        batch = problem.batch_size
-
-        outputs = np.empty((times.size, num_points, batch))
-        output_index = 0
-        while output_index < times.size and abs(times[output_index] - current_time) < _TIME_EPS:
-            outputs[output_index] = states
-            output_index += 1
-
-        steps_taken = 0
-        while output_index < times.size:
-            target = times[output_index]
-            while current_time < target - _TIME_EPS:
-                dt = min(max_step, target - current_time)
-                factors = factors_by_dt.get(dt)
-                if factors is None:
-                    factors = factors_by_dt[dt] = [
-                        (
-                            operator_cache.crank_nicolson_operator(
-                                num_points, spacing, dt, rate, operator_mode
-                            ),
-                            columns,
-                        )
-                        for rate, columns in groups
-                    ]
-                states = self._crank_nicolson_step_batch(
-                    states,
-                    current_time,
-                    dt,
-                    laplacian,
-                    rates,
-                    factors,
-                    problem.reaction,
-                    nodes,
-                    spacing,
-                    tolerance,
-                    max_iterations,
-                )
-                current_time += dt
-                steps_taken += 1
-            outputs[output_index] = states
-            output_index += 1
+        outputs = np.empty((times.size, problem.grid.num_points, problem.batch_size))
+        for step, due in enumerate(rows):
+            if step:
+                stepper.step(step - 1)
+            for row in due:
+                stepper.emit(outputs[row])
 
         return BatchPDESolution(
-            grid=grid,
+            grid=problem.grid,
             times=times,
             states=outputs,
             metadata={
                 "backend": self.name,
                 "integrator": "crank_nicolson",
                 "engine": "batched_crank_nicolson",
-                "operator": operator_mode,
-                "steps": steps_taken,
+                "operator": self.resolved_operator_mode,
+                "steps": len(dts),
+                "picard_iterations": stepper.iterations,
                 "max_step": max_step,
-                "batch_size": batch,
-                "diffusion_groups": len(groups),
+                "batch_size": problem.batch_size,
+                "diffusion_groups": stepper.groups,
+                "stacked_solve": stepper.stacked,
             },
         )
 
-    @staticmethod
-    def _crank_nicolson_step_batch(
-        states: np.ndarray,
-        time: float,
-        dt: float,
-        laplacian: "np.ndarray | None",
-        rates: np.ndarray,
-        factors: "list[tuple[object, slice | np.ndarray]]",
-        reaction: "Callable[[np.ndarray, np.ndarray, float], np.ndarray]",
-        nodes: np.ndarray,
-        spacing: float,
+
+def _step_schedule(
+    start_time: float, times: np.ndarray, max_step: float
+) -> "tuple[list[float], list[float], list[list[int]]]":
+    """Time steps of a solve: ``(step_times, dts, rows)``.
+
+    Step ``k`` advances from ``step_times[k]`` by ``dts[k]`` to
+    ``step_times[k + 1]``; ``rows[k]`` lists the output rows due after ``k``
+    steps (row 0: those at the start time).  Each step ends on an output
+    time or after ``max_step``, and ``step_times`` accumulates ``dts`` the
+    way stepping does, so the table holds the exact times the reaction is
+    evaluated at.
+    """
+    step_times, dts, rows = [start_time], [], [[]]
+    current = start_time
+    for row, target in enumerate(times):
+        while current < target - _TIME_EPS:
+            dt = min(max_step, target - current)
+            current += dt
+            step_times.append(current)
+            dts.append(dt)
+            rows.append([])
+        rows[-1].append(row)
+    return step_times, dts, rows
+
+
+class _CrankNicolsonStepper:
+    """One batched Crank-Nicolson solve: its buffers, operators and iteration.
+
+    Everything a step needs that does not change between steps -- column
+    layout, operator factorizations for every step size, the growth-rate
+    table and the work buffers -- is set up once here.  Each step then
+    solves the Crank-Nicolson system
+
+        (I - dt/2 d A) u' = u + dt/2 d A u + dt/2 (f(u, t) + f(u', t + dt))
+
+    by a fixed-point iteration on ``G(v)``, the left-hand operator applied
+    to the right-hand side at ``v``:
+
+    * it starts from the explicit predictor ``u + dt (d A u + f(u, t))``;
+    * each update is ``v + (G(v) - v) / s`` with the pointwise Newton factor
+      ``s = max(1 - dt/2 f'(v), 1/2)`` when the reaction is a
+      :class:`~repro.numerics.pde_solver.LogisticReaction` (``s = 1``, plain
+      Picard, for any other reaction); the floor keeps the update from
+      dividing by a small or negative factor on stiff steps;
+    * a column stops once its update is below ``tolerance`` everywhere and
+      stays frozen, so its trajectory does not depend on the other columns;
+      the loop ends when every column has stopped or after
+      ``max_iterations`` evaluations of ``G``.
+
+    Any fixed point of the update is the Crank-Nicolson solution, so the
+    predictor and the Newton factor change how many iterations a step takes,
+    not what it converges to.
+
+    Layout: when every diffusion rate has the same number of columns ``m``,
+    the grid has at least 3 points and the operator mode is banded, the
+    state is kept column-major with the ``G`` rate groups interleaved --
+    group ``g``'s ``j``-th column at column ``j * G + g`` -- so the state,
+    viewed as ``(G * n, m)``, is a block of right-hand sides for the
+    block-diagonal operator of
+    :func:`~repro.numerics.operator_cache.stacked_crank_nicolson_operator`
+    and one in-place ``gttrs`` call solves every group.  An iteration whose
+    right-hand side holds a non-finite value is solved group by group
+    instead (a NaN would cross the zero couplings between blocks).  Other
+    batches keep the problem's column order and are solved group by group.
+    """
+
+    def __init__(
+        self,
+        problem: BatchReactionDiffusionProblem,
+        operator_mode: str,
+        step_times: "list[float]",
+        dts: "list[float]",
         tolerance: float,
         max_iterations: int,
-    ) -> np.ndarray:
-        """One IMEX Crank-Nicolson step for every column at once.
-
-        ``factors`` pairs each diffusion group's factorized operator with its
-        columns (see :func:`_diffusion_groups`).  Matches the sequential
-        integrator's Picard iteration per column: a column keeps updating
-        until its own change drops below ``tolerance``, then freezes, so
-        batched trajectories are identical to sequential ones regardless of
-        how the rest of the batch converges.
-        """
-        half_dt = 0.5 * dt
-        if laplacian is None:
-            diffusion_term = second_derivative(states, spacing) * rates[None, :]
+    ) -> None:
+        grid = problem.grid
+        num_points, spacing = grid.num_points, grid.spacing
+        batch = problem.batch_size
+        rates = problem.diffusion_rates
+        distinct = np.unique(rates)
+        members = [np.flatnonzero(rates == rate) for rate in distinct]
+        self.groups = len(members)
+        self.stacked = (
+            operator_mode == "banded"
+            and num_points >= 3
+            and len({columns.size for columns in members}) == 1
+        )
+        if self.stacked:
+            # Column j * G + g holds group g's j-th member.
+            order = np.stack(members, axis=1).ravel()
+            selectors: "list[slice | np.ndarray]" = [
+                slice(g, None, self.groups) for g in range(self.groups)
+            ]
         else:
-            diffusion_term = (laplacian @ states) * rates[None, :]
-        explicit_part = states + half_dt * diffusion_term
-        reaction_old = reaction(states, nodes, time)
-        new_time = time + dt
+            order = np.arange(batch)
+            selectors = [_column_selector(columns) for columns in members]
+        self._order = None if np.array_equal(order, np.arange(batch)) else order
+        self._inverse = None if self._order is None else np.argsort(order)
 
-        new_states = states.copy()
-        # ``candidate`` holds the right-hand side, then is solved in place.
-        candidate = np.empty_like(states)
-        change = np.empty_like(states)
-        active = np.ones(states.shape[1], dtype=bool)
-        for _ in range(max_iterations):
-            np.add(reaction_old, reaction(new_states, nodes, new_time), out=candidate)
-            np.multiply(half_dt, candidate, out=candidate)
-            np.add(explicit_part, candidate, out=candidate)
-            for factor, columns in factors:
-                candidate[:, columns] = factor.solve(candidate[:, columns])
-            np.subtract(candidate, new_states, out=change)
-            np.abs(change, out=change)
-            column_change = np.maximum.reduce(change, axis=0)
-            np.copyto(new_states, candidate, where=active)
-            active &= column_change >= tolerance
+        # Operators for every step size, looked up once per solve.
+        self._factors: "dict[float, tuple[list, object]]" = {}
+        for dt in set(dts):
+            per_group = [
+                (
+                    operator_cache.crank_nicolson_operator(
+                        num_points, spacing, dt, float(rate), operator_mode
+                    ),
+                    selector,
+                )
+                for rate, selector in zip(distinct, selectors)
+            ]
+            stacked = (
+                operator_cache.stacked_crank_nicolson_operator(
+                    num_points, spacing, dt, tuple(float(rate) for rate in distinct)
+                )
+                if self.stacked
+                else None
+            )
+            self._factors[dt] = (per_group, stacked)
+        self._laplacian = (
+            operator_cache.neumann_laplacian_matrix(num_points, spacing)
+            if operator_mode == "dense"
+            else None
+        )
+        self._spacing = spacing
+        self._nodes = grid.nodes
+        self._rates = rates[order][None, :]
+        self._step_times = step_times
+        self._dts = dts
+        self._tolerance = tolerance
+        self._max_iterations = max_iterations
+        self.iterations = 0
+
+        reaction = problem.reaction
+        if isinstance(reaction, LogisticReaction):
+            if self._order is not None:
+                reaction = reaction.take(self._order)
+            # r(t) at every step time: one exp for the whole solve.
+            self._growth = reaction.growth_rates(step_times)
+            self._capacity = reaction.capacity
+            self._reaction = None
+        elif self._order is not None:
+            inverse, forward = self._inverse, self._order
+
+            def permuted(states: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+                return np.asarray(reaction(states[:, inverse], x, t))[:, forward]
+
+            self._reaction = permuted
+        else:
+            self._reaction = reaction
+
+        def buffer() -> np.ndarray:
+            return np.empty((num_points, batch), order="F")
+
+        self._state = np.asfortranarray(problem.initial_states[:, order])
+        self._next = buffer()
+        self._constant = buffer()
+        self._rhs = buffer()
+        self._work = buffer()
+        self._factor = buffer()
+        self._active = np.empty(batch, dtype=bool)
+        # The right-hand side viewed as (G * n, m): its stacked form.
+        self._stacked_rhs = (
+            self._rhs.reshape((self.groups * num_points, -1), order="F")
+            if self.stacked
+            else None
+        )
+
+    def emit(self, out: np.ndarray) -> None:
+        """Write the current state, in the problem's column order, to ``out``."""
+        if self._inverse is None:
+            out[...] = self._state
+        else:
+            np.take(self._state, self._inverse, axis=1, out=out)
+
+    def step(self, k: int) -> None:
+        """Advance the state by step ``k`` of the schedule."""
+        dt = self._dts[k]
+        half_dt = 0.5 * dt
+        state, new, constant = self._state, self._next, self._constant
+        rhs, work, factor = self._rhs, self._work, self._factor
+        per_group, stacked = self._factors[dt]
+        typed = self._reaction is None
+
+        if self._laplacian is None:
+            diffusion = second_derivative(state, self._spacing)
+        else:
+            diffusion = self._laplacian @ state
+        diffusion *= self._rates
+        # constant = u + h d A u + h f(u, t), with h = dt / 2.
+        if typed:
+            hr = half_dt * self._growth[k]
+            hrk = hr / self._capacity
+            np.multiply(state, hrk, out=work)
+            np.subtract(hr, work, out=work)
+            np.multiply(work, state, out=constant)
+        else:
+            reaction_old = self._reaction(state, self._nodes, self._step_times[k])
+            np.multiply(reaction_old, half_dt, out=constant)
+        np.multiply(diffusion, half_dt, out=diffusion)
+        constant += diffusion
+        constant += state
+        # Explicit predictor u + dt (d A u + f(u, t)) = 2 * constant - u.
+        np.multiply(constant, 2.0, out=new)
+        new -= state
+
+        if typed:
+            hr = half_dt * self._growth[k + 1]
+            hrk = hr / self._capacity
+        else:
+            new_time = self._step_times[k + 1]
+        active = self._active
+        active.fill(True)
+        tolerance = self._tolerance
+        for _ in range(self._max_iterations):
+            self.iterations += 1
+            if typed:
+                # h f(v) = (h r - v h r / K) v, and the Newton factor
+                # s = 1 - h f'(v) = 1 - (h r - v h r / K) + v h r / K.
+                np.multiply(new, hrk, out=factor)
+                np.subtract(hr, factor, out=work)
+                np.multiply(work, new, out=rhs)
+                np.subtract(factor, work, out=factor)
+                factor += 1.0
+                np.maximum(factor, 0.5, out=factor)
+            else:
+                np.multiply(self._reaction(new, self._nodes, new_time), half_dt, out=rhs)
+            rhs += constant
+            if stacked is not None and math.isfinite(rhs.sum()):
+                stacked.solve(self._stacked_rhs, overwrite=True)
+            else:
+                for group_factor, columns in per_group:
+                    rhs[:, columns] = group_factor.solve(rhs[:, columns])
+            # rhs now holds G(v); turn it into the update.
+            rhs -= new
+            if typed:
+                rhs /= factor
+            np.add(new, rhs, out=new, where=active)
+            np.abs(rhs, out=rhs)
+            np.greater_equal(np.maximum.reduce(rhs, axis=0), tolerance, out=active, where=active)
             if not active.any():
                 break
-        return new_states
+        self._state, self._next = new, state
 
 
-def _diffusion_groups(rates: np.ndarray) -> "list[tuple[float, slice | np.ndarray]]":
-    """``(rate, columns)`` for every distinct diffusion rate of a batch.
-
-    ``columns`` is a slice when the rate's columns are contiguous (as every
-    calibration batch lays them out), so its solve reads and writes a view;
-    otherwise it is their index array.
-    """
-    groups: "list[tuple[float, slice | np.ndarray]]" = []
-    for rate in np.unique(rates):
-        columns = np.flatnonzero(rates == rate)
-        first, last = int(columns[0]), int(columns[-1])
-        groups.append(
-            (float(rate), slice(first, last + 1) if last - first + 1 == columns.size else columns)
-        )
-    return groups
+def _column_selector(columns: np.ndarray) -> "slice | np.ndarray":
+    """A slice when ``columns`` are contiguous (a view), else the index array."""
+    first, last = int(columns[0]), int(columns[-1])
+    return slice(first, last + 1) if last - first + 1 == columns.size else columns
 
 
 def _as_batch_of_one(problem: ReactionDiffusionProblem) -> BatchReactionDiffusionProblem:
-    """Wrap a sequential constant-diffusion problem as a single-column batch."""
-    scalar_reaction = problem.reaction
+    """Wrap a sequential constant-diffusion problem as a single-column batch.
 
-    def batch_reaction(states: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(scalar_reaction(states[:, 0], x, t), dtype=float)[:, None]
+    A :class:`~repro.numerics.pde_solver.LogisticReaction` is already a
+    batch reaction of width one and is passed through, so the column gets
+    the same Newton-scaled iteration as it would inside a batch.
+    """
+    reaction = problem.reaction
+    if not isinstance(reaction, LogisticReaction):
+        scalar_reaction = reaction
+
+        def reaction(states: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+            return np.asarray(scalar_reaction(states[:, 0], x, t), dtype=float)[:, None]
 
     return BatchReactionDiffusionProblem(
         grid=problem.grid,
         initial_states=problem.initial_state()[:, None],
         diffusion_rates=np.asarray([float(problem.diffusion)]),
-        reaction=batch_reaction,
+        reaction=reaction,
         start_time=problem.start_time,
     )
 

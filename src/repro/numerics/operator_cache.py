@@ -29,6 +29,11 @@ offered through :func:`crank_nicolson_operator`:
     reference implementation the equivalence tests and the substrate
     benchmark compare against.
 
+:func:`stacked_crank_nicolson_operator` caches one banded factorization of
+the block-diagonal operator of several diffusion rates, so a batch whose
+groups are interleaved column by column is solved by a single ``gttrs``
+call.
+
 Cached arrays are returned read-only; callers that need to modify an operator
 must copy it first.
 """
@@ -173,11 +178,16 @@ class BandedFactorization:
         arrays = self._bands if self._factor is None else self._factor
         return sum(int(np.asarray(array).nbytes) for array in arrays)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side ``(n,)`` or a column block ``(n, k)``."""
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve for one right-hand side ``(n,)`` or a column block ``(n, k)``.
+
+        With ``overwrite=True`` the solution is written over ``rhs`` and
+        ``rhs`` is returned; LAPACK solves a Fortran-contiguous float64
+        ``rhs`` in place, without a copy.
+        """
         if self._tiny is not None:
-            return self._tiny.solve(rhs)
-        if self._factor is None:  # pragma: no cover - exercised only on old scipy
+            solution = self._tiny.solve(rhs)
+        elif self._factor is None:  # pragma: no cover - exercised only on old scipy
             from scipy.linalg import solve_banded
 
             sub, diag, sup = self._bands
@@ -185,10 +195,14 @@ class BandedFactorization:
             ab[0, 1:] = sup
             ab[1, :] = diag
             ab[2, :-1] = sub
-            return solve_banded((1, 1), ab, rhs)
-        solution, info = self._gttrs(*self._factor, rhs)
-        if info != 0:  # pragma: no cover - cannot happen for a valid factorization
-            raise np.linalg.LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
+            solution = solve_banded((1, 1), ab, rhs)
+        else:
+            solution, info = self._gttrs(*self._factor, rhs, overwrite_b=overwrite)
+            if info != 0:  # pragma: no cover - cannot happen for a valid factorization
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
+        if overwrite and solution is not rhs:
+            rhs[...] = solution
+            return rhs
         return solution
 
 
@@ -282,6 +296,40 @@ def crank_nicolson_operator(
     return ThomasFactorization(*bands)
 
 
+@lru_cache(maxsize=256)
+def stacked_crank_nicolson_operator(
+    num_points: int,
+    spacing: float,
+    dt: float,
+    diffusion_rates: "tuple[float, ...]",
+) -> BandedFactorization:
+    """Banded factorization of the block-diagonal ``diag(I - dt/2 * d_g * A)``.
+
+    One block per diffusion rate, in the given order, with zero coupling
+    between blocks.  A batch whose ``(n, m * G)`` column-major state holds
+    group ``g``'s ``j``-th column at column ``j * G + g`` is, viewed as
+    ``(G * n, m)``, a block of right-hand sides for this system, so one
+    ``gttrs`` call solves every group.  With finite right-hand sides each
+    block's solution is bit-identical to its own
+    :func:`crank_nicolson_operator` solve: the zero couplings contribute
+    exact zeros to the elimination.  A non-finite entry does not stay in its
+    block (``0 * inf`` is NaN), so callers solve such right-hand sides group
+    by group.
+    """
+    if num_points < 3:
+        raise ValueError(f"stacked operators need at least 3 grid points, got {num_points}")
+    if len(diffusion_rates) == 1:
+        # One block is the plain operator: share its factorization.
+        return crank_nicolson_operator(num_points, spacing, dt, diffusion_rates[0], "banded")
+    subs, diags, sups = zip(
+        *(_crank_nicolson_bands(num_points, spacing, dt, rate) for rate in diffusion_rates)
+    )
+    # Zero couplings between consecutive blocks.
+    sub = np.concatenate([np.append(0.0, band) for band in subs])[1:]
+    sup = np.concatenate([np.append(0.0, band) for band in sups])[1:]
+    return BandedFactorization(sub, np.concatenate(diags), sup)
+
+
 def cache_stats() -> dict:
     """Hit/miss statistics for every operator cache (for tests and benchmarks)."""
     return {
@@ -289,6 +337,9 @@ def cache_stats() -> dict:
         "laplacian_tridiagonal": neumann_laplacian_tridiagonal.cache_info()._asdict(),
         "crank_nicolson_factor": crank_nicolson_factor.cache_info()._asdict(),
         "crank_nicolson_operator": crank_nicolson_operator.cache_info()._asdict(),
+        "stacked_crank_nicolson_operator": (
+            stacked_crank_nicolson_operator.cache_info()._asdict()
+        ),
     }
 
 
@@ -298,3 +349,4 @@ def clear_operator_caches() -> None:
     neumann_laplacian_tridiagonal.cache_clear()
     crank_nicolson_factor.cache_clear()
     crank_nicolson_operator.cache_clear()
+    stacked_crank_nicolson_operator.cache_clear()

@@ -26,7 +26,10 @@ Two problem shapes are supported:
 
 The solver is written against a generic reaction callable so the same engine
 also serves the SIS baseline and the extended (future-work) parameterisations
-where the growth rate depends on both time and distance.
+where the growth rate depends on both time and distance.  The DL model's own
+reaction is a typed :class:`LogisticReaction`, whose growth-rate parameters
+and capacities let the Crank-Nicolson engine tabulate rates once per solve
+and take Newton-scaled fixed-point iterations.
 """
 
 from __future__ import annotations
@@ -48,6 +51,70 @@ ReactionTerm = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 BatchReactionTerm = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 """f(U, x, t) with ``U`` of shape ``(n_nodes, batch)``; returns the same shape."""
+
+
+@dataclass(frozen=True, eq=False)
+class LogisticReaction:
+    """Logistic reaction ``r_j(t) * u * (1 - u / K_j)``, one ``(r_j, K_j)`` per column.
+
+    ``r_j(t) = a_j * exp(-b_j * (t - t0_j)) + c_j`` is the DL model's
+    decaying growth rate (a constant rate is ``a_j = 0``).  Calling the
+    reaction evaluates it like any :data:`BatchReactionTerm` -- or like a
+    :data:`ReactionTerm` on one ``(n_nodes,)`` state when it has a single
+    column.  Unlike an opaque callable it also exposes its parts, which the
+    Crank-Nicolson engine uses to tabulate every step's rates with one
+    ``exp`` (:meth:`growth_rates`) and to scale its fixed-point iteration by
+    the derivative ``f'(u) = r(t) * (1 - 2u / K)``.
+
+    Attributes
+    ----------
+    amplitude, decay, reference_time, floor:
+        ``a_j``, ``b_j``, ``t0_j`` and ``c_j``, shape ``(width,)``.
+    capacity:
+        ``K_j``, shape ``(width,)``.
+    """
+
+    amplitude: np.ndarray
+    decay: np.ndarray
+    reference_time: np.ndarray
+    floor: np.ndarray
+    capacity: np.ndarray
+
+    def __post_init__(self) -> None:
+        fields = ("amplitude", "decay", "reference_time", "floor", "capacity")
+        arrays = [np.atleast_1d(np.asarray(getattr(self, name), dtype=float)) for name in fields]
+        if any(array.ndim != 1 or array.shape != arrays[0].shape for array in arrays):
+            raise ValueError(
+                "amplitude, decay, reference_time, floor and capacity must be "
+                f"1-D arrays of one length, got shapes {[a.shape for a in arrays]}"
+            )
+        for name, array in zip(fields, arrays):
+            object.__setattr__(self, name, array)
+
+    @property
+    def width(self) -> int:
+        """Number of columns the reaction serves."""
+        return int(self.capacity.size)
+
+    def growth_rates(self, times: "Sequence[float] | np.ndarray") -> np.ndarray:
+        """``r_j(t)`` for every time and column, shape ``(len(times), width)``."""
+        times = np.asarray(times, dtype=float)[:, None]
+        return self.amplitude * np.exp(-self.decay * (times - self.reference_time)) + self.floor
+
+    def take(self, columns: "Sequence[int] | np.ndarray") -> "LogisticReaction":
+        """The reaction of the given columns, in the given order."""
+        columns = np.asarray(columns, dtype=int)
+        return LogisticReaction(
+            self.amplitude[columns],
+            self.decay[columns],
+            self.reference_time[columns],
+            self.floor[columns],
+            self.capacity[columns],
+        )
+
+    def __call__(self, states: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
+        rates = self.growth_rates([time])[0]
+        return rates * states * (1.0 - states / self.capacity)
 
 
 def _node_indices(grid: UniformGrid, positions: np.ndarray) -> "np.ndarray | None":
@@ -148,7 +215,9 @@ class BatchReactionDiffusionProblem:
         one per batch member.  Backends without a vectorised engine fall back
         to solving members one at a time; providing these lets that fallback
         evaluate a single column's reaction directly instead of tiling the
-        state to the full batch width per evaluation.
+        state to the full batch width per evaluation.  Not needed when
+        ``reaction`` is a :class:`LogisticReaction`, which splits into
+        columns itself.
     """
 
     grid: UniformGrid
@@ -172,6 +241,11 @@ class BatchReactionDiffusionProblem:
             )
         if np.any(rates <= 0):
             raise ValueError("all diffusion rates must be positive")
+        if isinstance(self.reaction, LogisticReaction) and self.reaction.width != states.shape[1]:
+            raise ValueError(
+                f"the logistic reaction has {self.reaction.width} columns, "
+                f"expected one per batch member ({states.shape[1]})"
+            )
         if self.column_reactions is not None and len(self.column_reactions) != states.shape[1]:
             raise ValueError(
                 f"column_reactions must have one entry per batch member "
@@ -188,6 +262,7 @@ class BatchReactionDiffusionProblem:
     def column_problem(self, index: int) -> ReactionDiffusionProblem:
         """The ``index``-th member as a standalone sequential problem.
 
+        A :class:`LogisticReaction` contributes its ``index``-th column.
         When ``column_reactions`` were provided, the member's own scalar
         reaction is used directly.  Otherwise the batch reaction -- written
         against the full ``(n_nodes, batch)`` matrix -- is adapted by tiling
@@ -196,7 +271,9 @@ class BatchReactionDiffusionProblem:
         contract, but O(batch) extra work per evaluation; supply
         ``column_reactions`` on hot fallback paths).
         """
-        if self.column_reactions is not None:
+        if isinstance(self.reaction, LogisticReaction):
+            reaction = self.reaction.take([index])
+        elif self.column_reactions is not None:
             reaction = self.column_reactions[index]
         else:
             batch_reaction = self.reaction

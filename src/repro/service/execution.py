@@ -9,9 +9,9 @@ registered here and a third, ``cluster``, in :mod:`repro.service.cluster`
 
 * ``thread`` -- an in-process ``ThreadPoolExecutor``, one thread by
   default.  The solver's hot loop is many short GIL-releasing calls (about
-  ten per Picard iteration: the per-group ``dgttrs`` f2py calls plus numpy
-  ufuncs), so a second thread does not overlap the linear algebra -- the
-  two threads hand the GIL back and forth thousands of times a second.
+  fifteen per Picard iteration: one stacked ``dgttrs`` f2py call plus small
+  numpy ufuncs), so a second thread does not overlap the linear algebra --
+  the two threads hand the GIL back and forth thousands of times a second.
   Measured on a 2-CPU box, two calibration jobs took 6.6 s back to back on
   one thread and 13.5 s (17.1 s CPU) on two.
 * ``process`` -- a ``concurrent.futures.ProcessPoolExecutor``.  Shards
@@ -58,6 +58,7 @@ from typing import Any, Callable, Mapping
 
 from repro.cascade.density import DensitySurface
 from repro.core.config import ModelSpec
+from repro.core.prediction import BatchPredictor
 from repro.core.errors import UnknownExecutorError
 from repro.service.sharding import ShardKey
 from repro.service.tracing import NOOP_TRACER, TraceContext, Tracer, TracerLike
@@ -153,17 +154,16 @@ def _record_calibration_phases(
 ) -> None:
     """Split a story's fit span into grid-search vs LM-refinement children.
 
-    Duck-typed against the ``dl`` fitter (``fitter.predictor`` exposing
-    per-story ``_calibration_details`` with a ``refinement.seconds`` wall
-    time); models without calibration details simply get no sub-phases.
+    Reads the story's calibration details through the ``dl`` fitter's
+    :meth:`~repro.core.prediction.BatchPredictor.calibration_details_for`
+    (``details.refinement.seconds`` is the LM wall time); fitters of other
+    models have no ``BatchPredictor`` and get no sub-phases.
     """
+    predictor = getattr(fitter, "predictor", None)
+    if not isinstance(predictor, BatchPredictor):
+        return
     try:
-        predictor = getattr(fitter, "predictor", None)
-        details_by_story = getattr(predictor, "_calibration_details", None)
-        if not isinstance(details_by_story, dict):
-            return
-        entry = details_by_story.get(name)
-        details = entry.get("details") if isinstance(entry, dict) else None
+        details = predictor.calibration_details_for(name).get("details")
         if not isinstance(details, dict):
             return
         refinement = details.get("refinement")

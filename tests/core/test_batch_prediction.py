@@ -65,6 +65,29 @@ class TestSolveDLBatch:
                 < 1e-10
             )
 
+    def test_candidate_batch_is_bit_identical_to_sequential_solves(self):
+        # A calibration-shaped batch: equal diffusion groups, solved with one
+        # stacked LAPACK call per iteration, against one model per candidate.
+        phi = InitialDensity([1, 2, 3, 4, 5], [5.0, 2.0, 2.5, 1.5, 1.0])
+        candidates = [
+            PAPER_S1_HOP_PARAMETERS.with_diffusion_rate(d).with_growth_rate(
+                ExponentialDecayGrowthRate(a, 1.5, 0.25)
+            )
+            for d in (0.005, 0.05, 0.01)
+            for a in (0.5, 1.4)
+        ]
+        times = [2.0, 4.0, 6.0]
+        batched = solve_dl_batch(candidates, phi, times, points_per_unit=8, max_step=0.05)
+        assert batched[0].pde_solution.metadata["stacked_solve"] is True
+        for parameters, solution in zip(candidates, batched):
+            sequential = DiffusiveLogisticModel(
+                parameters, points_per_unit=8, max_step=0.05
+            ).solve(phi, times)
+            np.testing.assert_array_equal(
+                solution.pde_solution.states.view(np.int64),
+                sequential.pde_solution.states.view(np.int64),
+            )
+
     def test_broadcasts_parameters_against_one_phi(self):
         phi = InitialDensity([1, 2, 3, 4, 5], [5.0, 2.0, 2.5, 1.5, 1.0])
         candidates = [

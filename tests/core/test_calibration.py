@@ -254,6 +254,38 @@ class TestBatchResiduals:
             np.testing.assert_array_equal(vector.view(np.int64), expected.view(np.int64))
 
 
+    def test_calibration_computes_its_observed_targets_once(self, monkeypatch):
+        # The observed targets, their scales and the output-time rows are
+        # the same for every batched solve of a calibration.
+        from repro.core import calibration
+
+        surface = synthetic_dl_surface(hours=6)
+        reference = calibrate_dl_model_batched(surface, **TestBatchedCalibration.SMALL_GRIDS)
+        calls = {"targets": 0, "isclose": 0}
+        observed_targets, isclose = calibration._observed_targets, np.isclose
+
+        def counting_targets(*args):
+            calls["targets"] += 1
+            return observed_targets(*args)
+
+        def counting_isclose(*args, **kwargs):
+            calls["isclose"] += 1
+            return isclose(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "_observed_targets", counting_targets)
+        monkeypatch.setattr(calibration.np, "isclose", counting_isclose)
+        calibrate_dl_model_batched(surface, refine=False, **TestBatchedCalibration.SMALL_GRIDS)
+        grid_only = dict(calls)
+        result = calibrate_dl_model_batched(surface, **TestBatchedCalibration.SMALL_GRIDS)
+        monkeypatch.undo()
+        assert result.details["refinement"]["residual_batches"] > 1
+        # The refinement's batches add no lookups to the grid's one.
+        assert calls == {key: 2 * count for key, count in grid_only.items()}
+        assert grid_only["targets"] == 1
+        assert result.loss == reference.loss
+        assert result.parameters == reference.parameters
+
+
 class TestGridSearchHelper:
     def test_grid_result_prefers_parameters_near_truth(self):
         surface = synthetic_dl_surface()

@@ -16,6 +16,7 @@ from repro.numerics.integrators import RungeKutta4Integrator
 from repro.numerics.operator_cache import cache_stats, clear_operator_caches
 from repro.numerics.pde_solver import (
     BatchReactionDiffusionProblem,
+    LogisticReaction,
     ReactionDiffusionSolver,
 )
 
@@ -281,3 +282,190 @@ class TestOperatorModes:
         problem = dl_like_batch_problem(batch=2).column_problem(0)
         solution = ReactionDiffusionSolver(max_step=0.05).solve(problem, [2.0])
         assert solution.metadata["operator"] == "banded"
+
+
+def logistic_batch_problem(diffusion_rates, num_points=41, growth=None, seed=0):
+    """DL-shaped columns with a typed logistic reaction (decaying r, K = 25)."""
+    rates = np.asarray(diffusion_rates, dtype=float)
+    batch = rates.size
+    rng = np.random.default_rng(seed)
+    if growth is None:
+        growth = (
+            rng.uniform(0.5, 2.0, batch),
+            rng.uniform(0.5, 2.0, batch),
+            rng.uniform(0.05, 0.5, batch),
+        )
+    amplitude, decay, floor = growth
+    reaction = LogisticReaction(amplitude, decay, np.ones(batch), floor, np.full(batch, 25.0))
+    return BatchReactionDiffusionProblem(
+        grid=UniformGrid(1.0, 6.0, num_points),
+        initial_states=1.0 + 4.0 * rng.random((num_points, batch)),
+        diffusion_rates=rates,
+        reaction=reaction,
+        start_time=1.0,
+    )
+
+
+def assert_bit_identical(actual, expected):
+    np.testing.assert_array_equal(
+        np.asarray(actual).view(np.int64), np.asarray(expected).view(np.int64)
+    )
+
+
+class TestLogisticReaction:
+    def test_evaluates_the_logistic_term_per_column(self):
+        problem = logistic_batch_problem([0.01, 0.05, 0.02])
+        reaction = problem.reaction
+        states = problem.initial_states
+        rates = reaction.amplitude * np.exp(-reaction.decay * (2.5 - 1.0)) + reaction.floor
+        expected = rates * states * (1.0 - states / 25.0)
+        np.testing.assert_allclose(reaction(states, problem.grid.nodes, 2.5), expected, rtol=1e-14)
+        column = problem.column_problem(1).reaction
+        assert column.width == 1
+        np.testing.assert_array_equal(
+            column(states[:, 1], problem.grid.nodes, 2.5),
+            reaction(states, problem.grid.nodes, 2.5)[:, 1],
+        )
+
+    def test_width_must_match_the_batch(self):
+        problem = logistic_batch_problem([0.01, 0.05])
+        with pytest.raises(ValueError):
+            BatchReactionDiffusionProblem(
+                problem.grid,
+                np.ones((problem.grid.num_points, 3)),
+                np.full(3, 0.01),
+                problem.reaction,
+            )
+        with pytest.raises(ValueError):
+            LogisticReaction([1.0, 2.0], [1.0], [1.0], [0.1], [25.0])
+
+
+class TestPredictedNewtonStep:
+    def test_iterations_reported_by_batched_and_single_solves(self):
+        problem = logistic_batch_problem([0.01, 0.05])
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        batched = solver.solve_batch(problem, [1.0, 2.0])
+        single = solver.solve(problem.column_problem(0), [1.0, 2.0])
+        for metadata in (batched.metadata, single.metadata):
+            assert metadata["steps"] == 20
+            assert metadata["steps"] <= metadata["picard_iterations"] <= 12 * metadata["steps"]
+
+    def test_calibrate_shaped_batch_takes_few_iterations_per_step(self):
+        # A 5-group story at the calibration resolution, with the columns
+        # one Levenberg-Marquardt batch solves: four starts (one per
+        # diffusion rate), each a ladder of damped steps around its iterate.
+        # Plain Picard iteration from the old state took about 5.6
+        # iterations per step here.
+        from repro.core.dl_model import solve_dl_batch_states
+        from repro.core.initial_density import InitialDensity
+        from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
+
+        phi = InitialDensity([1, 2, 3, 4, 5], [5.0, 2.0, 2.5, 1.5, 1.0])
+        theta, step = np.array([1.4, 1.5, 0.25]), np.array([0.3, -0.2, 0.05])
+        candidates = [
+            DLParameters(d, ExponentialDecayGrowthRate(*(theta + step / 4.0**rung)), 25.0)
+            for d in (0.005, 0.01, 0.02, 0.05)
+            for rung in range(5)
+        ]
+        solution = solve_dl_batch_states(
+            candidates, phi, [1, 2, 3, 4, 5, 6], points_per_unit=8, max_step=0.05
+        )
+        metadata = solution.metadata
+        assert metadata["stacked_solve"] is True
+        assert metadata["picard_iterations"] / metadata["steps"] <= 3.5
+
+    def test_converges_to_the_plain_picard_fixed_point(self):
+        # Same Crank-Nicolson fixed point: a typed reaction (predictor +
+        # Newton factor) and the same reaction behind an opaque callable
+        # (predictor, plain Picard) agree to the stopping tolerance.
+        typed = logistic_batch_problem([0.01, 0.05, 0.01, 0.05])
+        reaction = typed.reaction
+        opaque = BatchReactionDiffusionProblem(
+            typed.grid,
+            typed.initial_states,
+            typed.diffusion_rates,
+            lambda u, x, t: reaction(u, x, t),
+            typed.start_time,
+        )
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 3.0, 6.0]
+        newton = solver.solve_batch(typed, times)
+        picard = solver.solve_batch(opaque, times)
+        assert np.max(np.abs(newton.states - picard.states)) < 1e-9
+        assert newton.metadata["picard_iterations"] < picard.metadata["picard_iterations"]
+
+    def test_stiff_steps_stay_finite(self):
+        # r = 100 at dt = 0.05: 1 - dt/2 * r = -1.5, so an unfloored Newton
+        # factor would divide by negative numbers near u = 0 and diverge.
+        batch = 4
+        rates = np.full(batch, 100.0)
+        problem = logistic_batch_problem(
+            [0.01, 0.05] * 2, num_points=33, growth=(np.zeros(batch), np.zeros(batch), rates)
+        )
+        solution = ReactionDiffusionSolver(max_step=0.05).solve_batch(problem, [1.0, 1.5, 2.0])
+        assert np.isfinite(solution.states).all()
+        # The logistic fixed point: everything ends at the capacity.
+        np.testing.assert_allclose(solution.states[-1], 25.0, rtol=1e-3)
+
+
+class TestStackedSolve:
+    def test_interleaved_equal_groups_are_bit_identical_to_solving_alone(self):
+        # Five diffusion rates, three columns each, in the order a
+        # calibration grid lays them out (rate-major, so the engine
+        # interleaves them).
+        problem = logistic_batch_problem(np.repeat([0.005, 0.01, 0.02, 0.05, 0.1], 3))
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 2.0, 4.0]
+        batched = solver.solve_batch(problem, times)
+        assert batched.metadata["stacked_solve"] is True
+        assert batched.metadata["diffusion_groups"] == 5
+        for j in range(problem.batch_size):
+            alone = solver.solve(problem.column_problem(j), times)
+            assert_bit_identical(batched.states[:, :, j], alone.states)
+
+    def test_non_finite_column_leaves_the_others_untouched(self):
+        base = logistic_batch_problem([0.01, 0.05, 0.02] * 2)
+        reaction = base.reaction
+
+        def poisoned(states, x, t):
+            out = reaction(states, x, t)
+            if t > 1.5:
+                out[:, 4] = np.inf
+            return out
+
+        problem = BatchReactionDiffusionProblem(
+            base.grid, base.initial_states, base.diffusion_rates, poisoned, base.start_time
+        )
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 2.0, 3.0]
+        with np.errstate(all="ignore"):
+            batched = solver.solve_batch(problem, times)
+            alone = [solver.solve(problem.column_problem(j), times) for j in range(6)]
+        assert batched.metadata["stacked_solve"] is True
+        assert not np.isfinite(batched.states[-1, :, 4]).all()
+        for j in (0, 1, 2, 3, 5):
+            assert np.isfinite(batched.states[:, :, j]).all()
+            assert_bit_identical(batched.states[:, :, j], alone[j].states)
+
+    @pytest.mark.parametrize(
+        "diffusion_rates, num_points",
+        [([0.01, 0.01, 0.05], 21), ([0.01, 0.05, 0.01, 0.05], 2)],
+        ids=["unequal-groups", "two-point-grid"],
+    )
+    def test_falls_back_to_per_group_solves(self, diffusion_rates, num_points):
+        problem = logistic_batch_problem(diffusion_rates, num_points=num_points)
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 2.0]
+        batched = solver.solve_batch(problem, times)
+        assert batched.metadata["stacked_solve"] is False
+        for j in range(problem.batch_size):
+            alone = solver.solve(problem.column_problem(j), times)
+            assert_bit_identical(batched.states[:, :, j], alone.states)
+
+    @pytest.mark.parametrize("mode", ["dense", "thomas"])
+    def test_other_operator_modes_solve_per_group(self, mode):
+        problem = logistic_batch_problem([0.01, 0.05])
+        batched = ReactionDiffusionSolver(max_step=0.05, operator=mode).solve_batch(
+            problem, [2.0]
+        )
+        assert batched.metadata["stacked_solve"] is False

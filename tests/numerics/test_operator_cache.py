@@ -16,6 +16,7 @@ from repro.numerics.operator_cache import (
     crank_nicolson_operator,
     neumann_laplacian_matrix,
     neumann_laplacian_tridiagonal,
+    stacked_crank_nicolson_operator,
 )
 
 
@@ -187,3 +188,64 @@ class TestThomasFactorization:
         banded = BandedFactorization(sub, diag, sup).solve(rhs)
         thomas = ThomasFactorization(sub, diag, sup).solve(rhs)
         assert np.max(np.abs(banded - thomas)) < 1e-11
+
+
+class TestStackedOperator:
+    RATES = (0.005, 0.05, 0.02)
+
+    def stacked_rhs(self, num_points, members, seed=0):
+        """A column-major ``(n, members * G)`` block, group g at columns j * G + g."""
+        rng = np.random.default_rng(seed)
+        return np.asfortranarray(rng.normal(size=(num_points, members * len(self.RATES))))
+
+    def test_one_call_is_bit_identical_to_per_group_solves(self):
+        num_points, spacing, dt, groups = 17, 0.125, 0.05, len(self.RATES)
+        rhs = self.stacked_rhs(num_points, members=4)
+        expected = rhs.copy()
+        for g, rate in enumerate(self.RATES):
+            operator = crank_nicolson_operator(num_points, spacing, dt, rate, "banded")
+            expected[:, g::groups] = operator.solve(rhs[:, g::groups])
+        stacked = stacked_crank_nicolson_operator(num_points, spacing, dt, self.RATES)
+        view = rhs.reshape((groups * num_points, -1), order="F")
+        solved = stacked.solve(view, overwrite=True)
+        # Solved in place, and bit for bit what one solve per group gives.
+        assert solved is view
+        np.testing.assert_array_equal(rhs.view(np.int64), expected.view(np.int64))
+
+    def test_non_finite_entries_leak_across_blocks(self):
+        # Why the engine solves a non-finite right-hand side group by
+        # group: the zero couplings turn an inf into NaN in other blocks.
+        num_points, groups = 9, len(self.RATES)
+        rhs = self.stacked_rhs(num_points, members=1)
+        rhs[-1, 0] = np.inf
+        stacked = stacked_crank_nicolson_operator(num_points, 0.25, 0.05, self.RATES)
+        with np.errstate(invalid="ignore"):
+            solved = stacked.solve(rhs.reshape((groups * num_points, -1), order="F"))
+        assert not np.isfinite(solved[num_points:]).all()
+
+    def test_cached_per_key_and_cleared_with_the_others(self):
+        clear_operator_caches()
+        first = stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES)
+        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES) is first
+        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES[::-1]) is not first
+        stats = cache_stats()["stacked_crank_nicolson_operator"]
+        assert (stats["hits"], stats["misses"]) == (1, 2)
+        clear_operator_caches()
+        assert cache_stats()["stacked_crank_nicolson_operator"]["currsize"] == 0
+
+    def test_one_rate_shares_the_plain_factorization(self):
+        plain = crank_nicolson_operator(11, 0.1, 0.05, 0.02, "banded")
+        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, (0.02,)) is plain
+
+    def test_rejects_grids_below_three_points(self):
+        with pytest.raises(ValueError):
+            stacked_crank_nicolson_operator(2, 0.5, 0.05, self.RATES)
+
+    def test_overwrite_writes_a_copied_solution_back(self):
+        # A C-ordered block cannot be solved in place; the solution is
+        # still written over it.
+        operator = crank_nicolson_operator(13, 0.1, 0.05, 0.02, "banded")
+        rhs = np.random.default_rng(1).random((13, 3))
+        expected = operator.solve(rhs)
+        assert operator.solve(rhs, overwrite=True) is rhs
+        np.testing.assert_array_equal(rhs, expected)

@@ -250,6 +250,37 @@ class TestServicePropagation:
         assert metrics['service.solve_phase_seconds{phase="fit"}']["count"] >= 1
         assert metrics['service.solve_phase_seconds{phase="evaluate"}']["count"] >= 1
 
+    def test_calibrating_stories_get_grid_and_refine_spans(self, surfaces):
+        # Without parameters every story is calibrated; its fit span splits
+        # into the grid search and the LM refinement, read through
+        # BatchPredictor.calibration_details_for.
+        tracer = Tracer()
+
+        async def run():
+            async with PredictionService(tracer=tracer) as service:
+                parent = tracer.span("job", attributes={"job": "j1"})
+                job = await service.submit(
+                    "story0",
+                    surfaces["story0"],
+                    TRAINING_TIMES,
+                    EVALUATION_TIMES,
+                    trace=parent.context,
+                )
+                await job.wait()
+                parent.finish()
+                return job, parent
+
+        job, parent = asyncio.run(run())
+        assert job.status is JobStatus.SUCCEEDED
+        records = tracer.spans(parent.trace_id)
+        assert validate_trace(records, parent.trace_id) == []
+        by_name = {r["name"]: r for r in records}
+        grid, refine = by_name["calibration.grid"], by_name["calibration.refine"]
+        story_fit = by_name["story.fit"]
+        assert grid["parent_id"] == refine["parent_id"] == story_fit["span_id"]
+        assert grid["attributes"]["engine"] == "batched"
+        assert refine["duration"] > 0.0
+
     def test_phase_histograms_populate_without_tracing(self, surfaces):
         async def run():
             async with PredictionService(

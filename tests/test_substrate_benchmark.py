@@ -1,4 +1,4 @@
-"""The substrate benchmark's corpus.io RSS gate must measure the child itself."""
+"""The substrate benchmark's gates: the corpus.io RSS child and the iteration ceiling."""
 
 from __future__ import annotations
 
@@ -12,18 +12,18 @@ import pytest
 
 from repro.corpus import WorkloadConfig, generate_store
 
-BENCH_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / "bench_substrate_performance.py"
-)
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _load_benchmark():
-    spec = importlib.util.spec_from_file_location("bench_substrate_performance", BENCH_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_benchmark():
+    return _load("bench_substrate_performance")
 
 
 def _resident_kb() -> int:
@@ -51,3 +51,17 @@ def test_rss_child_reports_its_own_peak_not_the_parents(tmp_path):
     # ru_maxrss, which survives fork/exec, reads about parent_kb here.
     assert report["peak_rss_kb"] < parent_kb // 2
     del ballast
+
+
+@pytest.mark.parametrize("iterations, passes", [(5.6, False), (4.0, True), (2.7, True)])
+def test_picard_iteration_ceiling(iterations, passes):
+    # 5.6 iterations per step is what plain Picard iteration from the old
+    # state took on calibration batches; the gate must reject it.
+    gate = _load("check_regression")
+    report = {"solver": {"picard_iterations_per_step": iterations}}
+    (verdict,) = [
+        ok
+        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
+        if "solver.picard_iterations_per_step" in line
+    ]
+    assert verdict is passes
