@@ -21,7 +21,9 @@ dimensions cover the PR-2/PR-3 machinery:
   ``thomas``), with the maximum state delta of each mode against the dense
   reference.
 * ``refine`` -- wall time of the calibration refinement stage with batched
-  multi-start evaluation vs the sequential per-candidate reference.
+  multi-start evaluation vs the sequential per-candidate reference, and the
+  LM iterations of one logistic-shaped story whose fit ends with a
+  parameter on its bound (``refine.bound_pinned``).
 * ``service`` -- corpus throughput (stories/sec) of the async prediction
   service vs the sequential per-story predictor loop and the synchronous
   ``BatchPredictor``, at corpus sizes 10/100 (plus 1000 without ``--quick``),
@@ -85,6 +87,7 @@ from repro.core.parameters import (
 from repro.core.accuracy import build_accuracy_table
 from repro.core.config import ModelSpec, SolverConfig
 from repro.core.prediction import BatchPredictor, DiffusionPredictor
+from repro.corpus import WorkloadConfig, iter_workload
 from repro.models import get_model
 from repro.service import (
     DaemonClient,
@@ -226,6 +229,28 @@ def _synthetic_calibration_surface(hours: int = 8) -> DensitySurface:
         group_sizes=np.ones(surface.distances.size),
         metadata={"source": "substrate_benchmark"},
     )
+
+
+def run_bound_pinned_refinement() -> dict:
+    """LM refinement of one logistic-shaped story whose fit ends on a bound.
+
+    The story's best growth-rate floor is negative, so its fit ends with
+    ``floor`` on its lower bound 0.  A refinement that clips a full-system
+    step crawls to its 40-iteration cap here; the active-set step converges
+    in 17 iterations.  An iteration count does not depend on the machine,
+    so the gate caps it with an absolute ceiling.  The story is the same in
+    quick and full mode: 6 hop groups over 6 hours, calibrated at the
+    calibration defaults.
+    """
+    config = WorkloadConfig(
+        stories=1, seed=1001, min_distances=6, max_distances=6, min_hours=6, max_hours=6
+    )
+    ((_, surface),) = iter_workload(config)
+    refinement = calibrate_dl_model_batched(surface).details["refinement"]
+    return {
+        key: refinement[key]
+        for key in ("iterations", "n_evaluations", "parameters_at_bound")
+    }
 
 
 def _parameter_delta(a, b) -> float:
@@ -1203,6 +1228,9 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
             "batched_seconds": refine_batched["seconds"],
             "speedup": refine_sequential["seconds"] / refine_batched["seconds"],
             "max_parameter_delta": refine_parameter_delta,
+            # A fit whose optimum has floor on its bound (iterations
+            # ceiling-gated at 30).
+            "bound_pinned": run_bound_pinned_refinement(),
         },
         "solver": {
             "batch_size": batch_size,

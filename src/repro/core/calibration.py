@@ -427,6 +427,10 @@ def calibrate_dl_model_batched(
     the seeds, then one Jacobian block and one damping ladder per
     iteration) and ``n_evaluations`` the residual columns solved, which
     counts every ladder rung, including rungs past the one a start takes.
+    It also records the per-start ``converged`` flags and
+    ``parameters_at_bound``, the names of the winning start's growth-rate
+    parameters that end on a ``GROWTH_RATE_BOUNDS`` bound (``"floor"`` on
+    logistic-shaped stories).
     """
     if engine not in ("batched", "sequential"):
         raise ValueError(f"engine must be 'batched' or 'sequential', got {engine!r}")
@@ -593,6 +597,14 @@ def calibrate_dl_model_batched(
             [float(v) for v in row] for row in multi.start_parameters
         ],
         "best_start": multi.best_start,
+        "converged": [bool(flag) for flag in multi.converged],
+        "parameters_at_bound": [
+            name
+            for name, value, low, high in zip(
+                multi.best.names, multi.best.parameters, *GROWTH_RATE_BOUNDS
+            )
+            if value <= low or value >= high
+        ],
         "iterations": multi.iterations,
         "n_evaluations": multi.n_evaluations,
         "residual_batches": multi.residual_batches,

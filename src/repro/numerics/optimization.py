@@ -7,13 +7,16 @@ s1.  For the reproduction we additionally provide automated calibration
 
 * :func:`least_squares_fit` -- a thin, bounded wrapper around
   ``scipy.optimize.least_squares`` returning a structured :class:`FitResult`.
-* :func:`multi_start_least_squares` -- a projected Levenberg-Marquardt
-  refinement that advances *many* starting points in lockstep, evaluating
-  every finite-difference Jacobian column of every start through one batched
-  callback per iteration, and every rung of every start's damping ladder
-  through a second one.  This is what lets the DL calibration
-  refine N seed candidates as columns of a single batched PDE solve instead
-  of running N sequential ``scipy.optimize.least_squares`` loops.
+* :func:`multi_start_least_squares` -- a bounded, active-set
+  Levenberg-Marquardt refinement that advances *many* starting points in
+  lockstep, evaluating every finite-difference Jacobian column of every
+  start through one batched callback per iteration, and every rung of every
+  start's damping ladder through a second one.  A parameter that sits on a
+  bound while the gradient pushes it outward is held there, and the step is
+  solved on the remaining free parameters.  This is what lets the DL
+  calibration refine N seed candidates as columns of a single batched PDE
+  solve instead of running N sequential ``scipy.optimize.least_squares``
+  loops, and converge when the optimum has a parameter on its bound.
 * :func:`grid_search` -- coarse exhaustive search used to seed the local
   optimiser (the DL objective is non-convex in (d, r-parameters, K)).
 * loss helpers (:func:`sum_of_squares`, :func:`mean_relative_error`).
@@ -201,14 +204,24 @@ def multi_start_least_squares(
     loss_tolerance: float = 1e-12,
     max_step_retries: int = 6,
 ) -> MultiStartFitResult:
-    """Refine many starting points at once with a projected Levenberg-Marquardt.
+    """Refine many starting points at once with an active-set Levenberg-Marquardt.
 
     All starts advance in lockstep: each iteration gathers the residuals of
     every start plus the forward-difference perturbations of every parameter
     into *one* ``residual_batch`` call, then each start takes its own damped
-    Gauss-Newton step (clipped into the bounds box).  The callback therefore
-    sees large blocks of parameter vectors it can evaluate together -- for the
-    DL calibration those blocks become columns of a single batched PDE solve.
+    Gauss-Newton step.  The callback therefore sees large blocks of parameter
+    vectors it can evaluate together -- for the DL calibration those blocks
+    become columns of a single batched PDE solve.
+
+    The step is an active-set projected step.  From the start's gradient
+    ``g = J^T r``, a parameter is *held* when it sits on a bound and ``g``
+    points out of the box (``x <= lower`` with ``g > 0``, or ``x >= upper``
+    with ``g < 0``).  The damped normal equations are solved on the free
+    parameters only, the held ones keep their value, and the candidate is
+    clipped into the box.  Solving the full system and clipping afterwards
+    would let the bound-pushing parameter distort the free ones, so a fit
+    whose optimum lies on a bound would crawl to ``max_iterations``.  When
+    no parameter is held the step is the plain full-system solve.
 
     The step is chosen from a damping ladder: rung ``k`` of a start damps by
     ``4**k`` times its current damping, and the start takes the first rung,
@@ -238,8 +251,9 @@ def multi_start_least_squares(
     finite_difference_step:
         Relative forward-difference step for the Jacobian.
     gradient_tolerance, step_tolerance, loss_tolerance:
-        A start freezes when its projected gradient, accepted step or loss
-        improvement falls below the corresponding tolerance.
+        A start freezes when its projected gradient (held entries zeroed),
+        accepted step or loss improvement falls below the corresponding
+        tolerance.
     max_step_retries:
         Rungs of the damping ladder (damping escalations tried per iteration
         before a start is declared stalled); at least 1.
@@ -301,15 +315,26 @@ def multi_start_least_squares(
         residual_batches += 1
         n_evaluations += block.shape[0]
 
+        # Each start's gradient J^T r is formed once and serves both the
+        # convergence test and the ladder.  A parameter on a bound whose
+        # gradient points out of the box is held: it drops out of the step
+        # and out of the convergence test (the projected gradient).
         jacobians: dict[int, np.ndarray] = {}
+        gradients: dict[int, np.ndarray] = {}
+        held: dict[int, np.ndarray] = {}
         for row, s in enumerate(active_idx):
             base = residuals[s]
             jacobian = np.empty((base.size, n_params))
             for j in range(n_params):
                 shifted = np.asarray(perturbed_residuals[row * n_params + j], dtype=float)
                 jacobian[:, j] = (shifted - base) / steps[row, j]
+            gradient = jacobian.T @ base
+            x = points[s]
+            at_bound = ((x <= lower) & (gradient > 0)) | ((x >= upper) & (gradient < 0))
             jacobians[s] = jacobian
-            if np.max(np.abs(jacobian.T @ base)) < gradient_tolerance:
+            gradients[s] = gradient
+            held[s] = at_bound
+            if np.max(np.abs(np.where(at_bound, 0.0, gradient))) < gradient_tolerance:
                 active[s] = False
                 converged[s] = True
 
@@ -323,16 +348,24 @@ def multi_start_least_squares(
             for row, s in enumerate(pending):
                 jacobian = jacobians[s]
                 normal = jacobian.T @ jacobian
-                gradient = jacobian.T @ residuals[s]
+                gradient = gradients[s]
                 scaling = np.maximum(np.diag(normal), 1e-12)
+                free = ~held[s]
+                if not free.all():
+                    # Solve on the free parameters; the held ones stay put.
+                    normal = normal[np.ix_(free, free)]
+                    gradient = gradient[free]
+                    scaling = scaling[free]
                 rung_damping = damping[s]
                 for rung in range(max_step_retries):
                     try:
-                        delta = np.linalg.solve(
+                        step = np.linalg.solve(
                             normal + rung_damping * np.diag(scaling), -gradient
                         )
                     except np.linalg.LinAlgError:
-                        delta = -gradient / scaling
+                        step = -gradient / scaling
+                    delta = np.zeros(n_params)
+                    delta[free] = step
                     ladder[row, rung] = np.clip(points[s] + delta, lower, upper)
                     rung_damping *= 4.0
             ladder_residuals = residual_batch(

@@ -25,6 +25,7 @@ from repro.core.parameters import (
     DLParameters,
     ExponentialDecayGrowthRate,
 )
+from repro.corpus import WorkloadConfig, iter_workload
 
 
 def synthetic_dl_surface(
@@ -220,6 +221,31 @@ class TestBatchedCalibration:
         result = calibrate_dl_model_batched(surface, refine=False, **self.SMALL_GRIDS)
         assert result.details["candidates_evaluated"] == 3 * 2 * 2 * 2
 
+
+    def test_logistic_story_converges_with_its_floor_on_the_bound(self):
+        # A logistic-shaped story's best growth-rate floor is negative, so
+        # the fit ends with floor on its lower bound 0.  Holding it there
+        # lets LM converge instead of crawling to its 40-iteration cap.
+        config = WorkloadConfig(
+            stories=1, seed=1001, min_distances=5, max_distances=5, min_hours=6, max_hours=6
+        )
+        ((_, surface),) = iter_workload(config)
+        grids = dict(self.SMALL_GRIDS, diffusion_candidates=(0.005, 0.05), refine_starts=2)
+        batched = calibrate_dl_model_batched(surface, engine="batched", **grids)
+        sequential = calibrate_dl_model_batched(surface, engine="sequential", **grids)
+        for result in (batched, sequential):
+            refinement = result.details["refinement"]
+            assert refinement["iterations"] < 40
+            assert refinement["parameters_at_bound"] == ["floor"]
+            assert refinement["converged"] == [True, True]
+            assert result.parameters.growth_rate.floor == 0.0
+        np.testing.assert_allclose(
+            batched.details["refinement"]["start_parameters"],
+            sequential.details["refinement"]["start_parameters"],
+            rtol=0.0,
+            atol=1e-10,
+        )
+        assert batched.loss == pytest.approx(sequential.loss, abs=1e-10)
 
 class TestBatchResiduals:
     def test_tensor_sampling_matches_per_candidate_surfaces(self):

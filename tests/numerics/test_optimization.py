@@ -348,6 +348,75 @@ class TestDampingLadder:
             multi_start_least_squares(self.residual_batch, self.SEEDS, max_step_retries=0)
 
 
+class TestActiveSetStep:
+    """A parameter held on its bound drops out of the step and the gradient test."""
+
+    T = np.linspace(0.0, 5.0, 30)
+    # A decaying growth rate a*exp(-b*t) + c fitted to data whose best floor
+    # is negative, so the bounded optimum has c on its lower bound 0.
+    TARGET = 1.2 * np.exp(-0.8 * T) - 0.05
+    BOUNDS = ([0.0, 0.05, 0.0], [6.0, 6.0, 0.6])
+    SEEDS = [[1.0, 1.0, 0.1], [2.0, 0.5, 0.25]]
+
+    @classmethod
+    def residual_batch(cls, points, start_indices):
+        return [a * np.exp(-b * cls.T) + c - cls.TARGET for a, b, c in points]
+
+    def test_bound_pinned_optimum_converges_before_the_cap(self):
+        # The reference takes the full-system step and clips it, as the
+        # refinement did before the active set: it crawls to the cap.
+        _, clipped_losses, clipped_iterations, clipped_converged, _ = (
+            one_rung_per_call_reference(self.residual_batch, self.SEEDS, self.BOUNDS)
+        )
+        assert clipped_iterations == 40
+        assert not clipped_converged.any()
+
+        result = multi_start_least_squares(
+            self.residual_batch, self.SEEDS, bounds=self.BOUNDS
+        )
+        assert result.iterations <= 20
+        assert result.converged.all()
+        assert (result.start_parameters[:, 2] == 0.0).all()
+        assert (result.start_losses <= clipped_losses).all()
+
+    def test_starts_off_the_bounds_match_the_unbounded_fit(self):
+        x = np.linspace(0.0, 3.0, 25)
+        target = 1.3 * np.exp(-0.7 * x) + 0.01 * np.sin(5.0 * x)
+
+        def residual(theta):
+            return theta[0] * np.exp(-theta[1] * x) - target
+
+        seeds = [[0.5, 0.1], [2.0, 2.0], [1.0, 0.7]]
+        unbounded = multi_start_least_squares(batch_wrap(residual), seeds)
+        boxed = multi_start_least_squares(
+            batch_wrap(residual), seeds, bounds=([-10.0, -10.0], [10.0, 10.0])
+        )
+        np.testing.assert_array_equal(boxed.start_parameters, unbounded.start_parameters)
+        np.testing.assert_array_equal(boxed.start_losses, unbounded.start_losses)
+        assert boxed.iterations == unbounded.iterations
+        np.testing.assert_array_equal(boxed.converged, unbounded.converged)
+
+    def test_every_parameter_held_converges_at_once(self):
+        # The optimum (-1, 5) lies outside the box in both coordinates; from
+        # the corner the projected gradient is zero, so no step is tried.
+        def residual(theta):
+            return np.array([theta[0] + 1.0, theta[1] - 5.0])
+
+        calls: "list[int]" = []
+
+        def residual_batch(points, start_indices):
+            calls.append(len(points))
+            return [residual(point) for point in points]
+
+        result = multi_start_least_squares(
+            residual_batch, [[0.0, 1.0]], bounds=([0.0, 0.0], [1.0, 1.0])
+        )
+        assert result.iterations == 1
+        assert result.converged.all()
+        assert calls == [1, 2]
+        np.testing.assert_array_equal(result.start_parameters, [[0.0, 1.0]])
+
+
 class TestGridSearch:
     def test_finds_minimum_of_quadratic(self):
         def objective(theta):

@@ -1,4 +1,4 @@
-"""The substrate benchmark's gates: the corpus.io RSS child and the iteration ceiling."""
+"""The substrate benchmark's gates: the corpus.io RSS child and the iteration ceilings."""
 
 from __future__ import annotations
 
@@ -63,5 +63,19 @@ def test_picard_iteration_ceiling(iterations, passes):
         ok
         for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
         if "solver.picard_iterations_per_step" in line
+    ]
+    assert verdict is passes
+
+
+@pytest.mark.parametrize("iterations, passes", [(40, False), (30, True), (17, True)])
+def test_bound_pinned_iteration_ceiling(iterations, passes):
+    # 40 is the iteration cap the clipped full-system LM step crawled to on
+    # the bound-pinned story; the gate must reject it.
+    gate = _load("check_regression")
+    report = {"refine": {"bound_pinned": {"iterations": iterations}}}
+    (verdict,) = [
+        ok
+        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
+        if "refine.bound_pinned.iterations" in line
     ]
     assert verdict is passes
