@@ -52,6 +52,10 @@ dimensions cover the PR-2/PR-3 machinery:
   in fresh subprocesses (scoring from the store must fit in a baseline +
   64 MB + corpus-bytes/4 budget -- the "never holds all surfaces in
   memory" criterion).
+* ``scoring`` -- per-story cost of ``build_accuracy_table`` (Eq. 8 over
+  every scored cell) on the service corpus, against a scalar reference
+  kept here that scores one cell at a time through two ``isclose`` scans
+  per surface; ``max_accuracy_delta_vs_scalar`` must stay 0.
 * ``convergence`` (opt-in via ``--convergence``) -- the spatial-resolution
   study: predicted accuracy and solve time vs ``points_per_unit`` on the
   banded operator stack, against the finest grid as reference.
@@ -84,7 +88,7 @@ from repro.core.parameters import (
     ExponentialDecayGrowthRate,
     PAPER_S1_HOP_PARAMETERS,
 )
-from repro.core.accuracy import build_accuracy_table
+from repro.core.accuracy import build_accuracy_table, prediction_accuracy
 from repro.core.config import ModelSpec, SolverConfig
 from repro.core.prediction import BatchPredictor, DiffusionPredictor
 from repro.corpus import WorkloadConfig, iter_workload
@@ -472,6 +476,74 @@ def run_service_benchmark(quick: bool = False) -> dict:
             report["stories_per_second"] = entry["stories_per_second_service"]
     report["max_result_delta_vs_batch"] = max_delta_vs_batch
     return report
+
+
+def _scalar_lookup(axis: np.ndarray, label: float) -> int:
+    """The first ``isclose`` match on ``axis``: the scalar scorer's lookup."""
+    return int(np.nonzero(np.isclose(axis, label))[0][0])
+
+
+def _scalar_accuracies(
+    predicted: DensitySurface, actual: DensitySurface, times, distances
+) -> np.ndarray:
+    """Eq. 8 one cell at a time, each value found by its own axis scans.
+
+    The reference ``build_accuracy_table`` must match bit for bit: it is the
+    cell-by-cell loop the array scorer replaced.
+    """
+    accuracies = np.zeros((len(distances), len(times)))
+    for i, distance in enumerate(distances):
+        for j, time in enumerate(times):
+            p = predicted.values[
+                _scalar_lookup(predicted.times, time), _scalar_lookup(predicted.distances, distance)
+            ]
+            a = actual.values[
+                _scalar_lookup(actual.times, time), _scalar_lookup(actual.distances, distance)
+            ]
+            accuracies[i, j] = prediction_accuracy(float(p), float(a))
+    return accuracies
+
+
+def run_scoring_benchmark(quick: bool = False) -> dict:
+    """Per-story cost of Eq. 8 scoring, and its delta against the scalar loop.
+
+    Scores a service corpus's (20 stories with ``quick``, else 100)
+    ``BatchPredictor`` predictions again with
+    :func:`build_accuracy_table` (best of 5) and with
+    :func:`_scalar_accuracies` (best of 2).  ``max_accuracy_delta_vs_scalar``
+    is the largest cell difference and is gated at 0.
+    """
+    stories = 20 if quick else 100
+    corpus = _service_corpus(stories)
+    evaluation = list(SERVICE_EVALUATION_TIMES)
+    results = (
+        BatchPredictor(parameters=PAPER_S1_HOP_PARAMETERS, solver=SERVICE_SOLVER_CONFIG)
+        .fit(corpus, training_times=list(SERVICE_TRAINING_TIMES))
+        .evaluate(corpus, times=evaluation)
+    )
+    pairs = [(result.predicted, result.actual) for result in results.results.values()]
+    distances = [float(d) for d in pairs[0][1].distances]
+
+    array_seconds, tables = best_of(
+        lambda: [
+            build_accuracy_table(p, a, times=evaluation, distances=distances).accuracies
+            for p, a in pairs
+        ],
+        5,
+    )
+    scalar_seconds, reference = best_of(
+        lambda: [_scalar_accuracies(p, a, evaluation, distances) for p, a in pairs]
+    )
+    return {
+        "stories": stories,
+        "cells_per_story": len(distances) * len(evaluation),
+        "seconds_per_story": array_seconds / stories,
+        "scalar_seconds_per_story": scalar_seconds / stories,
+        "speedup_vs_scalar": scalar_seconds / array_seconds,
+        "max_accuracy_delta_vs_scalar": max(
+            float(np.max(np.abs(table - expected))) for table, expected in zip(tables, reference)
+        ),
+    }
 
 
 def run_service_model_benchmark(model: str = "logistic", quick: bool = False) -> dict:
@@ -1258,6 +1330,8 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
             "cluster": run_service_cluster_benchmark(quick=quick),
         },
         "daemon": run_daemon_benchmark(quick=quick),
+        # Eq. 8 scoring per story, array vs scalar (delta-gated at 0).
+        "scoring": run_scoring_benchmark(quick=quick),
         # Zero-cost-when-disabled proof for the tracing instrumentation
         # (noop_overhead_fraction correctness-gated at 2%).
         "tracing": run_tracing_benchmark(quick=quick),
@@ -1335,7 +1409,10 @@ def main(argv=None) -> int:
             f"RSS budget excess "
             f"{report['corpus']['io']['rss_budget_excess_bytes'] / 1e6:.1f} MB); "
             f"tracing no-op overhead "
-            f"{report['tracing']['noop_overhead_fraction'] * 100:.4f}% per story",
+            f"{report['tracing']['noop_overhead_fraction'] * 100:.4f}% per story; "
+            f"Eq. 8 scoring {report['scoring']['seconds_per_story'] * 1e3:.3f} ms per story "
+            f"(max accuracy delta vs scalar "
+            f"{report['scoring']['max_accuracy_delta_vs_scalar']:.2e})",
             file=sys.stderr,
         )
     return 0

@@ -85,6 +85,9 @@ CORRECTNESS_CHECKS = (
     # The corpus store is a lossless float64 container: scoring lazily from
     # the store must match the inline-manifest path bit for bit.
     ("corpus.io.max_result_delta_vs_inline", 1e-12),
+    # Eq. 8 is elementwise IEEE arithmetic, so scoring a whole table in one
+    # array expression must equal scoring it cell by cell, bit for bit.
+    ("scoring.max_accuracy_delta_vs_scalar", 0.0),
     # The bounded-RSS acceptance criterion: scoring a whole generated
     # corpus from the store (streamed in chunks, fresh subprocess) must fit
     # in baseline + 64 MB + corpus-bytes/4 -- a positive excess means the

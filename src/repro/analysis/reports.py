@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, first_match_indices
 from repro.core.prediction import PredictionResult
 from repro.io.tables import format_table
 
@@ -52,10 +52,13 @@ def render_figure_series(
 
 def render_prediction_comparison(result: PredictionResult, title: "str | None" = None) -> str:
     """Render predicted vs actual densities side by side (Figure 7 view)."""
+    times = result.predicted.times
+    observed = first_match_indices(result.actual.times, times) >= 0
+    scored = first_match_indices(result.accuracy_table.times, times) >= 0
     rows = []
-    for time in result.predicted.times:
+    for time, is_observed, is_scored in zip(times, observed, scored):
         time = float(time)
-        if not np.any(np.isclose(result.actual.times, time)):
+        if not is_observed:
             continue
         for distance in result.predicted.distances:
             distance = float(distance)
@@ -67,7 +70,7 @@ def render_prediction_comparison(result: PredictionResult, title: "str | None" =
                     "predicted": result.predicted.density(distance, time),
                     "accuracy": (
                         result.accuracy_table.accuracy(distance, time)
-                        if np.any(np.isclose(result.accuracy_table.times, time))
+                        if is_scored
                         else float("nan")
                     ),
                 }

@@ -16,13 +16,16 @@ figures (densities up to ~20 with K = 25 for friendship hops, densities up to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.cascade.events import Story
 
 DENSITY_UNITS = ("percent", "fraction")
+
+#: Axis labels to look up: a sequence of times or distances, or an array of them.
+Labels = Union[Sequence[float], np.ndarray]
 
 
 @dataclass
@@ -71,17 +74,19 @@ class DensitySurface:
     # ------------------------------------------------------------------ #
     # Slicing
     # ------------------------------------------------------------------ #
-    def _distance_index(self, distance: float) -> int:
-        matches = np.nonzero(np.isclose(self.distances, distance))[0]
-        if matches.size == 0:
-            raise KeyError(f"distance {distance} is not in the surface")
-        return int(matches[0])
+    def time_indices(self, times: Labels) -> np.ndarray:
+        """Row index of every time in ``times`` (see :func:`label_indices`)."""
+        return label_indices(self.times, times, "time", "surface")
+
+    def distance_indices(self, distances: Labels) -> np.ndarray:
+        """Column index of every distance in ``distances`` (see :func:`label_indices`)."""
+        return label_indices(self.distances, distances, "distance", "surface")
 
     def _time_index(self, time: float) -> int:
-        matches = np.nonzero(np.isclose(self.times, time))[0]
-        if matches.size == 0:
-            raise KeyError(f"time {time} is not in the surface")
-        return int(matches[0])
+        return int(self.time_indices([time])[0])
+
+    def _distance_index(self, distance: float) -> int:
+        return int(self.distance_indices([distance])[0])
 
     def density(self, distance: float, time: float) -> float:
         """Density value at one (distance, time) pair."""
@@ -99,9 +104,9 @@ class DensitySurface:
         """The earliest profile -- the hour-1 snapshot used to build phi."""
         return self.values[0, :].copy()
 
-    def restrict_times(self, times: Sequence[float]) -> "DensitySurface":
+    def restrict_times(self, times: Labels) -> "DensitySurface":
         """Return a new surface containing only the requested times."""
-        indices = [self._time_index(t) for t in times]
+        indices = self.time_indices(times)
         return DensitySurface(
             distances=self.distances.copy(),
             times=self.times[indices],
@@ -111,9 +116,9 @@ class DensitySurface:
             metadata=dict(self.metadata),
         )
 
-    def restrict_distances(self, distances: Sequence[float]) -> "DensitySurface":
+    def restrict_distances(self, distances: Labels) -> "DensitySurface":
         """Return a new surface containing only the requested distances."""
-        indices = [self._distance_index(d) for d in distances]
+        indices = self.distance_indices(distances)
         return DensitySurface(
             distances=self.distances[indices],
             times=self.times.copy(),
@@ -151,6 +156,49 @@ class DensitySurface:
         any violation indicates a bug in the extraction pipeline.
         """
         return bool(np.all(np.diff(self.values, axis=0) >= -tolerance))
+
+
+def first_match_indices(axis: np.ndarray, labels: Labels) -> np.ndarray:
+    """Index of each label's first ``np.isclose`` match on ``axis``, or -1.
+
+    One ``isclose`` call covers every label.  Each row compares
+    ``isclose(axis, label)``, exactly as a one-label scan would, so the
+    relative tolerance scales with the label.
+    """
+    values = np.asarray(labels, dtype=float)
+    if values.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    matches = np.isclose(axis, values[:, None])
+    return np.where(matches.any(axis=1), matches.argmax(axis=1), -1)
+
+
+def label_indices(
+    axis: np.ndarray, labels: Labels, name: str, container: str
+) -> np.ndarray:
+    """Index of each label's first ``np.isclose`` match on ``axis``.
+
+    Raises ``KeyError("<name> <label> is not in the <container>")`` for the
+    first label with no match.
+    """
+    indices = first_match_indices(axis, labels)
+    missing = np.flatnonzero(indices < 0)
+    if missing.size:
+        raise KeyError(f"{name} {labels[int(missing[0])]} is not in the {container}")
+    return indices
+
+
+def materialize_surface(surface) -> DensitySurface:
+    """A concrete :class:`DensitySurface` from a surface or a lazy handle.
+
+    Anything with a ``load()`` method (a corpus store's ``LazySurface``) is
+    loaded; anything else is returned as it is.
+    """
+    if isinstance(surface, DensitySurface):
+        return surface
+    loader = getattr(surface, "load", None)
+    if callable(loader):
+        return loader()
+    return surface
 
 
 def compute_density_surface(

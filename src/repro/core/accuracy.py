@@ -10,6 +10,13 @@ error``, i.e. the complement.  This module implements both, documents the
 discrepancy, and uses the complement (what the paper's tables actually
 report) as ``prediction_accuracy``.
 
+:func:`build_accuracy_table` scores a whole table at once: it resolves the
+scored times and distances to row and column indices once per surface,
+gathers both surfaces' cells by fancy indexing, and evaluates Eq. 8 as one
+elementwise array expression (:func:`prediction_accuracies`).  That is the
+same IEEE arithmetic as :func:`prediction_accuracy` applied cell by cell, so
+the table is bit-identical to scoring each cell on its own.
+
 :class:`AccuracyTable` reproduces the layout of Tables I and II: one row per
 distance, one column per prediction time ``t = 2..6``, plus the per-distance
 average and the overall average the paper quotes in the abstract (92.08% /
@@ -23,17 +30,31 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, Labels, first_match_indices, label_indices
+
+#: Floor on ``|actual|`` in Eq. 8's denominator, so a zero actual scores finitely.
+EPSILON = 1e-12
 
 
-def relative_error(predicted: float, actual: float, epsilon: float = 1e-12) -> float:
+def relative_error(predicted: float, actual: float, epsilon: float = EPSILON) -> float:
     """|predicted - actual| / |actual| -- Equation 8 as literally written."""
     return abs(predicted - actual) / max(abs(actual), epsilon)
 
 
-def prediction_accuracy(predicted: float, actual: float, epsilon: float = 1e-12) -> float:
+def prediction_accuracy(predicted: float, actual: float, epsilon: float = EPSILON) -> float:
     """1 - relative error, clipped below at 0 -- what Tables I/II report."""
     return max(0.0, 1.0 - relative_error(predicted, actual, epsilon))
+
+
+def prediction_accuracies(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """:func:`prediction_accuracy` elementwise, with the same bits per cell.
+
+    ``np.maximum`` keeps a NaN ``|actual|`` as the builtin ``max`` does, and
+    ``np.fmax(0.0, x)`` clips a NaN accuracy to 0.0 as ``max(0.0, nan)`` does.
+    """
+    with np.errstate(all="ignore"):
+        error = np.abs(predicted - actual) / np.maximum(np.abs(actual), EPSILON)
+        return np.fmax(0.0, 1.0 - error)
 
 
 @dataclass
@@ -73,6 +94,11 @@ class AccuracyTable:
         index = self._distance_index(distance)
         return float(self.accuracies[index].mean())
 
+    def row_averages(self, distances: Labels) -> np.ndarray:
+        """:meth:`row_average` of every distance, from one index lookup."""
+        rows = label_indices(self.distances, distances, "distance", "table")
+        return self.accuracies[rows].mean(axis=1)
+
     def column_average(self, time: float) -> float:
         """Average accuracy over all distances for one prediction time."""
         index = self._time_index(time)
@@ -88,16 +114,10 @@ class AccuracyTable:
         return float(self.accuracies[self._distance_index(distance), self._time_index(time)])
 
     def _distance_index(self, distance: float) -> int:
-        matches = np.nonzero(np.isclose(self.distances, distance))[0]
-        if matches.size == 0:
-            raise KeyError(f"distance {distance} is not in the table")
-        return int(matches[0])
+        return int(label_indices(self.distances, [distance], "distance", "table")[0])
 
     def _time_index(self, time: float) -> int:
-        matches = np.nonzero(np.isclose(self.times, time))[0]
-        if matches.size == 0:
-            raise KeyError(f"time {time} is not in the table")
-        return int(matches[0])
+        return int(label_indices(self.times, [time], "time", "table")[0])
 
     # ------------------------------------------------------------------ #
     # Rendering
@@ -135,7 +155,13 @@ def build_accuracy_table(
     distances: "Sequence[float] | None" = None,
     metadata: "dict | None" = None,
 ) -> AccuracyTable:
-    """Compare a predicted surface against observations cell by cell.
+    """Score a predicted surface against observations with Eq. 8.
+
+    Each surface's time rows and distance columns are looked up once (first
+    ``np.isclose`` match, as :meth:`DensitySurface.density` does), and the
+    accuracy matrix is one :func:`prediction_accuracies` expression over the
+    gathered cells -- bit-identical to scoring each cell with
+    :func:`prediction_accuracy`.
 
     Parameters
     ----------
@@ -149,6 +175,14 @@ def build_accuracy_table(
         scoring it would be trivially perfect).
     distances:
         Distances to score; defaults to the actual surface's distances.
+
+    Raises
+    ------
+    ValueError
+        When the surfaces' units differ, or no time or distance is scored.
+    KeyError
+        When a scored time or distance is missing from either surface; the
+        message names the label a cell-by-cell scan would have missed first.
     """
     if predicted.unit != actual.unit:
         raise ValueError(
@@ -165,12 +199,21 @@ def build_accuracy_table(
     if not distances:
         raise ValueError("at least one distance is required")
 
-    accuracies = np.zeros((len(distances), len(times)))
-    for i, distance in enumerate(distances):
-        for j, time in enumerate(times):
-            accuracies[i, j] = prediction_accuracy(
-                predicted.density(distance, time), actual.density(distance, time)
-            )
+    surfaces = (predicted, actual)
+    rows = [first_match_indices(surface.times, times) for surface in surfaces]
+    columns = [first_match_indices(surface.distances, distances) for surface in surfaces]
+    if any((index < 0).any() for index in rows + columns):
+        # Replay the cell-by-cell lookups, so a missing label raises the
+        # KeyError it always has.
+        for distance in distances:
+            for time in times:
+                predicted.density(distance, time)
+                actual.density(distance, time)
+    predicted_cells, actual_cells = (
+        surface.values[row[None, :], column[:, None]]
+        for surface, row, column in zip(surfaces, rows, columns)
+    )
+    accuracies = prediction_accuracies(predicted_cells, actual_cells)
     table_metadata = dict(actual.metadata)
     if metadata:
         table_metadata.update(metadata)

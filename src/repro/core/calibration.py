@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, label_indices
 from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch_states
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
@@ -119,7 +119,7 @@ def _surface_residuals(
     letting the high-density distance-1 cells dominate the fit.
     """
     actual, scale = _observed_targets(observed, target_times)
-    profiles = np.stack([predicted.profile(time) for time in target_times])
+    profiles = predicted.values[predicted.time_indices(target_times)]
     return ((profiles - actual) / scale).ravel()
 
 
@@ -127,7 +127,7 @@ def _observed_targets(
     observed: DensitySurface, target_times: Sequence[float]
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Observed ``(target times, distances)`` values and their residual scales."""
-    actual = np.stack([observed.profile(time) for time in target_times])
+    actual = observed.values[observed.time_indices(target_times)]
     floor = max(0.05 * observed.max_density, 1e-9)
     return actual, np.maximum(np.abs(actual), floor)
 
@@ -144,7 +144,7 @@ class _ResidualTargets:
 
     actual: np.ndarray
     scale: np.ndarray
-    rows: "list[int] | None" = None
+    rows: "np.ndarray | None" = None
 
     @classmethod
     def of(cls, observed: DensitySurface, target_times: Sequence[float]) -> "_ResidualTargets":
@@ -206,9 +206,7 @@ def _batch_prediction_residuals(
         targets = _ResidualTargets.of(observed, target_times)
     if targets.rows is None:
         # The time lookup DensitySurface.profile makes, once for every candidate.
-        targets.rows = [
-            int(np.nonzero(np.isclose(solution.times, t))[0][0]) for t in target_times
-        ]
+        targets.rows = label_indices(solution.times, target_times, "time", "solution")
     predicted = np.maximum(solution.sample_surface(observed.distances)[targets.rows], 0.0)
     residuals = np.empty((solution.batch_size,) + targets.actual.shape)
     np.subtract(predicted.transpose(2, 0, 1), targets.actual, out=residuals)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, first_match_indices, materialize_surface
 from repro.core.accuracy import AccuracyTable, build_accuracy_table
 from repro.core.calibration import calibrate_dl_model
 from repro.core.config import CalibrationConfig, SolverConfig
@@ -256,7 +256,8 @@ def _resolve_evaluation_times(
     if times is None:
         start = float(actual.times[0])
         candidates = [start + offset for offset in range(1, 6)]
-        times = [t for t in candidates if np.any(np.isclose(actual.times, t))]
+        present = first_match_indices(actual.times, candidates) >= 0
+        times = [t for t, found in zip(candidates, present) if found]
         if not times:
             raise ValueError("the observed surface has no evaluation times after the first hour")
     return sorted(float(t) for t in times)
@@ -269,7 +270,11 @@ def _score_solution(
     distances: "Sequence[float] | None",
     calibration_details: dict,
 ) -> PredictionResult:
-    """Score one solved story against its observed surface (paper Equation 8)."""
+    """Score one solved story against its observed surface (paper Equation 8).
+
+    ``actual`` may be a corpus store's lazy handle; it is loaded here, once.
+    """
+    actual = materialize_surface(actual)
     target_distances = (
         np.asarray(distances, dtype=float) if distances is not None else actual.distances
     )

@@ -42,7 +42,12 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.cascade.density import DENSITY_UNITS, DensitySurface
+from repro.cascade.density import (
+    DENSITY_UNITS,
+    DensitySurface,
+    label_indices,
+    materialize_surface,
+)
 
 STORE_FORMAT = "repro-corpus-store"
 STORE_VERSION = 2
@@ -217,10 +222,8 @@ class LazySurface:
 
     def profile(self, time: float) -> np.ndarray:
         """Density over distance at one time -- one mmap row, no full load."""
-        matches = np.nonzero(np.isclose(self.times, time))[0]
-        if matches.size == 0:
-            raise KeyError(f"time {time} is not in the surface")
-        row = self._arrays()["values"][self.row, int(matches[0]), :]
+        index = label_indices(self.times, [time], "time", "surface")[0]
+        row = self._arrays()["values"][self.row, index, :]
         return np.array(row, dtype=float)
 
     def profile_sum(self, time: float) -> float:
@@ -245,16 +248,6 @@ class LazySurface:
             unit=self.unit,
             metadata=dict(self.metadata),
         )
-
-
-def materialize_surface(surface) -> DensitySurface:
-    """A concrete :class:`DensitySurface` from a surface or a lazy handle."""
-    if isinstance(surface, DensitySurface):
-        return surface
-    loader = getattr(surface, "load", None)
-    if callable(loader):
-        return loader()
-    return surface
 
 
 # ---------------------------------------------------------------------- #

@@ -128,13 +128,14 @@ def story_result_payload(result: PredictionResult) -> dict:
     format.  ``model`` names the registry model that produced the result,
     so mixed-model streams stay attributable.
     """
+    distances = result.predicted.distances
+    averages = result.accuracy_table.row_averages(distances)
     return {
         "model": result.model,
         "overall_accuracy": result.overall_accuracy,
         "parameters": result.parameters.to_json_dict(),
         "accuracy_by_distance": {
-            str(distance): result.accuracy_at_distance(distance)
-            for distance in result.predicted.distances
+            str(distance): float(average) for distance, average in zip(distances, averages)
         },
     }
 

@@ -56,7 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, materialize_surface
 from repro.core.config import ModelSpec
 from repro.core.prediction import BatchPredictor
 from repro.core.errors import UnknownExecutorError
@@ -217,7 +217,6 @@ def solve_shard_payload(
     (tests, warm-up) it behaves exactly as before -- a plain dict in, plain
     dict out numerics function with zero tracing overhead.
     """
-    from repro.corpus.store import materialize_surface
     from repro.models.registry import get_model
 
     inst: "_SolveInstrumentation | None" = getattr(_ACTIVE, "current", None)

@@ -62,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DENSITY_UNITS, DensitySurface
+from repro.cascade.density import DENSITY_UNITS, DensitySurface, first_match_indices
 from repro.core.errors import UnknownModelError
 from repro.corpus.store import CorpusStore, CorpusStoreError, LazySurface
 from repro.models.registry import get_model
@@ -277,11 +277,8 @@ class StoryManifest:
                 times_key = surface.times.tobytes()
                 missing = window_cache.get(times_key)
                 if missing is None:
-                    missing = [
-                        hour
-                        for hour in window
-                        if not np.any(np.isclose(surface.times, hour))
-                    ]
+                    found = first_match_indices(surface.times, window) >= 0
+                    missing = [hour for hour, ok in zip(window, found) if not ok]
                     window_cache[times_key] = missing
                 if missing:
                     raise ManifestError(

@@ -1,4 +1,4 @@
-"""The substrate benchmark's gates: the corpus.io RSS child and the iteration ceilings."""
+"""The substrate benchmark's gates: the corpus.io RSS child, the iteration ceilings and scoring."""
 
 from __future__ import annotations
 
@@ -79,3 +79,25 @@ def test_bound_pinned_iteration_ceiling(iterations, passes):
         if "refine.bound_pinned.iterations" in line
     ]
     assert verdict is passes
+
+
+@pytest.mark.parametrize("delta, passes", [(0.0, True), (2.0**-53, False), (float("nan"), False)])
+def test_scoring_delta_gate(delta, passes):
+    # Array and scalar Eq. 8 scoring must agree bit for bit: one ulp of
+    # difference, or a NaN cell, fails the gate.
+    gate = _load("check_regression")
+    report = {"scoring": {"max_accuracy_delta_vs_scalar": delta}}
+    (verdict,) = [
+        ok
+        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
+        if "scoring.max_accuracy_delta_vs_scalar" in line
+    ]
+    assert verdict is passes
+
+
+def test_scoring_section_matches_its_scalar_reference():
+    report = _load_benchmark().run_scoring_benchmark(quick=True)
+    assert report["stories"] == 20
+    assert report["cells_per_story"] == 25
+    assert report["max_accuracy_delta_vs_scalar"] == 0.0
+    assert report["seconds_per_story"] > 0.0
