@@ -60,18 +60,17 @@ from repro.core import (
     NotFittedError,
     PredictionResult,
     SolverConfig,
-    UnknownModelError,
+    UnknownNameError,
     build_accuracy_table,
     calibrate_dl_model,
     calibrate_dl_model_batched,
     solve_dl_batch,
 )
 from repro.models import (
+    MODELS,
     PredictionModel,
-    available_models,
     compare_models,
     get_model,
-    register_model,
 )
 from repro.network import SocialGraph, generate_digg_like_graph
 from repro.service import CorpusSharder, PredictionService, score_corpus_sync
@@ -110,10 +109,9 @@ __all__ = [
     "CalibrationConfig",
     "ModelSpec",
     "NotFittedError",
-    "UnknownModelError",
+    "UnknownNameError",
     "PredictionModel",
-    "register_model",
+    "MODELS",
     "get_model",
-    "available_models",
     "compare_models",
 ]

@@ -267,7 +267,7 @@ def run_ablation_baselines(
     return results
 
 
-EXPERIMENT_REGISTRY = {
+EXPERIMENTS = {
     "FIG-2": run_fig2_distance_distribution,
     "FIG-3": run_fig3_density_hops,
     "FIG-4": run_fig4_density_profiles,

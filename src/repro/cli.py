@@ -89,7 +89,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.experiments import (
     ExperimentContext,
@@ -139,8 +139,8 @@ def _hours_window(value: str) -> int:
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     # Deliberately NOT argparse choices: backends can be registered at
     # runtime, so the name is validated against the live registry when the
-    # command runs (see _resolve_solver_config), producing the engine's own
-    # error message with the registered-backend list.
+    # command runs (see _check_names), producing the registry's own error
+    # message with the registered-backend list.
     parser.add_argument(
         "--backend",
         default="internal",
@@ -168,7 +168,7 @@ def _add_model_argument(
 ) -> None:
     # Like --backend, NOT argparse choices: models can be registered at
     # runtime, so names are validated against the live registry when the
-    # command runs (_resolve_model), producing the registry's own error
+    # command runs (_check_names), producing the registry's own error
     # message with the registered-model list.
     parser.add_argument(
         "--model",
@@ -182,47 +182,41 @@ def _add_model_argument(
     )
 
 
-def _resolve_model(name: str) -> "str | None":
-    """Validate a model name against the live registry.
+def _check_names(args: argparse.Namespace, models: "Iterable[str | None]") -> "str | None":
+    """Check every registry name a command was given, before any work.
 
-    Returns an error message (for stderr) when the name is unknown, None
-    when it resolves -- mirroring :func:`_resolve_solver_config`.
-    """
-    from repro.core.errors import UnknownModelError
-    from repro.models import get_model
-
-    try:
-        get_model(name)
-    except UnknownModelError as error:
-        return f"error: {error}"
-    return None
-
-
-def _resolve_executor(args: argparse.Namespace) -> "str | None":
-    """Validate ``--executor`` and resolve an omitted ``--workers``.
-
-    Returns an error message (for stderr) when the executor name is
-    unknown, None when it resolves -- mirroring :func:`_resolve_model`.
-    An omitted ``--workers`` becomes the executor's default pool size
+    Covers ``--backend`` / ``--operator`` (the solver engine's own
+    checks), each of ``models`` (``None`` means "not given") and
+    ``--executor``, on the commands that have them.  Returns the first
+    error message (for stderr), or None when every name resolves; an
+    omitted ``--workers`` then becomes the executor's default pool size
     (1 thread, 4 processes or in-flight cluster shards).
     """
-    from repro.core.errors import UnknownExecutorError
+    from repro.core.errors import UnknownNameError
+    from repro.models import MODELS
+    from repro.numerics.pde_solver import ReactionDiffusionSolver
     from repro.service import executor_default_workers
 
     try:
-        default_workers = executor_default_workers(args.executor)
-    except UnknownExecutorError as error:
+        if hasattr(args, "backend"):
+            ReactionDiffusionSolver(backend=args.backend, operator=args.operator)
+        for model in models:
+            if model is not None:
+                MODELS.get(model)
+        if hasattr(args, "executor"):
+            default_workers = executor_default_workers(args.executor)
+            if args.workers is None:
+                args.workers = default_workers
+    except (UnknownNameError, ValueError) as error:
         return f"error: {error}"
-    if args.workers is None:
-        args.workers = default_workers
     return None
 
 
 def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
     """The shared --executor flag of serve-batch and daemon.
 
-    Runtime-validated (like --model) instead of argparse choices, so
-    backends registered at runtime via register_executor are selectable.
+    Runtime-validated (like --model, by _check_names) instead of argparse
+    choices, so backends registered in EXECUTORS at runtime are selectable.
     """
     parser.add_argument(
         "--executor",
@@ -236,23 +230,6 @@ def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
             "daemons declared with --worker/--workers-file)"
         ),
     )
-
-
-def _resolve_solver_config(backend: str, operator: str = "auto") -> "str | None":
-    """Validate a (backend, operator) pair against the live engine.
-
-    Returns an error message (for stderr) when either name is unknown or the
-    backend does not support operator selection, None when the combination is
-    fine -- the same error paths, and the same registered-name lists, the
-    solver engine itself produces.
-    """
-    from repro.numerics.pde_solver import ReactionDiffusionSolver
-
-    try:
-        ReactionDiffusionSolver(backend=backend, operator=operator)
-    except ValueError as error:
-        return f"error: {error}"
-    return None
 
 
 def _corpus_config(args: argparse.Namespace) -> SyntheticDiggConfig:
@@ -917,13 +894,9 @@ def _model_spec(args: argparse.Namespace, model: str, batch_calibration: bool):
 def _command_predict(args: argparse.Namespace) -> int:
     from repro.models import get_model
 
-    config_error = _resolve_solver_config(args.backend, args.operator)
-    if config_error is not None:
-        print(config_error, file=sys.stderr)
-        return 2
-    model_error = _resolve_model(args.model)
-    if model_error is not None:
-        print(model_error, file=sys.stderr)
+    name_error = _check_names(args, [args.model])
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
         return 2
     corpus = build_synthetic_digg_dataset(_corpus_config(args))
     observed = _observed_surface(corpus, args.story, args.metric)
@@ -974,13 +947,9 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
     from repro.core.prediction import BatchPredictionResult
     from repro.models import get_model
 
-    config_error = _resolve_solver_config(args.backend, args.operator)
-    if config_error is not None:
-        print(config_error, file=sys.stderr)
-        return 2
-    model_error = _resolve_model(args.model)
-    if model_error is not None:
-        print(model_error, file=sys.stderr)
+    name_error = _check_names(args, [args.model])
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
         return 2
     # args.stories is never empty here: --stories is nargs="+" with a
     # non-empty default.  The empty-story-list case only exists for
@@ -1069,18 +1038,9 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         open_corpus,
     )
 
-    config_error = _resolve_solver_config(args.backend, args.operator)
-    if config_error is not None:
-        print(config_error, file=sys.stderr)
-        return 2
-    if args.model is not None:
-        model_error = _resolve_model(args.model)
-        if model_error is not None:
-            print(model_error, file=sys.stderr)
-            return 2
-    executor_error = _resolve_executor(args)
-    if executor_error is not None:
-        print(executor_error, file=sys.stderr)
+    name_error = _check_names(args, [args.model])
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
         return 2
     for flag, value in (
         ("--workers", args.workers),
@@ -1283,17 +1243,9 @@ def _command_daemon(args: argparse.Namespace) -> int:
     from repro.service import ClientQuota, PredictionDaemon
     from repro.service.transport import AddressError, parse_address
 
-    config_error = _resolve_solver_config(args.backend, args.operator)
-    if config_error is not None:
-        print(config_error, file=sys.stderr)
-        return 2
-    model_error = _resolve_model(args.model)
-    if model_error is not None:
-        print(model_error, file=sys.stderr)
-        return 2
-    executor_error = _resolve_executor(args)
-    if executor_error is not None:
-        print(executor_error, file=sys.stderr)
+    name_error = _check_names(args, [args.model])
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
         return 2
     pool_error = _daemon_pool_errors(args)
     if pool_error is not None:
@@ -1425,11 +1377,10 @@ def _command_submit(args: argparse.Namespace) -> int:
     if args.timeout is not None and args.timeout <= 0:
         print(f"error: --timeout must be > 0, got {args.timeout:g}", file=sys.stderr)
         return 2
-    if args.model is not None:
-        model_error = _resolve_model(args.model)
-        if model_error is not None:
-            print(model_error, file=sys.stderr)
-            return 2
+    name_error = _check_names(args, [args.model])
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
+        return 2
     try:
         with open(args.manifest, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -1669,11 +1620,11 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_models(args: argparse.Namespace) -> int:
-    from repro.models import model_descriptions
+    from repro.models import MODELS, get_model
 
     rows = [
-        {"model": name, "description": description}
-        for name, description in model_descriptions().items()
+        {"model": name, "description": get_model(name).description}
+        for name in MODELS.names()
     ]
     print(format_table(rows, title="Registered prediction models"))
     print(
@@ -1687,15 +1638,10 @@ def _command_compare(args: argparse.Namespace) -> int:
     from repro.core.config import SolverConfig
     from repro.models import compare_models
 
-    config_error = _resolve_solver_config(args.backend, args.operator)
-    if config_error is not None:
-        print(config_error, file=sys.stderr)
+    name_error = _check_names(args, args.models)
+    if name_error is not None:
+        print(name_error, file=sys.stderr)
         return 2
-    for model in args.models:
-        model_error = _resolve_model(model)
-        if model_error is not None:
-            print(model_error, file=sys.stderr)
-            return 2
     corpus = build_synthetic_digg_dataset(_corpus_config(args))
     training_times = [float(t) for t in range(1, args.hours + 1)]
 

@@ -18,6 +18,8 @@ users ``I(x, t)`` at distance ``x`` from the information source at time ``t``::
   evaluation (observe hour 1, predict hours 2..6).
 * :mod:`repro.core.accuracy` -- the paper's prediction-accuracy metric and the
   machinery regenerating Tables I and II.
+* :mod:`repro.core.registry` -- the one name -> entry :class:`Registry`
+  behind solver backends, models, executors and transports.
 """
 
 from repro.core.config import (
@@ -25,7 +27,8 @@ from repro.core.config import (
     ModelSpec,
     SolverConfig,
 )
-from repro.core.errors import NotFittedError, UnknownModelError
+from repro.core.errors import NotFittedError, UnknownNameError
+from repro.core.registry import Registry
 from repro.core.parameters import (
     PAPER_S1_HOP_PARAMETERS,
     PAPER_S1_INTEREST_PARAMETERS,
@@ -72,7 +75,8 @@ __all__ = [
     "CalibrationConfig",
     "ModelSpec",
     "NotFittedError",
-    "UnknownModelError",
+    "UnknownNameError",
+    "Registry",
     "DLParameters",
     "GrowthRate",
     "ConstantGrowthRate",

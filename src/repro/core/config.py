@@ -36,7 +36,7 @@ class SolverConfig:
         Maximum internal time step (hours).
     backend:
         Name of a registered PDE solver backend
-        (:func:`repro.numerics.backends.register_backend`).
+        (:data:`repro.numerics.backends.BACKENDS`).
     operator:
         Crank-Nicolson operator factorization mode
         (``auto`` | ``banded`` | ``thomas`` | ``dense``).

@@ -1,24 +1,14 @@
 """Shared typed errors for the prediction stack.
 
-Before the unified model API, each estimator invented its own
-predict-before-fit error (ad-hoc ``RuntimeError`` messages in
-:mod:`repro.baselines`, a different phrasing in
-:class:`~repro.core.prediction.DiffusionPredictor`), and unknown-name
-lookups raised whatever the registry happened to use.  This module is the
-single home for both failure modes so callers can catch one exception type
-no matter which model produced it:
+Each failure mode has one exception type, whichever model, backend or
+transport raised it:
 
 * :class:`NotFittedError` -- ``predict`` / ``evaluate`` was called before
-  ``fit``.  Subclasses :class:`RuntimeError`, so pre-existing callers that
-  caught ``RuntimeError`` keep working.
-* :class:`UnknownModelError` -- a model name is not in the
-  :mod:`repro.models` registry.  Subclasses :class:`KeyError` (it is a
-  failed lookup) and carries the registered names for error messages.
-* :class:`UnknownExecutorError` -- an execution-backend name is not in the
-  :mod:`repro.service.execution` registry; same shape as the model error
-  so CLI/service code handles both lookups identically.
-* :class:`UnknownTransportError` -- a daemon transport scheme is not in the
-  :mod:`repro.service.transport` registry; same shape again.
+  ``fit``.  Subclasses :class:`RuntimeError`.
+* :class:`UnknownNameError` -- a name is not in one of the
+  :class:`~repro.core.registry.Registry` instances (solver backends,
+  models, executors, transports).  Subclasses :class:`KeyError` (it is a
+  failed lookup) and carries the registry's kind and registered names.
 * :class:`AddressInUseError` -- a daemon listener found another *live*
   daemon already bound to its address (e.g. a Unix socket that answers a
   connect probe).  Subclasses :class:`OSError` like the ``EADDRINUSE`` it
@@ -49,71 +39,28 @@ class NotFittedError(RuntimeError):
         return cls(f"{what} has not been fitted yet; call fit() first")
 
 
-class UnknownModelError(KeyError):
-    """A model name is not registered in the :mod:`repro.models` registry.
+class UnknownNameError(KeyError):
+    """A name is not registered in a :class:`~repro.core.registry.Registry`.
 
     Attributes
     ----------
+    kind:
+        What the registry holds (``"model"``, ``"executor"``, ...).
     name:
         The unknown name that was looked up.
     available:
         The names that *are* registered at lookup time.
     """
 
-    def __init__(self, name: str, available: "tuple[str, ...]") -> None:
+    def __init__(self, kind: str, name: str, available: "tuple[str, ...]") -> None:
+        self.kind = kind
         self.name = name
         self.available = tuple(available)
         super().__init__(name)
 
     def __str__(self) -> str:
         return (
-            f"unknown model {self.name!r}; registered models: "
-            f"{sorted(self.available)}"
-        )
-
-
-class UnknownExecutorError(KeyError):
-    """An executor name is not in the execution-backend registry.
-
-    Attributes
-    ----------
-    name:
-        The unknown name that was looked up.
-    available:
-        The names that *are* registered at lookup time.
-    """
-
-    def __init__(self, name: str, available: "tuple[str, ...]") -> None:
-        self.name = name
-        self.available = tuple(available)
-        super().__init__(name)
-
-    def __str__(self) -> str:
-        return (
-            f"unknown executor {self.name!r}; registered executors: "
-            f"{sorted(self.available)}"
-        )
-
-
-class UnknownTransportError(KeyError):
-    """A transport scheme is not in the daemon-transport registry.
-
-    Attributes
-    ----------
-    name:
-        The unknown scheme that was looked up.
-    available:
-        The schemes that *are* registered at lookup time.
-    """
-
-    def __init__(self, name: str, available: "tuple[str, ...]") -> None:
-        self.name = name
-        self.available = tuple(available)
-        super().__init__(name)
-
-    def __str__(self) -> str:
-        return (
-            f"unknown transport {self.name!r}; registered transports: "
+            f"unknown {self.kind} {self.name!r}; registered {self.kind}s: "
             f"{sorted(self.available)}"
         )
 

@@ -22,12 +22,12 @@ Registered on import:
 
 Graph-seeded IC / LT adapters need a graph, so they register per graph via
 :func:`~repro.models.graph.register_graph_models`.  Third-party models
-register with :func:`register_model`; :func:`~repro.models.compare.compare_models`
+register a factory in :data:`MODELS`; :func:`~repro.models.compare.compare_models`
 scores one corpus under several models (``repro compare``).
 """
 
 from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
-from repro.core.errors import NotFittedError, UnknownModelError
+from repro.core.errors import NotFittedError
 from repro.models.base import (
     BatchFitter,
     FittedModel,
@@ -38,13 +38,7 @@ from repro.models.base import (
 from repro.models.compare import ModelComparison, compare_models
 from repro.models.dl import DiffusiveLogisticPredictionModel
 from repro.models.graph import GraphSeededModel, register_graph_models
-from repro.models.registry import (
-    available_models,
-    get_model,
-    model_descriptions,
-    register_model,
-    unregister_model,
-)
+from repro.models.registry import MODELS, get_model
 from repro.models.temporal import (
     LinearInfluenceModel,
     PerDistanceLogisticModel,
@@ -53,10 +47,10 @@ from repro.models.temporal import (
 
 # Built-in registrations.  overwrite=True keeps module re-imports (e.g.
 # importlib.reload in tests) from tripping the duplicate guard.
-register_model("dl", DiffusiveLogisticPredictionModel, overwrite=True)
-register_model("logistic", PerDistanceLogisticModel, overwrite=True)
-register_model("sis", SISModel, overwrite=True)
-register_model("linear-influence", LinearInfluenceModel, overwrite=True)
+MODELS.register("dl", DiffusiveLogisticPredictionModel, overwrite=True)
+MODELS.register("logistic", PerDistanceLogisticModel, overwrite=True)
+MODELS.register("sis", SISModel, overwrite=True)
+MODELS.register("linear-influence", LinearInfluenceModel, overwrite=True)
 
 __all__ = [
     "PredictionModel",
@@ -68,12 +62,8 @@ __all__ = [
     "SolverConfig",
     "CalibrationConfig",
     "NotFittedError",
-    "UnknownModelError",
-    "register_model",
-    "unregister_model",
+    "MODELS",
     "get_model",
-    "available_models",
-    "model_descriptions",
     "DiffusiveLogisticPredictionModel",
     "PerDistanceLogisticModel",
     "SISModel",

@@ -125,7 +125,7 @@ def compare_models(
         Story name -> observed density surface.
     models:
         Registry names to compare (unknown names raise
-        :class:`~repro.core.errors.UnknownModelError`).
+        :class:`~repro.core.errors.UnknownNameError`).
     training_times, evaluation_times:
         The shared windows; defaults mirror the predictors (first six
         observed hours / hours 2..6).

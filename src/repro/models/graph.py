@@ -33,7 +33,7 @@ from repro.models.base import (
     PredictionModel,
     coerce_spec,
 )
-from repro.models.registry import register_model
+from repro.models.registry import MODELS
 from repro.network.distance import friendship_hop_distances
 from repro.network.graph import SocialGraph
 
@@ -249,5 +249,5 @@ def register_graph_models(
         return factory
 
     for process in _PROCESSES:
-        register_model(process, make(process), overwrite=overwrite)
+        MODELS.register(process, make(process), overwrite=overwrite)
     return _PROCESSES

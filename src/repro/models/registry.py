@@ -1,12 +1,10 @@
 """The model registry: named factories for every registered predictor.
 
-Mirrors the solver-backend registry in :mod:`repro.numerics.backends`: a
-flat name -> factory mapping, runtime-extensible, with unknown names
-rejected by an error that lists everything registered
-(:class:`~repro.core.errors.UnknownModelError`).  The package registers
-``dl``, ``logistic``, ``sis`` and ``linear-influence`` on import of
-:mod:`repro.models`; graph-seeded IC/LT adapters are registered per graph
-via :func:`repro.models.graph.register_graph_models`.
+:data:`MODELS` is a :class:`~repro.core.registry.Registry` of
+zero-argument factories.  The package registers ``dl``, ``logistic``,
+``sis`` and ``linear-influence`` on import of :mod:`repro.models`;
+graph-seeded IC/LT adapters are registered per graph via
+:func:`repro.models.graph.register_graph_models`.
 
 Factories (not instances) are stored so every :func:`get_model` call
 returns a fresh, stateless model object -- shard solves on worker threads
@@ -17,62 +15,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.errors import UnknownModelError
+from repro.core.registry import Registry
 from repro.models.base import PredictionModel
 
-_REGISTRY: "dict[str, Callable[[], PredictionModel]]" = {}
-
-
-def register_model(
-    name: str,
-    factory: "Callable[[], PredictionModel]",
-    overwrite: bool = False,
-) -> None:
-    """Register a model factory under ``name``.
-
-    Parameters
-    ----------
-    name:
-        The name users pass as ``--model`` / ``model=`` throughout the
-        library.
-    factory:
-        A zero-argument callable returning a fresh
-        :class:`~repro.models.base.PredictionModel` (a model class itself
-        works).
-    overwrite:
-        Allow replacing an existing registration; without it a duplicate
-        name raises ``ValueError`` (catching accidental double registration).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"a model needs a non-empty string name, got {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"a model named {name!r} is already registered; pass "
-            f"overwrite=True to replace it"
-        )
-    _REGISTRY[name] = factory
-
-
-def unregister_model(name: str) -> None:
-    """Remove a registration (mainly for tests); unknown names raise."""
-    if name not in _REGISTRY:
-        raise UnknownModelError(name, available_models())
-    del _REGISTRY[name]
+#: name -> zero-argument factory returning a fresh :class:`PredictionModel`
+#: (a model class itself works).
+MODELS: "Registry[Callable[[], PredictionModel]]" = Registry("model")
 
 
 def get_model(name: str) -> PredictionModel:
-    """Resolve a registered model name into a fresh model instance."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise UnknownModelError(name, available_models())
-    return factory()
-
-
-def available_models() -> tuple[str, ...]:
-    """Every registered model name, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def model_descriptions() -> "dict[str, str]":
-    """Name -> one-line description of every registered model."""
-    return {name: get_model(name).description for name in available_models()}
+    """A fresh instance of the model registered under ``name``."""
+    return MODELS.get(name)()

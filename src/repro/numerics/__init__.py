@@ -15,9 +15,9 @@ on:
   diffusion operators, keyed by (grid, dt, d, mode) and shared across solves;
   the tridiagonal Neumann operator is stored banded (LAPACK ``gttrf``) or as
   a pure-numpy Thomas factorization, with dense LU as the reference mode.
-* :mod:`repro.numerics.backends` -- the pluggable solver-backend registry
-  (``"internal"``, ``"scipy"``, and anything registered at
-  runtime) plus the vectorised Crank-Nicolson engine behind batched solves.
+* :mod:`repro.numerics.backends` -- the solver backends (``"internal"``,
+  ``"scipy"``, and anything registered in ``BACKENDS`` at runtime) plus the
+  vectorised Crank-Nicolson engine behind batched solves.
 * :mod:`repro.numerics.pde_solver` -- a method-of-lines reaction-diffusion
   solver used by the DL model, with sequential and batched entry points.
 * :mod:`repro.numerics.ode` -- the scalar logistic equation (analytic and
@@ -58,13 +58,7 @@ from repro.numerics.pde_solver import (
     ReactionDiffusionProblem,
     ReactionDiffusionSolver,
 )
-from repro.numerics.backends import (
-    SolverBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.numerics.backends import BACKENDS, SolverBackend, get_backend
 from repro.numerics.ode import (
     LogisticCurve,
     fit_logistic_curve,
@@ -109,10 +103,8 @@ __all__ = [
     "PDESolution",
     "BatchPDESolution",
     "SolverBackend",
-    "available_backends",
+    "BACKENDS",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
     "LogisticCurve",
     "logistic_value",
     "solve_logistic_ode",

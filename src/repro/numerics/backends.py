@@ -24,7 +24,7 @@ registry in this module.  Two backends ship with the package:
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
 
-Third-party backends register themselves with :func:`register_backend`;
+Third-party backends register a factory in :data:`BACKENDS`;
 :func:`get_backend` resolves names and rejects unknown ones with an error
 message listing everything registered.
 """
@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.registry import Registry
 from repro.numerics import operator_cache
 from repro.numerics.finite_difference import second_derivative
 from repro.numerics.integrators import CrankNicolsonIntegrator, TimeIntegrator
@@ -110,62 +111,23 @@ class SolverBackend(ABC):
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
-_REGISTRY: "dict[str, Callable[[], SolverBackend]]" = {}
-
-
-def register_backend(
-    name: str, factory: "Callable[[], SolverBackend]", overwrite: bool = False
-) -> None:
-    """Register a backend factory under ``name``.
-
-    Parameters
-    ----------
-    name:
-        The name users pass as ``backend=...`` throughout the library.
-    factory:
-        Zero-argument callable returning a :class:`SolverBackend`.
-    overwrite:
-        Allow replacing an existing registration (off by default so typos do
-        not silently shadow the built-ins).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass overwrite=True to replace it"
-        )
-    _REGISTRY[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (used by tests registering temporary ones)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of every registered backend, sorted."""
-    return tuple(sorted(_REGISTRY))
+#: name -> zero-argument factory returning a :class:`SolverBackend`.
+BACKENDS: "Registry[Callable[[], SolverBackend]]" = Registry("backend")
 
 
 def get_backend(backend: "str | SolverBackend") -> SolverBackend:
-    """Resolve a backend name (or pass an instance through).
+    """A fresh backend for a registered name, or an instance passed through.
 
     Raises
     ------
-    ValueError
+    UnknownNameError
         If the name is not registered; the message lists the registered
         backends so the fix is obvious.
     """
     if isinstance(backend, SolverBackend):
         return backend
     if isinstance(backend, str):
-        if backend not in _REGISTRY:
-            known = ", ".join(repr(name) for name in available_backends())
-            raise ValueError(
-                f"unknown solver backend {backend!r}; registered backends: {known}. "
-                "Use repro.numerics.backends.register_backend() to add one."
-            )
-        return _REGISTRY[backend]()
+        return BACKENDS.get(backend)()
     raise TypeError(
         f"backend must be a registered name or a SolverBackend instance, got {backend!r}"
     )
@@ -708,5 +670,5 @@ class ScipyBackend(SolverBackend):
         )
 
 
-register_backend(InternalBackend.name, InternalBackend)
-register_backend(ScipyBackend.name, ScipyBackend)
+BACKENDS.register(InternalBackend.name, InternalBackend)
+BACKENDS.register(ScipyBackend.name, ScipyBackend)

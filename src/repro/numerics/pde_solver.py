@@ -444,8 +444,9 @@ class ReactionDiffusionSolver:
         integrators in this package; ``"scipy"`` delegates to
         :func:`scipy.integrate.solve_ivp`) or a
         :class:`~repro.numerics.backends.SolverBackend` instance.  Unknown
-        names raise a :class:`ValueError` listing the registered backends;
-        see :func:`repro.numerics.backends.register_backend` to add new ones.
+        names raise :class:`~repro.core.errors.UnknownNameError` listing the
+        registered backends; register new ones in
+        :data:`repro.numerics.backends.BACKENDS`.
     operator:
         Factorization mode for the Crank-Nicolson diffusion operator:
         ``"auto"`` (the backend's default -- banded for the internal engine),

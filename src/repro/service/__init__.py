@@ -70,20 +70,17 @@ from repro.service.daemon import (
 )
 from repro.service.journal import JobJournal, ReplayedJob, replay_records
 from repro.service.execution import (
+    EXECUTORS,
     ExecutionBackend,
     ProcessExecutionBackend,
     ShardPayload,
     ShardSolveReport,
     ThreadExecutionBackend,
     WorkerCrashError,
-    available_executors,
     create_executor,
     executor_default_workers,
-    get_executor_factory,
-    register_executor,
     solve_shard_payload,
     solve_shard_report,
-    unregister_executor,
 )
 from repro.service.logs import (
     SERVICE_LOGGER_NAME,
@@ -135,16 +132,12 @@ from repro.service.transport import (
     StdioListener,
     TcpListener,
     TransportSpec,
+    TRANSPORTS,
     UnixListener,
-    available_transports,
     create_listener,
-    get_transport,
     load_worker_addresses,
     open_client_connection,
     parse_address,
-    register_transport,
-    transport_descriptions,
-    unregister_transport,
 )
 
 __all__ = [
@@ -156,20 +149,17 @@ __all__ = [
     "ClusterShardError",
     "WorkerPool",
     "route_hash",
+    "EXECUTORS",
     "ExecutionBackend",
     "ProcessExecutionBackend",
     "ShardPayload",
     "ShardSolveReport",
     "ThreadExecutionBackend",
     "WorkerCrashError",
-    "available_executors",
     "create_executor",
     "executor_default_workers",
-    "get_executor_factory",
-    "register_executor",
     "solve_shard_payload",
     "solve_shard_report",
-    "unregister_executor",
     "NOOP_TRACER",
     "NoOpTracer",
     "Span",
@@ -210,17 +200,13 @@ __all__ = [
     "Listener",
     "StdioListener",
     "TcpListener",
+    "TRANSPORTS",
     "TransportSpec",
     "UnixListener",
-    "available_transports",
     "create_listener",
-    "get_transport",
     "load_worker_addresses",
     "open_client_connection",
     "parse_address",
-    "register_transport",
-    "transport_descriptions",
-    "unregister_transport",
     "ClientQuota",
     "ClientSession",
     "JobJournal",

@@ -25,12 +25,15 @@ Topology::
 
 Scheduling is **hash-routed with work stealing**:
 
-* :func:`route_hash` maps a :class:`~repro.service.sharding.ShardKey` to
-  a stable integer (SHA-256 over the key's deterministic signature, never
-  Python's randomized ``hash()``), so a given spatial/temporal signature
-  lands on the same worker run after run and that worker's operator
-  cache stays hot across jobs -- the same cache-affinity argument the
-  process backend makes per worker process, lifted to hosts.
+* :func:`route_hash` weighs each worker for a
+  :class:`~repro.service.sharding.ShardKey` (SHA-256 over the key's
+  deterministic signature and the worker's address, never Python's
+  randomized ``hash()``), and the shard goes to the live worker with the
+  highest weight (rendezvous hashing).  A given spatial/temporal
+  signature lands on the same worker run after run and that worker's
+  operator cache stays hot across jobs -- the same cache-affinity
+  argument the process backend makes per worker process, lifted to
+  hosts.  Losing a worker moves only the keys it held.
 * When the hash-preferred worker's queue depth exceeds the fleet median,
   the shard is **stolen** by the least-loaded worker
   (``cluster.shards_stolen``): corpora whose stories share one shard key
@@ -66,11 +69,11 @@ import pickle
 from repro.core.errors import DaemonConnectionError, LineTooLongError
 from repro.service.daemon import DaemonClient
 from repro.service.execution import (
+    EXECUTORS,
     ExecutionBackend,
     ShardPayload,
     ShardSolveReport,
     WorkerCrashError,
-    register_executor,
 )
 from repro.service.sharding import ShardKey
 from repro.service.telemetry import MetricsRegistry
@@ -87,18 +90,27 @@ class ClusterShardError(RuntimeError):
     """
 
 
-def route_hash(key: ShardKey) -> int:
-    """Stable routing hash of a shard key: same key, same worker, any run.
+def route_hash(key: ShardKey, worker: str) -> int:
+    """Stable rendezvous weight of ``worker`` for a shard key.
+
+    A shard goes to the live worker with the highest weight, so losing a
+    worker moves only the keys that worker held: every other key's
+    highest-weight worker is still alive.
 
     Python's ``hash()`` is per-process randomized for strings, so it
     would scatter a corpus across the fleet differently on every router
     restart and forfeit worker-cache affinity; SHA-256 over the key's
     deterministic :meth:`~repro.service.sharding.ShardKey.signature`
-    (plus the temporal grids, which the signature omits) is stable
-    across processes, hosts and restarts.
+    (plus the temporal grids, which the signature omits) and the worker's
+    address is stable across processes, hosts and restarts.
     """
     material = "|".join(
-        (key.signature(), repr(key.training_times), repr(key.evaluation_times))
+        (
+            key.signature(),
+            repr(key.training_times),
+            repr(key.evaluation_times),
+            worker,
+        )
     )
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -329,7 +341,7 @@ class WorkerPool:
             raise WorkerCrashError(
                 "every cluster worker is dead; the shard cannot be routed"
             )
-        preferred = alive[route_hash(key) % len(alive)]
+        preferred = max(alive, key=lambda link: route_hash(key, link.label))
         depths = sorted(link.inflight for link in alive)
         median = depths[(len(depths) - 1) // 2]
         if preferred.inflight > median:
@@ -481,4 +493,4 @@ class ClusterExecutionBackend(ExecutionBackend):
         return info
 
 
-register_executor("cluster", ClusterExecutionBackend, overwrite=True)
+EXECUTORS.register("cluster", ClusterExecutionBackend, overwrite=True)

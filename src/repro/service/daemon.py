@@ -97,9 +97,9 @@ import time
 from dataclasses import dataclass, field
 from typing import AsyncIterator
 
-from repro.core.errors import DaemonConnectionError, QuotaExceededError, UnknownModelError
+from repro.core.errors import DaemonConnectionError, QuotaExceededError, UnknownNameError
 from repro.core.prediction import PredictionResult
-from repro.models.registry import get_model
+from repro.models.registry import MODELS
 from repro.service.execution import solve_shard_report
 from repro.service.journal import FSYNC_POLICIES, JobJournal, ReplayedJob
 from repro.service.logs import log_job_event, service_logger
@@ -742,8 +742,8 @@ class PredictionDaemon:
         if model_override is not None:
             model_override = str(model_override)
             try:
-                get_model(model_override)
-            except UnknownModelError as error:
+                MODELS.get(model_override)
+            except UnknownNameError as error:
                 await session.error(str(error), job_id=job_id)
                 return
         payload = message["manifest"]

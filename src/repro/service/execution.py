@@ -2,10 +2,8 @@
 
 The :class:`~repro.service.service.PredictionService` drains its queue by
 handing each shard to an :class:`ExecutionBackend`.  Two backends are
-registered here and a third, ``cluster``, in :mod:`repro.service.cluster`
-(the registry mirrors the solver-backend and model registries --
-:func:`register_executor` / :func:`create_executor` /
-:func:`available_executors`):
+registered in :data:`EXECUTORS` here and a third, ``cluster``, in
+:mod:`repro.service.cluster`; :func:`create_executor` builds one by name:
 
 * ``thread`` -- an in-process ``ThreadPoolExecutor``, one thread by
   default.  The solver's hot loop is many short GIL-releasing calls (about
@@ -59,7 +57,7 @@ from typing import Any, Callable, Mapping
 from repro.cascade.density import DensitySurface, materialize_surface
 from repro.core.config import ModelSpec
 from repro.core.prediction import BatchPredictor
-from repro.core.errors import UnknownExecutorError
+from repro.core.registry import Registry
 from repro.service.sharding import ShardKey
 from repro.service.tracing import NOOP_TRACER, TraceContext, Tracer, TracerLike
 
@@ -585,52 +583,11 @@ class ProcessExecutionBackend(ExecutionBackend):
 
 
 # ---------------------------------------------------------------------- #
-# Registry (mirrors repro.models.registry)
+# Registry
 # ---------------------------------------------------------------------- #
-#: name -> factory called as ``factory(max_workers=..., **options)``.
-_REGISTRY: "dict[str, Callable[..., ExecutionBackend]]" = {}
-
-
-def register_executor(
-    name: str,
-    factory: "Callable[..., ExecutionBackend]",
-    overwrite: bool = False,
-) -> None:
-    """Register an execution backend under ``name``.
-
-    ``factory`` is called as ``factory(max_workers=..., **options)`` and
-    must return an (unstarted) :class:`ExecutionBackend`.  Re-registering
-    an existing name raises unless ``overwrite=True``, mirroring
-    :func:`repro.models.registry.register_model`.
-    """
-    if not name:
-        raise ValueError("an executor needs a non-empty name")
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(
-            f"executor {name!r} is already registered; pass overwrite=True "
-            f"to replace it"
-        )
-    _REGISTRY[name] = factory
-
-
-def unregister_executor(name: str) -> None:
-    """Remove a registered backend (unknown names raise)."""
-    if name not in _REGISTRY:
-        raise UnknownExecutorError(name, available_executors())
-    del _REGISTRY[name]
-
-
-def available_executors() -> "tuple[str, ...]":
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_executor_factory(name: str) -> "Callable[..., ExecutionBackend]":
-    """The factory registered under ``name`` (unknown names raise)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownExecutorError(name, available_executors()) from None
+#: name -> factory called as ``factory(max_workers=..., **options)``,
+#: returning an (unstarted) :class:`ExecutionBackend`.
+EXECUTORS: "Registry[Callable[..., ExecutionBackend]]" = Registry("executor")
 
 
 def executor_default_workers(name: str) -> int:
@@ -640,7 +597,7 @@ def executor_default_workers(name: str) -> int:
     factory class); factories without one get the base
     :attr:`ExecutionBackend.default_workers`.
     """
-    factory = get_executor_factory(name)
+    factory = EXECUTORS.get(name)
     return getattr(factory, "default_workers", ExecutionBackend.default_workers)
 
 
@@ -650,9 +607,8 @@ def create_executor(
     options: "Mapping[str, object] | None" = None,
 ) -> ExecutionBackend:
     """Instantiate (without starting) the backend registered under ``name``."""
-    factory = get_executor_factory(name)
-    return factory(max_workers=max_workers, **dict(options or {}))
+    return EXECUTORS.get(name)(max_workers=max_workers, **dict(options or {}))
 
 
-register_executor("thread", ThreadExecutionBackend, overwrite=True)
-register_executor("process", ProcessExecutionBackend, overwrite=True)
+EXECUTORS.register("thread", ThreadExecutionBackend, overwrite=True)
+EXECUTORS.register("process", ProcessExecutionBackend, overwrite=True)

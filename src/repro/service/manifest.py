@@ -63,9 +63,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.cascade.density import DENSITY_UNITS, DensitySurface, first_match_indices
-from repro.core.errors import UnknownModelError
+from repro.core.errors import UnknownNameError
 from repro.corpus.store import CorpusStore, CorpusStoreError, LazySurface
-from repro.models.registry import get_model
+from repro.models.registry import MODELS
 
 VALID_METRICS = ("hops", "interests")
 
@@ -387,8 +387,8 @@ def _validate_model(name, description: str) -> str:
     """Check a manifest model name against the live registry."""
     model = str(name)
     try:
-        get_model(model)
-    except UnknownModelError as error:
+        MODELS.get(model)
+    except UnknownNameError as error:
         raise ManifestError(f"{description}: {error}") from error
     return model
 

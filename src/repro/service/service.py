@@ -63,15 +63,15 @@ from repro.cascade.density import DensitySurface
 from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
 from repro.core.parameters import DLParameters
 from repro.core.prediction import PredictionResult
-from repro.models.registry import get_model
+from repro.models.registry import MODELS
 from repro.service.execution import (
+    EXECUTORS,
     ExecutionBackend,
     ShardPayload,
     ShardSolveReport,
     WorkerCrashError,
     create_executor,
     executor_default_workers,
-    get_executor_factory,
 )
 from repro.service.sharding import CorpusSharder, ShardAutotuner, ShardKey
 from repro.service.telemetry import MetricsRegistry
@@ -311,15 +311,15 @@ class PredictionService:
             raise ValueError(
                 f"max_shard_retries must be >= 0, got {max_shard_retries}"
             )
-        get_model(model)  # fail fast on unknown default models
-        get_executor_factory(executor)  # ... and on unknown executors
+        MODELS.get(model)  # fail fast on unknown default models
+        EXECUTORS.get(executor)  # ... and on unknown executors
         for override_model in model_overrides or {}:
             if override_model == model:
                 raise ValueError(
                     f"model_overrides names the default model {model!r}; "
                     f"pass its params via model_params= instead"
                 )
-            get_model(override_model)
+            MODELS.get(override_model)
         if parameters is not None and model != "dl":
             raise ValueError(
                 f"parameters= carries DL parameters but the default model is "
@@ -563,7 +563,7 @@ class PredictionService:
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         if model is not None:
-            get_model(model)  # unknown names fail the submit, not the shard
+            MODELS.get(model)  # unknown names fail the submit, not the shard
         if name in self._active_names:
             raise ValueError(
                 f"a job named {name!r} is already queued or running; story "

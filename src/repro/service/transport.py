@@ -17,10 +17,9 @@ lifecycle code:
 * :class:`Listener` -- the server side: ``start(handler)`` accepts
   connections and invokes the handler per peer; :class:`StdioListener`,
   :class:`UnixListener` and :class:`TcpListener` implement it.
-* a **transport registry** mirroring the solver/model/executor registries:
-  :func:`register_transport` / :func:`get_transport` /
-  :func:`available_transports`, with :func:`create_listener` and
-  :func:`open_client_connection` dispatching on an address's scheme.
+* :data:`TRANSPORTS`, the scheme -> :class:`TransportSpec` registry, with
+  :func:`create_listener` and :func:`open_client_connection` dispatching
+  on an address's scheme.
 
 The Unix listener probes an existing socket file with a connect before
 binding: a *live* daemon answers and the listener raises
@@ -37,7 +36,8 @@ import sys
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
-from repro.core.errors import AddressInUseError, LineTooLongError, UnknownTransportError
+from repro.core.errors import AddressInUseError, LineTooLongError
+from repro.core.registry import Registry
 
 #: Longest line, in bytes, any stream opened here will buffer.  asyncio's
 #: 64 KiB default is smaller than a ``worker_result`` line for a 16-story
@@ -378,61 +378,26 @@ async def _dial_tcp(address: Address) -> "tuple[asyncio.StreamReader, asyncio.St
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """One registered transport: its listener factory and client connector.
+    """One transport: its listener factory and client connector.
 
-    ``connector`` is ``None`` for transports that cannot be dialled from
+    :data:`TRANSPORTS` holds it under its scheme.  ``connector`` is ``None`` for transports that cannot be dialled from
     another process (stdio: the pipe pair belongs to whoever spawned the
     daemon).
     """
 
-    scheme: str
     description: str
     listener: Callable[[Address], Listener]
     connector: "Callable[[Address], Awaitable[tuple[asyncio.StreamReader, asyncio.StreamWriter]]] | None" = None
 
 
-_TRANSPORTS: "dict[str, TransportSpec]" = {}
-
-
-def register_transport(spec: TransportSpec) -> None:
-    """Register (or replace) a transport under its scheme.
-
-    Mirrors the solver/model/executor registries: runtime registration is
-    first-class, so an embedding can add e.g. a TLS transport without
-    patching this module.
-    """
-    _TRANSPORTS[spec.scheme] = spec
-
-
-def unregister_transport(scheme: str) -> None:
-    _TRANSPORTS.pop(scheme, None)
-
-
-def get_transport(scheme: str) -> TransportSpec:
-    """Look up a transport; raises :class:`UnknownTransportError` with the
-    registered schemes when the name is unknown."""
-    try:
-        return _TRANSPORTS[scheme]
-    except KeyError:
-        raise UnknownTransportError(scheme, tuple(_TRANSPORTS)) from None
-
-
-def available_transports() -> "tuple[str, ...]":
-    """The registered transport schemes, sorted."""
-    return tuple(sorted(_TRANSPORTS))
-
-
-def transport_descriptions() -> "dict[str, str]":
-    """{scheme: one-line description} for every registered transport."""
-    return {
-        scheme: _TRANSPORTS[scheme].description for scheme in available_transports()
-    }
+#: scheme -> :class:`TransportSpec`.
+TRANSPORTS: "Registry[TransportSpec]" = Registry("transport")
 
 
 def create_listener(spec: "str | Address") -> Listener:
     """A ready-to-start listener for an address (dispatch on its scheme)."""
     address = parse_address(spec)
-    return get_transport(address.scheme).listener(address)
+    return TRANSPORTS.get(address.scheme).listener(address)
 
 
 async def open_client_connection(
@@ -440,7 +405,7 @@ async def open_client_connection(
 ) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     """Dial a daemon address; raises on non-connectable schemes (stdio)."""
     address = parse_address(spec)
-    transport = get_transport(address.scheme)
+    transport = TRANSPORTS.get(address.scheme)
     if transport.connector is None:
         raise AddressError(
             f"transport {address.scheme!r} cannot be connected to from "
@@ -449,26 +414,26 @@ async def open_client_connection(
     return await transport.connector(address)
 
 
-register_transport(
+TRANSPORTS.register(
+    "stdio",
     TransportSpec(
-        scheme="stdio",
         description="one client over this process's stdin/stdout pipes",
         listener=StdioListener,
-    )
+    ),
 )
-register_transport(
+TRANSPORTS.register(
+    "unix",
     TransportSpec(
-        scheme="unix",
         description="Unix-domain socket (unix:PATH or a bare path)",
         listener=UnixListener,
         connector=_dial_unix,
-    )
+    ),
 )
-register_transport(
+TRANSPORTS.register(
+    "tcp",
     TransportSpec(
-        scheme="tcp",
         description="TCP socket (tcp:HOST:PORT)",
         listener=TcpListener,
         connector=_dial_tcp,
-    )
+    ),
 )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
-    EXPERIMENT_REGISTRY,
+    EXPERIMENTS,
     ExperimentContext,
     run_ablation_baselines,
     run_fig2_distance_distribution,
@@ -37,7 +37,7 @@ class TestContext:
         assert times[-1] == context.config.horizon_hours
 
     def test_registry_covers_all_paper_artifacts(self):
-        assert set(EXPERIMENT_REGISTRY) == {
+        assert set(EXPERIMENTS) == {
             "FIG-2", "FIG-3", "FIG-4", "FIG-5", "FIG-6", "FIG-7", "TAB-1", "TAB-2", "ABL-1",
         }
 

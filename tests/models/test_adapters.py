@@ -15,13 +15,7 @@ from repro.core.errors import NotFittedError
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
 from repro.core.prediction import BatchPredictor, DiffusionPredictor
-from repro.models import (
-    GraphSeededModel,
-    available_models,
-    get_model,
-    register_graph_models,
-    unregister_model,
-)
+from repro.models import MODELS, GraphSeededModel, get_model, register_graph_models
 
 TRAINING_TIMES = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 EVALUATION_TIMES = TRAINING_TIMES[1:]
@@ -181,12 +175,12 @@ class TestGraphSeededAdapter:
         hub = max(small_graph.users(), key=small_graph.out_degree)
         names = register_graph_models(small_graph, hub)
         try:
-            assert set(names) <= set(available_models())
+            assert set(names) <= set(MODELS.names())
             fitted = get_model("ic").fit(surface, training_times=TRAINING_TIMES)
             assert fitted.model_name == "ic"
         finally:
             for name in names:
-                unregister_model(name)
+                MODELS.unregister(name)
 
     def test_unknown_process_rejected(self, small_graph):
         with pytest.raises(ValueError, match="unknown process"):

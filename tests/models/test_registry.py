@@ -3,22 +3,15 @@
 import pytest
 
 from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
-from repro.core.errors import NotFittedError, UnknownModelError
+from repro.core.errors import NotFittedError, UnknownNameError
 from repro.core.prediction import BatchPredictor, DiffusionPredictor
-from repro.models import (
-    PredictionModel,
-    available_models,
-    get_model,
-    model_descriptions,
-    register_model,
-    unregister_model,
-)
+from repro.models import MODELS, PredictionModel, get_model
 from repro.models.base import coerce_spec
 
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        names = available_models()
+        names = MODELS.names()
         for name in ("dl", "logistic", "sis", "linear-influence"):
             assert name in names
 
@@ -26,17 +19,11 @@ class TestRegistry:
         assert get_model("dl") is not get_model("dl")
 
     def test_unknown_model_raises_with_registered_list(self):
-        with pytest.raises(UnknownModelError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             get_model("frobnicate")
         message = str(excinfo.value)
-        assert "frobnicate" in message
-        assert "dl" in message and "logistic" in message
-        # A failed lookup is a KeyError, so dict-style handling works too.
-        assert isinstance(excinfo.value, KeyError)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_model("dl", get_model("dl").__class__)
+        assert "unknown model 'frobnicate'" in message
+        assert "'dl'" in message and "'logistic'" in message
 
     def test_overwrite_and_unregister(self):
         class Custom(PredictionModel):
@@ -46,28 +33,26 @@ class TestRegistry:
             def fit(self, observed, spec=None, training_times=None):
                 raise NotImplementedError
 
-        register_model("custom-test-model", Custom)
-        try:
-            assert "custom-test-model" in available_models()
-            assert isinstance(get_model("custom-test-model"), Custom)
-            # Re-registering without overwrite fails, with overwrite works.
-            with pytest.raises(ValueError):
-                register_model("custom-test-model", Custom)
-            register_model("custom-test-model", Custom, overwrite=True)
-        finally:
-            unregister_model("custom-test-model")
-        assert "custom-test-model" not in available_models()
-        with pytest.raises(UnknownModelError):
-            unregister_model("custom-test-model")
+        class Replacement(Custom):
+            pass
 
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_model("", lambda: None)
+        MODELS.register("custom-test-model", Custom)
+        try:
+            assert isinstance(get_model("custom-test-model"), Custom)
+            # get_model builds from the current factory, so an overwrite
+            # takes effect on the next lookup.
+            MODELS.register("custom-test-model", Replacement, overwrite=True)
+            assert isinstance(get_model("custom-test-model"), Replacement)
+        finally:
+            MODELS.unregister("custom-test-model")
+        with pytest.raises(UnknownNameError):
+            get_model("custom-test-model")
 
     def test_descriptions_cover_every_model(self):
-        descriptions = model_descriptions()
-        assert set(descriptions) == set(available_models())
-        assert all(isinstance(text, str) for text in descriptions.values())
+        # `repro models` lists each registered model's description.
+        for name in MODELS.names():
+            description = get_model(name).description
+            assert isinstance(description, str) and description
 
 
 class TestSolverConfig:

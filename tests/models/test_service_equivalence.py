@@ -14,7 +14,7 @@ import pytest
 from repro.cascade.density import DensitySurface
 from repro.core.config import ModelSpec, SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel
-from repro.core.errors import UnknownModelError
+from repro.core.errors import UnknownNameError
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
 from repro.models import compare_models, get_model
@@ -191,7 +191,7 @@ class TestMixedModelCorpus:
     def test_unknown_model_fails_at_submit(self, corpus):
         async def run():
             async with PredictionService(solver=SOLVER) as service:
-                with pytest.raises(UnknownModelError):
+                with pytest.raises(UnknownNameError):
                     await service.submit(
                         "x", corpus["story0"], TRAINING_TIMES, model="frobnicate"
                     )
@@ -199,7 +199,7 @@ class TestMixedModelCorpus:
         asyncio.run(run())
 
     def test_unknown_default_model_fails_at_construction(self):
-        with pytest.raises(UnknownModelError):
+        with pytest.raises(UnknownNameError):
             PredictionService(model="frobnicate")
 
     def test_dl_parameters_rejected_for_other_models(self):
@@ -276,7 +276,7 @@ class TestModelOverrideParams:
             )
 
     def test_unknown_override_model_rejected(self):
-        with pytest.raises(UnknownModelError):
+        with pytest.raises(UnknownNameError):
             PredictionService(
                 solver=SOLVER, model_overrides={"frobnicate": {"x": 1}}
             )

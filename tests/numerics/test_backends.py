@@ -1,15 +1,14 @@
-"""Tests for the solver-backend registry and the batched solver engine."""
+"""Tests for backend lookup and the batched solver engine."""
 
 import numpy as np
 import pytest
 
+from repro.core.errors import UnknownNameError
 from repro.numerics.backends import (
+    BACKENDS,
     InternalBackend,
     ScipyBackend,
-    available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.numerics.grid import UniformGrid
 from repro.numerics.integrators import RungeKutta4Integrator
@@ -43,12 +42,12 @@ def dl_like_batch_problem(batch=6, num_points=21, seed=0):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
+        names = BACKENDS.names()
         assert "internal" in names
         assert "scipy" in names
 
     def test_unknown_backend_error_lists_registered(self):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             get_backend("cuda")
         message = str(excinfo.value)
         assert "cuda" in message
@@ -56,7 +55,7 @@ class TestRegistry:
         assert "'scipy'" in message
 
     def test_solver_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownNameError):
             ReactionDiffusionSolver(backend="nonexistent")
 
     def test_instance_passes_through(self):
@@ -71,22 +70,13 @@ class TestRegistry:
         class EchoBackend(InternalBackend):
             name = "echo-test"
 
-        register_backend("echo-test", EchoBackend)
+        BACKENDS.register("echo-test", EchoBackend)
         try:
-            assert "echo-test" in available_backends()
             solver = ReactionDiffusionSolver(backend="echo-test")
             assert solver.backend == "echo-test"
         finally:
-            unregister_backend("echo-test")
-        assert "echo-test" not in available_backends()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("internal", InternalBackend)
-
-    def test_duplicate_registration_with_overwrite(self):
-        register_backend("internal", InternalBackend, overwrite=True)
-        assert get_backend("internal").name == "internal"
+            BACKENDS.unregister("echo-test")
+        assert "echo-test" not in BACKENDS
 
     def test_solver_accepts_backend_instance(self):
         solver = ReactionDiffusionSolver(backend=ScipyBackend())

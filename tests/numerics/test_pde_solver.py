@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import UnknownNameError
 from repro.numerics.grid import UniformGrid
 from repro.numerics.integrators import RungeKutta4Integrator
 from repro.numerics.pde_solver import (
@@ -189,7 +190,7 @@ class TestSolverConfiguration:
             ReactionDiffusionSolver(max_step=0.0)
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownNameError):
             ReactionDiffusionSolver(backend="cuda")
 
     def test_requires_output_times(self):

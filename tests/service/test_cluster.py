@@ -5,7 +5,8 @@ The load-bearing properties mirror the other backend tests:
 * the ``cluster`` backend is a first-class registry citizen and validates
   its fleet configuration up front;
 * :func:`route_hash` is deterministic (cache affinity survives router
-  restarts) and workers-file parsing reports errors with file:line;
+  restarts), losing a worker moves only that worker's shard keys, and
+  workers-file parsing reports errors with file:line;
 * routing shards over real worker daemons is bit-identical to the thread
   executor -- the cluster decides *where* ``solve_shard_payload`` runs,
   never *how* it computes;
@@ -40,7 +41,7 @@ from repro.service import (
     WorkerCrashError,
     WorkerPool,
     AddressError,
-    available_executors,
+    EXECUTORS,
     create_executor,
     load_worker_addresses,
     open_corpus,
@@ -135,11 +136,13 @@ def free_tcp_port() -> int:
 
 class TestRegistryAndRouting:
     def test_cluster_backend_is_registered(self):
-        assert "cluster" in available_executors()
+        assert "cluster" in EXECUTORS
 
     def test_route_hash_is_deterministic_and_model_sensitive(self):
         key = shard_key()
-        assert route_hash(key) == route_hash(shard_key())
+        worker = "unix:w1.sock"
+        assert route_hash(key, worker) == route_hash(shard_key(), worker)
+        assert route_hash(key, worker) != route_hash(key, "unix:w2.sock")
         # Distinct signatures must spread: the model, grids and windows
         # are all part of the routing material.
         variants = [
@@ -148,7 +151,7 @@ class TestRegistryAndRouting:
             shard_key(training_times=tuple(TRAINING_TIMES[:-1])),
             shard_key(evaluation_times=None),
         ]
-        hashes = {route_hash(k) for k in [key, *variants]}
+        hashes = {route_hash(k, worker) for k in [key, *variants]}
         assert len(hashes) == len(variants) + 1
         assert all(isinstance(h, int) and h >= 0 for h in hashes)
 
@@ -190,6 +193,25 @@ class TestRegistryAndRouting:
         assert target is not preferred
         assert target.inflight == min(l.inflight for l in pool.workers)
         assert pool.shards_stolen == 1
+
+    def test_losing_a_worker_moves_only_its_keys(self):
+        # Rendezvous routing: every key whose preferred worker survives
+        # stays put, so the survivors keep their operator-cache affinity.
+        pool = WorkerPool([f"unix:w{i}.sock" for i in range(4)])
+        for link in pool.workers:
+            link.alive = True
+        keys = [shard_key(points_per_unit=4 + i) for i in range(200)]
+        before = [pool.route(key) for key in keys]
+        assert {link.label for link in before} == {link.label for link in pool.workers}
+        dead = pool.workers[1]
+        dead.alive = False
+        after = [pool.route(key) for key in keys]
+        for old, new in zip(before, after):
+            assert new is not dead
+            if old is not dead:
+                assert new is old
+        assert any(old is dead for old in before)
+        assert pool.shards_stolen == 0
 
 
 class TestWorkersFile:

@@ -27,23 +27,19 @@ import pytest
 from repro.cascade.density import DensitySurface
 from repro.core.config import ModelSpec, SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel
-from repro.core.errors import UnknownExecutorError
+from repro.core.errors import UnknownNameError
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
-from repro.models import get_model
 from repro.service import (
+    EXECUTORS,
     PredictionService,
     ShardPayload,
     ThreadExecutionBackend,
     WorkerCrashError,
-    available_executors,
     create_executor,
     executor_default_workers,
-    get_executor_factory,
-    register_executor,
     score_corpus_sync,
     solve_shard_payload,
-    unregister_executor,
 )
 from repro.service import execution
 from repro.service.sharding import CorpusSharder
@@ -92,26 +88,20 @@ def shard_payload_for(model_name, corpus, params=None):
 
 class TestExecutorRegistry:
     def test_builtins_are_registered(self):
-        names = available_executors()
+        names = EXECUTORS.names()
         assert "thread" in names
         assert "process" in names
 
     def test_unknown_executor_raises_with_registered_list(self):
-        with pytest.raises(UnknownExecutorError) as excinfo:
-            get_executor_factory("frobnicate")
+        with pytest.raises(UnknownNameError) as excinfo:
+            create_executor("frobnicate", max_workers=1)
         message = str(excinfo.value)
-        assert "frobnicate" in message
-        assert "thread" in message and "process" in message
-        # A failed lookup is a KeyError, so dict-style handling works too.
-        assert isinstance(excinfo.value, KeyError)
+        assert "unknown executor 'frobnicate'" in message
+        assert "'thread'" in message and "'process'" in message
 
     def test_service_validates_executor_at_construction(self):
-        with pytest.raises(UnknownExecutorError):
+        with pytest.raises(UnknownNameError):
             PredictionService(solver=SOLVER, executor="frobnicate")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("thread", ThreadExecutionBackend)
 
     def test_runtime_registered_backend_serves_a_corpus(self, corpus):
         # A custom backend registered at runtime is selectable by name,
@@ -119,7 +109,7 @@ class TestExecutorRegistry:
         class TaggedThreadBackend(ThreadExecutionBackend):
             kind = "tagged-thread"
 
-        register_executor("tagged-thread", TaggedThreadBackend)
+        EXECUTORS.register("tagged-thread", TaggedThreadBackend)
         try:
             results = score_corpus_sync(
                 corpus,
@@ -131,10 +121,7 @@ class TestExecutorRegistry:
             )
             assert set(results) == set(corpus)
         finally:
-            unregister_executor("tagged-thread")
-        assert "tagged-thread" not in available_executors()
-        with pytest.raises(UnknownExecutorError):
-            unregister_executor("tagged-thread")
+            EXECUTORS.unregister("tagged-thread")
 
     def test_create_executor_forwards_options(self):
         backend = create_executor(
@@ -155,11 +142,11 @@ class TestExecutorRegistry:
         assert executor_default_workers("thread") == 1
         assert executor_default_workers("process") == 4
         assert executor_default_workers("cluster") == 4
-        with pytest.raises(UnknownExecutorError):
+        with pytest.raises(UnknownNameError):
             executor_default_workers("frobnicate")
 
     def test_factory_without_default_workers_gets_the_base_default(self):
-        register_executor(
+        EXECUTORS.register(
             "plain-factory",
             lambda max_workers: ThreadExecutionBackend(max_workers),
         )
@@ -168,7 +155,7 @@ class TestExecutorRegistry:
             service = PredictionService(solver=SOLVER, executor="plain-factory")
             assert service.stats()["workers"] == 4
         finally:
-            unregister_executor("plain-factory")
+            EXECUTORS.unregister("plain-factory")
 
 
 class TestProcessBackendEquivalence:

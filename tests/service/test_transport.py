@@ -18,23 +18,19 @@ from repro.core.errors import (
     AddressInUseError,
     DaemonConnectionError,
     LineTooLongError,
-    UnknownTransportError,
+    UnknownNameError,
 )
 from repro.service import DaemonClient, PredictionDaemon, transport
 from repro.service.transport import (
     Address,
     AddressError,
+    TRANSPORTS,
     TransportSpec,
     UnixListener,
-    available_transports,
     create_listener,
-    get_transport,
     open_client_connection,
     parse_address,
     read_line,
-    register_transport,
-    transport_descriptions,
-    unregister_transport,
 )
 
 HOURS = 4
@@ -111,31 +107,32 @@ class TestAddressGrammar:
 
 class TestTransportRegistry:
     def test_builtin_transports_registered(self):
-        assert available_transports() == ("stdio", "tcp", "unix")
-        descriptions = transport_descriptions()
-        assert set(descriptions) == {"stdio", "tcp", "unix"}
-        assert all(descriptions.values())
+        assert TRANSPORTS.names() == ("stdio", "tcp", "unix")
+        assert all(TRANSPORTS.get(scheme).description for scheme in TRANSPORTS.names())
 
     def test_unknown_scheme_raises_with_choices(self):
-        with pytest.raises(UnknownTransportError) as excinfo:
-            get_transport("tls")
+        with pytest.raises(UnknownNameError) as excinfo:
+            TRANSPORTS.get("tls")
         message = str(excinfo.value)
-        assert "tls" in message and "unix" in message
+        assert "unknown transport 'tls'" in message and "'unix'" in message
 
-    def test_register_and_unregister_round_trip(self):
-        spec = TransportSpec(
-            scheme="test-null",
-            description="a test transport",
-            listener=UnixListener,
-        )
-        register_transport(spec)
+    def test_register_and_unregister_round_trip(self, tmp_path):
+        # Replacing a built-in scheme takes overwrite=True, and
+        # create_listener dispatches to whatever is registered now.
+        class TaggedUnixListener(UnixListener):
+            pass
+
+        address = f"unix:{tmp_path}/d.sock"
+        builtin = TRANSPORTS.get("unix")
+        replacement = TransportSpec(description="tagged", listener=TaggedUnixListener)
+        with pytest.raises(ValueError, match="already registered"):
+            TRANSPORTS.register("unix", replacement)
+        TRANSPORTS.register("unix", replacement, overwrite=True)
         try:
-            assert get_transport("test-null") is spec
-            assert "test-null" in available_transports()
+            assert isinstance(create_listener(address), TaggedUnixListener)
         finally:
-            unregister_transport("test-null")
-        with pytest.raises(UnknownTransportError):
-            get_transport("test-null")
+            TRANSPORTS.register("unix", builtin, overwrite=True)
+        assert type(create_listener(address)) is UnixListener
 
     def test_stdio_cannot_be_dialled(self):
         async def run():

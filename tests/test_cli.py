@@ -163,19 +163,15 @@ class TestPredict:
     def test_runtime_registered_backend_accepted(self, capsys):
         # A backend registered after import must be usable from the CLI --
         # the reason --backend is not an argparse choices list.
-        from repro.numerics.backends import (
-            InternalBackend,
-            register_backend,
-            unregister_backend,
-        )
+        from repro.numerics.backends import BACKENDS, InternalBackend
 
-        register_backend("cli-test-backend", InternalBackend)
+        BACKENDS.register("cli-test-backend", InternalBackend)
         try:
             exit_code = main(
                 ["predict", *CORPUS_ARGS, "--hours", "3", "--backend", "cli-test-backend"]
             )
         finally:
-            unregister_backend("cli-test-backend")
+            BACKENDS.unregister("cli-test-backend")
         assert exit_code == 0
         assert "Prediction accuracy" in capsys.readouterr().out
 
