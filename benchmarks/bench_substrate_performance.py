@@ -20,6 +20,10 @@ dimensions cover the PR-2/PR-3 machinery:
   (n = 4000) under each operator factorization mode (``dense`` / ``banded`` /
   ``thomas``), with the maximum state delta of each mode against the dense
   reference.
+* ``calibration.shard`` -- a 7-story calibrating shard through
+  ``BatchPredictor.fit_shard`` (lock-step LM refinement) vs 7
+  ``fit_story`` runs: wall times, residual-batch counts, and
+  ``max_parameter_delta_vs_story``, which must stay 0.
 * ``refine`` -- wall time of the calibration refinement stage with batched
   multi-start evaluation vs the sequential per-candidate reference, and the
   LM iterations of one logistic-shaped story whose fit ends with a
@@ -257,13 +261,78 @@ def run_bound_pinned_refinement() -> dict:
     }
 
 
+def _calibration_shard() -> dict:
+    """A calibrating shard: DL-shaped and logistic-shaped stories on one interval.
+
+    Four DL-generated stories (with different phi) and three
+    logistic-shaped synthetic ones, all 5 hop groups over 6 hours, so one
+    lock-step refinement serves the whole shard and its starts spread over
+    diffusion rates unevenly.
+    """
+    shard = _service_corpus(4)
+    for seed in range(3):
+        config = WorkloadConfig(
+            stories=1, seed=2000 + seed, min_distances=5, max_distances=5,
+            min_hours=6, max_hours=6,
+        )
+        ((_, surface),) = iter_workload(config)
+        shard[f"logistic{seed}"] = surface
+    return shard
+
+
+def run_shard_calibration_benchmark() -> dict:
+    """A 7-story calibrating shard through ``fit_shard`` vs 7 ``fit_story`` runs.
+
+    ``BatchPredictor.fit_shard`` refines the shard's stories in lock-step
+    (one Jacobian solve and one damping-ladder solve per iteration for all
+    of them); every story must still get exactly the parameters of
+    ``fit_story`` on it alone, so ``max_parameter_delta_vs_story`` is gated
+    at 0.  The wall times and the refinement's residual-batch counts show
+    what the lock-step saves.  The same in quick and full mode.
+    """
+    shard = _calibration_shard()
+    times = list(SERVICE_TRAINING_TIMES)
+
+    def story_by_story() -> BatchPredictor:
+        predictor = BatchPredictor()
+        for name, surface in shard.items():
+            predictor.fit_story(name, surface, times)
+        return predictor
+
+    def lockstep() -> BatchPredictor:
+        predictor = BatchPredictor()
+        failures = predictor.fit_shard(shard, times).failures
+        assert not failures, failures
+        return predictor
+
+    story_seconds, alone = best_of(story_by_story)
+    shard_seconds, together = best_of(lockstep)
+    batches = [
+        alone.calibration_details_for(name)["details"]["refinement"]["residual_batches"]
+        for name in shard
+    ]
+    return {
+        "stories": len(shard),
+        "story_seconds": story_seconds,
+        "shard_seconds": shard_seconds,
+        "speedup_vs_story": story_seconds / shard_seconds,
+        "story_residual_batches": sum(batches),
+        "shard_residual_batches": max(batches),
+        "max_parameter_delta_vs_story": max(
+            _parameter_delta(alone.parameters_for(name), together.parameters_for(name))
+            for name in shard
+        ),
+    }
+
+
 def _parameter_delta(a, b) -> float:
-    """Largest absolute difference between two calibrated parameter sets."""
+    """Largest absolute difference between two calibrated ``DLParameters``."""
     return max(
-        abs(a.parameters.diffusion_rate - b.parameters.diffusion_rate),
-        abs(a.parameters.growth_rate.amplitude - b.parameters.growth_rate.amplitude),
-        abs(a.parameters.growth_rate.decay - b.parameters.growth_rate.decay),
-        abs(a.parameters.growth_rate.floor - b.parameters.growth_rate.floor),
+        abs(a.diffusion_rate - b.diffusion_rate),
+        abs(a.growth_rate.amplitude - b.growth_rate.amplitude),
+        abs(a.growth_rate.decay - b.growth_rate.decay),
+        abs(a.growth_rate.floor - b.growth_rate.floor),
+        abs(a.carrying_capacity - b.carrying_capacity),
     )
 
 
@@ -1289,8 +1358,11 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
             "sequential_seconds": sequential_seconds,
             "batched_seconds": batched_seconds,
             "speedup": sequential_seconds / batched_seconds,
-            "max_parameter_delta": _parameter_delta(sequential, batched),
+            "max_parameter_delta": _parameter_delta(sequential.parameters, batched.parameters),
             "loss_delta": abs(sequential.loss - batched.loss),
+            # A calibrating shard refined in lock-step vs story by story
+            # (parameter delta gated at 0).
+            "shard": run_shard_calibration_benchmark(),
         },
         "refine": {
             "starts": refine_batched["starts"],

@@ -88,6 +88,10 @@ CORRECTNESS_CHECKS = (
     # Eq. 8 is elementwise IEEE arithmetic, so scoring a whole table in one
     # array expression must equal scoring it cell by cell, bit for bit.
     ("scoring.max_accuracy_delta_vs_scalar", 0.0),
+    # A shard's calibrations refine in lock-step, as columns of shared
+    # batched solves that never interact: every story must get exactly the
+    # parameters of calibrating it alone.
+    ("calibration.shard.max_parameter_delta_vs_story", 0.0),
     # The bounded-RSS acceptance criterion: scoring a whole generated
     # corpus from the store (streamed in chunks, fresh subprocess) must fit
     # in baseline + 64 MB + corpus-bytes/4 -- a positive excess means the

@@ -49,6 +49,7 @@ from repro.core.calibration import (
     CalibrationResult,
     calibrate_dl_model,
     calibrate_dl_model_batched,
+    calibrate_dl_shard,
     choose_carrying_capacity,
     fit_growth_rate,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "CalibrationResult",
     "calibrate_dl_model",
     "calibrate_dl_model_batched",
+    "calibrate_dl_shard",
     "choose_carrying_capacity",
     "fit_growth_rate",
     "SpatiallyScaledGrowthRate",

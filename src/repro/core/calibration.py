@@ -24,6 +24,14 @@ automated calibration:
   here).  The ``engine`` knob switches between the batched evaluation and a
   candidate-by-candidate sequential reference, which the tests use to verify
   the two paths agree to ~1e-8.
+* :func:`calibrate_dl_shard` -- the same calibration for a shard of stories:
+  each story's grid is its own batched solve, and stories sharing a grid,
+  initial time and training times refine in lock-step, all their starts in
+  one :func:`~repro.numerics.optimization.grouped_multi_start_least_squares`
+  call, so an iteration costs two batched solves for the whole shard
+  instead of two per story.  Columns never interact, so each story's result
+  equals calibrating it alone; :func:`calibrate_dl_model_batched` is its
+  one-story case.
 
 All fits compare DL-model predictions against the observed density surface on
 a *training window* of early hours, exactly like the paper's setup where only
@@ -46,8 +54,8 @@ from repro.numerics.optimization import (
     FitResult,
     grid_candidates,
     grid_search,
+    grouped_multi_start_least_squares,
     least_squares_fit,
-    multi_start_least_squares,
     sum_of_squares,
 )
 
@@ -182,7 +190,6 @@ def _batch_prediction_residuals(
     max_step: float,
     backend: str = "internal",
     operator: str = "auto",
-    targets: "_ResidualTargets | None" = None,
 ) -> "list[np.ndarray]":
     """Residuals of many candidates, all advanced in one batched solve.
 
@@ -190,8 +197,7 @@ def _batch_prediction_residuals(
     state tensor; each returned vector equals :func:`_surface_residuals` of
     that candidate bit for bit and is C-contiguous (``np.dot`` on a strided
     view may round differently, which the refinement would amplify).
-    A calibration passes one ``targets`` to all its evaluations so the
-    observed side is computed once.
+    The calibration's own evaluations go through :meth:`_Settings.residuals`.
     """
     solution = solve_dl_batch_states(
         parameter_sets,
@@ -202,16 +208,36 @@ def _batch_prediction_residuals(
         backend=backend,
         operator=operator,
     )
-    if targets is None:
-        targets = _ResidualTargets.of(observed, target_times)
+    targets = _ResidualTargets.of(observed, target_times)
+    sampled = solution.sample_surface(observed.distances)
+    return list(_sampled_residuals(sampled, solution.times, targets, target_times))
+
+
+def _sampled_residuals(
+    sampled: np.ndarray,
+    times: np.ndarray,
+    targets: _ResidualTargets,
+    target_times: Sequence[float],
+    columns: "list[int] | None" = None,
+) -> np.ndarray:
+    """Residual rows ``(len(columns), cells)`` of some columns of a sampled solution.
+
+    ``sampled`` is a batched solution sampled at the observed distances,
+    ``(len(times), distances, batch)``.  Every column is computed
+    elementwise on its own, so its row does not depend on which other
+    columns were solved or sampled with it.
+    """
     if targets.rows is None:
         # The time lookup DensitySurface.profile makes, once for every candidate.
-        targets.rows = label_indices(solution.times, target_times, "time", "solution")
-    predicted = np.maximum(solution.sample_surface(observed.distances)[targets.rows], 0.0)
-    residuals = np.empty((solution.batch_size,) + targets.actual.shape)
+        targets.rows = label_indices(times, target_times, "time", "solution")
+    sampled = sampled[targets.rows]
+    if columns is not None:
+        sampled = sampled[:, :, columns]
+    predicted = np.maximum(sampled, 0.0)
+    residuals = np.empty((predicted.shape[2],) + targets.actual.shape)
     np.subtract(predicted.transpose(2, 0, 1), targets.actual, out=residuals)
     residuals /= targets.scale
-    return list(residuals.reshape(solution.batch_size, -1))
+    return residuals.reshape(predicted.shape[2], -1)
 
 
 def fit_growth_rate(
@@ -404,6 +430,8 @@ def calibrate_dl_model_batched(
     (:func:`repro.numerics.optimization.multi_start_least_squares`), so no
     sequential least-squares loop remains anywhere in the calibration.
 
+    This is the one-story case of :func:`calibrate_dl_shard`.
+
     Parameters
     ----------
     refine_starts:
@@ -430,8 +458,244 @@ def calibrate_dl_model_batched(
     parameters that end on a ``GROWTH_RATE_BOUNDS`` bound (``"floor"`` on
     logistic-shaped stories).
     """
+    (result,), _ = calibrate_dl_shard(
+        [observed],
+        training_times=training_times,
+        carrying_capacity=carrying_capacity,
+        diffusion_candidates=diffusion_candidates,
+        amplitude_grid=amplitude_grid,
+        decay_grid=decay_grid,
+        floor_grid=floor_grid,
+        points_per_unit=points_per_unit,
+        max_step=max_step,
+        refine=refine,
+        refine_starts=refine_starts,
+        engine=engine,
+        backend=backend,
+        operator=operator,
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def calibrate_dl_shard(
+    surfaces: Sequence[DensitySurface],
+    training_times: "Sequence[float] | None" = None,
+    carrying_capacity: "float | None" = None,
+    diffusion_candidates: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.1),
+    amplitude_grid: Sequence[float] = DEFAULT_AMPLITUDE_GRID,
+    decay_grid: Sequence[float] = DEFAULT_DECAY_GRID,
+    floor_grid: Sequence[float] = DEFAULT_FLOOR_GRID,
+    points_per_unit: int = 8,
+    max_step: float = 0.05,
+    refine: bool = True,
+    refine_starts: int = 4,
+    engine: str = "batched",
+    backend: str = "internal",
+    operator: str = "auto",
+) -> "tuple[list[CalibrationResult | Exception], list[FitPhase]]":
+    """:func:`calibrate_dl_model_batched` of many stories, refined in lock-step.
+
+    Each story's grid search is its own batched solve.  Stories that share
+    a distance interval, an initial time and training times then put all
+    their refinement starts into one
+    :func:`~repro.numerics.optimization.grouped_multi_start_least_squares`
+    call, so every iteration is one Jacobian solve and one damping-ladder
+    solve for all of them; the best start is picked per story.  Columns of
+    a batched solve are independent, so every story's result equals
+    calibrating it alone -- parameters, loss and ``details`` (the counters
+    count the story's own starts) -- except ``details["refinement"]
+    ["seconds"]``, the wall time of the shared refinement.
+
+    ``training_times`` applies to every story; ``None`` means each story's
+    own first six observed hours.  Returns ``(results, phases)``: one entry
+    per surface, in order -- its :class:`CalibrationResult`, or the
+    exception that failed it (for example no finite grid loss), which fails
+    that story alone -- and the timed stages, a ``"grid"`` phase per story
+    and a ``"refine"`` phase per lock-step group, whose ``stories`` are
+    indices into ``surfaces``.
+    """
     if engine not in ("batched", "sequential"):
         raise ValueError(f"engine must be 'batched' or 'sequential', got {engine!r}")
+    if refine_starts < 1:
+        raise ValueError(f"refine_starts must be >= 1, got {refine_starts}")
+    settings = _Settings(points_per_unit, max_step, engine, backend, operator)
+    results: "list[CalibrationResult | Exception]" = []
+    lockstep: "dict[tuple, list[int]]" = {}
+    stages: "dict[int, _GridStage]" = {}
+    phases: "list[FitPhase]" = []
+    for index, observed in enumerate(surfaces):
+        phase = _PhaseTimer("grid", (index,))
+        try:
+            stage = _grid_stage(
+                observed,
+                training_times,
+                carrying_capacity,
+                {
+                    "diffusion": diffusion_candidates,
+                    "amplitude": amplitude_grid,
+                    "decay": decay_grid,
+                    "floor": floor_grid,
+                },
+                settings,
+            )
+        except Exception as error:  # noqa: BLE001 - fails this story alone
+            phases.append(phase.finish())
+            results.append(error)
+            continue
+        phases.append(phase.finish())
+        results.append(stage.grid_result)
+        if refine:
+            stages[index] = stage
+            lockstep.setdefault(stage.lockstep_key, []).append(index)
+    for indices in lockstep.values():
+        phase = _PhaseTimer("refine", tuple(indices))
+        try:
+            refined = _refine_together([stages[i] for i in indices], refine_starts, settings)
+        except Exception as error:  # noqa: BLE001 - retried story by story below
+            # A failed lock-step refinement is retried story by story, so
+            # only the story that fails on its own fails.
+            refined = [error]
+            if len(indices) > 1:
+                refined = [_refine_alone(stages[i], refine_starts, settings) for i in indices]
+        phases.append(phase.finish())
+        for i, result in zip(indices, refined):
+            results[i] = result
+    return results, phases
+
+
+@dataclass(frozen=True)
+class FitPhase:
+    """One timed stage of fitting a shard.
+
+    ``name`` is the stage (``"grid"``, ``"refine"``, or ``"fit"`` for a
+    story fitted in one piece), ``stories`` what it worked on,
+    ``start`` its wall-clock start (:func:`time.time`) and ``seconds`` its
+    duration.
+    """
+
+    name: str
+    stories: tuple
+    start: float
+    seconds: float
+
+
+class _PhaseTimer:
+    """Times one :class:`FitPhase` from construction to :meth:`finish`."""
+
+    def __init__(self, name: str, stories: tuple) -> None:
+        self._name, self._stories = name, stories
+        self._start, self._t0 = time.time(), time.perf_counter()
+
+    def finish(self) -> FitPhase:
+        return FitPhase(
+            self._name, self._stories, self._start, time.perf_counter() - self._t0
+        )
+
+
+@dataclass(frozen=True)
+class _Settings:
+    """How a calibration solves: resolution, engine, backend and operator mode."""
+
+    points_per_unit: int
+    max_step: float
+    engine: str
+    backend: str
+    operator: str
+
+    def residuals(
+        self, parameter_sets: "list[DLParameters]", stages: "list[_GridStage]"
+    ) -> "list[np.ndarray]":
+        """The residual vector of ``parameter_sets[j]`` on the story ``stages[j]``.
+
+        The batched engine solves every column in one batched solve, which
+        needs the stories to share their grid, initial time and target
+        times; the sequential engine solves column by column.
+        """
+        if self.engine == "sequential":
+            return [
+                _prediction_residuals(
+                    parameters,
+                    stage.initial_density,
+                    stage.training,
+                    stage.target_times,
+                    self.points_per_unit,
+                    self.max_step,
+                    backend=self.backend,
+                    operator=self.operator,
+                )
+                for parameters, stage in zip(parameter_sets, stages)
+            ]
+        solution = solve_dl_batch_states(
+            parameter_sets,
+            [stage.initial_density for stage in stages],
+            list(stages[0].target_times),
+            points_per_unit=self.points_per_unit,
+            max_step=self.max_step,
+            backend=self.backend,
+            operator=self.operator,
+        )
+        residuals: "list[np.ndarray]" = [np.empty(0)] * len(stages)
+        # Sampled once per distinct set of distances (one for most shards).
+        sampled: "dict[bytes, np.ndarray]" = {}
+        for stage in {id(stage): stage for stage in stages}.values():
+            key = stage.training.distances.tobytes()
+            if key not in sampled:
+                sampled[key] = solution.sample_surface(stage.training.distances)
+            columns = [j for j, other in enumerate(stages) if other is stage]
+            rows = _sampled_residuals(
+                sampled[key], solution.times, stage.targets, stage.target_times, columns
+            )
+            for j, row in zip(columns, rows):
+                residuals[j] = row
+        return residuals
+
+
+@dataclass
+class _GridStage:
+    """One story's calibration up to its refinement: the grid and its winner."""
+
+    training: DensitySurface
+    initial_density: InitialDensity
+    target_times: "list[float]"
+    targets: _ResidualTargets
+    carrying_capacity: float
+    candidates: np.ndarray
+    #: Set once the grid is evaluated: every candidate's loss (non-finite
+    #: as inf) and the grid winner's result.
+    losses: "np.ndarray | None" = None
+    grid_result: "CalibrationResult | None" = None
+
+    @property
+    def lockstep_key(self) -> tuple:
+        """Stories with equal keys can be refined as columns of one batched solve."""
+        phi = self.initial_density
+        return (phi.lower, phi.upper, phi.initial_time, tuple(self.target_times))
+
+    def parameters(self, theta: np.ndarray, diffusion: float) -> DLParameters:
+        """The story's DL parameters at growth-rate parameters ``theta``."""
+        amplitude, decay, floor = (float(v) for v in theta)
+        return DLParameters(
+            diffusion_rate=float(diffusion),
+            growth_rate=ExponentialDecayGrowthRate(
+                amplitude=amplitude,
+                decay=decay,
+                floor=floor,
+                reference_time=self.initial_density.initial_time,
+            ),
+            carrying_capacity=self.carrying_capacity,
+        )
+
+
+def _grid_stage(
+    observed: DensitySurface,
+    training_times: "Sequence[float] | None",
+    carrying_capacity: "float | None",
+    grids: "dict[str, Sequence[float]]",
+    settings: _Settings,
+) -> _GridStage:
+    """Evaluate one story's seed grid; raises when no candidate has a finite loss."""
     if carrying_capacity is None:
         carrying_capacity = choose_carrying_capacity(observed)
     if training_times is None:
@@ -439,56 +703,17 @@ def calibrate_dl_model_batched(
     training = _training_surface(observed, training_times)
     initial_density = InitialDensity.from_surface(training)
     target_times = [float(t) for t in training.times[1:]]
-
-    names, candidates = grid_candidates(
-        {
-            "diffusion": diffusion_candidates,
-            "amplitude": amplitude_grid,
-            "decay": decay_grid,
-            "floor": floor_grid,
-        }
+    names, candidates = grid_candidates(grids)
+    stage = _GridStage(
+        training=training,
+        initial_density=initial_density,
+        target_times=target_times,
+        targets=_ResidualTargets.of(training, target_times),
+        carrying_capacity=carrying_capacity,
+        candidates=candidates,
     )
-    parameter_sets = [
-        DLParameters(
-            diffusion_rate=float(diffusion),
-            growth_rate=ExponentialDecayGrowthRate(
-                amplitude=float(amplitude),
-                decay=float(decay),
-                floor=float(floor),
-                reference_time=initial_density.initial_time,
-            ),
-            carrying_capacity=carrying_capacity,
-        )
-        for diffusion, amplitude, decay, floor in candidates
-    ]
-
-    targets = _ResidualTargets.of(training, target_times)
-    if engine == "batched":
-        residual_vectors = _batch_prediction_residuals(
-            parameter_sets,
-            initial_density,
-            training,
-            target_times,
-            points_per_unit,
-            max_step,
-            backend=backend,
-            operator=operator,
-            targets=targets,
-        )
-    else:
-        residual_vectors = [
-            _prediction_residuals(
-                parameters,
-                initial_density,
-                training,
-                target_times,
-                points_per_unit,
-                max_step,
-                backend=backend,
-                operator=operator,
-            )
-            for parameters in parameter_sets
-        ]
+    parameter_sets = [stage.parameters(row[1:], row[0]) for row in candidates]
+    residual_vectors = settings.residuals(parameter_sets, [stage] * len(parameter_sets))
     losses = np.asarray([sum_of_squares(residuals) for residuals in residual_vectors])
     finite = np.where(np.isfinite(losses), losses, np.inf)
     best_index = int(np.argmin(finite))
@@ -504,7 +729,7 @@ def calibrate_dl_model_batched(
             per_diffusion[diffusion] = min(per_diffusion.get(diffusion, np.inf), float(loss))
 
     details = {
-        "engine": engine,
+        "engine": settings.engine,
         "candidates_evaluated": len(parameter_sets),
         "grid_names": names,
         "grid_loss": grid_loss,
@@ -517,110 +742,105 @@ def calibrate_dl_model_batched(
         "diffusion_grid": per_diffusion,
         "carrying_capacity": carrying_capacity,
     }
-
-    grid_result = CalibrationResult(
+    stage.losses = finite
+    stage.grid_result = CalibrationResult(
         parameters=parameter_sets[best_index],
         loss=grid_loss,
         training_times=tuple(float(t) for t in training.times),
         details=details,
     )
-    if not refine:
-        return grid_result
+    return stage
 
-    seed_indices = _select_refinement_seeds(candidates, finite, refine_starts)
-    seed_diffusions = np.asarray([float(candidates[i][0]) for i in seed_indices])
 
-    def make_parameters(theta: np.ndarray, diffusion: float) -> DLParameters:
-        amplitude, decay, floor = (float(v) for v in theta)
-        return DLParameters(
-            diffusion_rate=float(diffusion),
-            growth_rate=ExponentialDecayGrowthRate(
-                amplitude=amplitude,
-                decay=decay,
-                floor=floor,
-                reference_time=initial_density.initial_time,
-            ),
-            carrying_capacity=carrying_capacity,
+def _refine_alone(
+    stage: _GridStage, refine_starts: int, settings: _Settings
+) -> "CalibrationResult | Exception":
+    try:
+        return _refine_together([stage], refine_starts, settings)[0]
+    except Exception as error:  # noqa: BLE001 - fails this story alone
+        return error
+
+
+def _refine_together(
+    stages: "list[_GridStage]", refine_starts: int, settings: _Settings
+) -> "list[CalibrationResult | Exception]":
+    """Refine the grid winners of stories sharing a lock-step key, in one LM call."""
+    seeds, groups, seed_diffusions, start_stages = [], [], [], []
+    story_seeds = []
+    for group, stage in enumerate(stages):
+        indices = _select_refinement_seeds(stage.candidates, stage.losses, refine_starts)
+        story_seeds.append(indices)
+        for i in indices:
+            seeds.append(stage.candidates[i][1:])
+            groups.append(group)
+            seed_diffusions.append(float(stage.candidates[i][0]))
+            start_stages.append(stage)
+
+    def evaluate(points: np.ndarray, start_indices: np.ndarray) -> "list[np.ndarray]":
+        return settings.residuals(
+            [
+                start_stages[s].parameters(theta, seed_diffusions[s])
+                for theta, s in zip(points, start_indices)
+            ],
+            [start_stages[s] for s in start_indices],
         )
 
-    if engine == "batched":
-
-        def evaluate(points: np.ndarray, start_indices: np.ndarray) -> "list[np.ndarray]":
-            return _batch_prediction_residuals(
-                [
-                    make_parameters(theta, seed_diffusions[s])
-                    for theta, s in zip(points, start_indices)
-                ],
-                initial_density,
-                training,
-                target_times,
-                points_per_unit,
-                max_step,
-                backend=backend,
-                operator=operator,
-                targets=targets,
-            )
-
-    else:
-
-        def evaluate(points: np.ndarray, start_indices: np.ndarray) -> "list[np.ndarray]":
-            return [
-                _prediction_residuals(
-                    make_parameters(theta, seed_diffusions[s]),
-                    initial_density,
-                    training,
-                    target_times,
-                    points_per_unit,
-                    max_step,
-                    backend=backend,
-                    operator=operator,
-                )
-                for theta, s in zip(points, start_indices)
-            ]
-
     refinement_start = time.perf_counter()
-    multi = multi_start_least_squares(
+    fits = grouped_multi_start_least_squares(
         evaluate,
-        np.asarray([candidates[i][1:] for i in seed_indices]),
+        np.asarray(seeds),
+        groups,
         bounds=GROWTH_RATE_BOUNDS,
         names=("amplitude", "decay", "floor"),
     )
     refinement_seconds = time.perf_counter() - refinement_start
-    details["refinement"] = {
-        "engine": engine,
-        "starts": len(seed_indices),
-        "seed_diffusions": [float(d) for d in seed_diffusions],
-        "start_losses": [float(loss) for loss in multi.start_losses],
-        "start_parameters": [
-            [float(v) for v in row] for row in multi.start_parameters
-        ],
-        "best_start": multi.best_start,
-        "converged": [bool(flag) for flag in multi.converged],
-        "parameters_at_bound": [
-            name
-            for name, value, low, high in zip(
-                multi.best.names, multi.best.parameters, *GROWTH_RATE_BOUNDS
-            )
-            if value <= low or value >= high
-        ],
-        "iterations": multi.iterations,
-        "n_evaluations": multi.n_evaluations,
-        "residual_batches": multi.residual_batches,
-        "seconds": refinement_seconds,
-    }
 
-    if multi.best.loss <= grid_loss:
-        details["refined"] = True
-        return CalibrationResult(
-            parameters=make_parameters(
-                multi.best.parameters, seed_diffusions[multi.best_start]
-            ),
-            loss=float(multi.best.loss),
-            training_times=tuple(float(t) for t in training.times),
-            details={**details, "growth_rate_fit": multi.best},
-        )
-    details["refined"] = False
-    return grid_result
+    results: "list[CalibrationResult | Exception]" = []
+    for stage, indices, multi in zip(stages, story_seeds, fits):
+        if multi is None:
+            results.append(RuntimeError("no start produced a finite refinement loss"))
+            continue
+        diffusions = [float(stage.candidates[i][0]) for i in indices]
+        grid = stage.grid_result
+        details = dict(grid.details)
+        details["refinement"] = {
+            "engine": settings.engine,
+            "starts": len(indices),
+            "seed_diffusions": diffusions,
+            "start_losses": [float(loss) for loss in multi.start_losses],
+            "start_parameters": [[float(v) for v in row] for row in multi.start_parameters],
+            "best_start": multi.best_start,
+            "converged": [bool(flag) for flag in multi.converged],
+            "parameters_at_bound": [
+                name
+                for name, value, low, high in zip(
+                    multi.best.names, multi.best.parameters, *GROWTH_RATE_BOUNDS
+                )
+                if value <= low or value >= high
+            ],
+            "iterations": multi.iterations,
+            "n_evaluations": multi.n_evaluations,
+            "residual_batches": multi.residual_batches,
+            "seconds": refinement_seconds,
+        }
+        if multi.best.loss <= grid.loss:
+            details["refined"] = True
+            results.append(
+                CalibrationResult(
+                    parameters=stage.parameters(
+                        multi.best.parameters, diffusions[multi.best_start]
+                    ),
+                    loss=float(multi.best.loss),
+                    training_times=grid.training_times,
+                    details={**details, "growth_rate_fit": multi.best},
+                )
+            )
+        else:
+            details["refined"] = False
+            results.append(
+                CalibrationResult(grid.parameters, grid.loss, grid.training_times, details)
+            )
+    return results
 
 
 def _select_refinement_seeds(

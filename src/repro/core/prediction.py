@@ -21,14 +21,20 @@ advanced together as columns of one batched PDE solve.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.cascade.density import DensitySurface, first_match_indices, materialize_surface
 from repro.core.accuracy import AccuracyTable, build_accuracy_table
-from repro.core.calibration import calibrate_dl_model
+from repro.core.calibration import (
+    CalibrationResult,
+    FitPhase,
+    calibrate_dl_model,
+    calibrate_dl_shard,
+)
 from repro.core.config import CalibrationConfig, SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel, DLSolution, solve_dl_batch
 from repro.core.errors import NotFittedError
@@ -310,6 +316,36 @@ def _score_solution(
 # Batched multi-story prediction
 # ---------------------------------------------------------------------- #
 @dataclass
+class ShardFit:
+    """What fitting a shard did: the stories that failed and the timed phases.
+
+    ``failures`` maps a failed story to its exception; ``phases`` are
+    :class:`~repro.core.calibration.FitPhase` records whose ``stories`` are
+    story names.
+    """
+
+    failures: "dict[str, Exception]" = field(default_factory=dict)
+    phases: "list[FitPhase]" = field(default_factory=list)
+
+
+def fit_story_by_story(
+    fit_story: "Callable[[str, DensitySurface, Sequence[float] | None], object]",
+    surfaces: "Mapping[str, DensitySurface]",
+    training_times: "Sequence[float] | None" = None,
+) -> ShardFit:
+    """Fit a shard one story at a time, each timed as one ``"fit"`` phase."""
+    shard = ShardFit()
+    for name, observed in surfaces.items():
+        start, t0 = time.time(), time.perf_counter()
+        try:
+            fit_story(name, observed, training_times)
+        except Exception as error:  # noqa: BLE001 - fails this story alone
+            shard.failures[name] = error
+        shard.phases.append(FitPhase("fit", (name,), start, time.perf_counter() - t0))
+    return shard
+
+
+@dataclass
 class BatchPredictionResult:
     """Per-story :class:`PredictionResult` objects plus fleet-level summaries.
 
@@ -404,8 +440,13 @@ class BatchPredictor:
     # Fitting
     # ------------------------------------------------------------------ #
     def _resolve_parameters(
-        self, name: str, observed: DensitySurface, training_times: "list[float]"
+        self,
+        name: str,
+        observed: DensitySurface,
+        training_times: "list[float]",
+        calibration: "CalibrationResult | Exception | None" = None,
     ) -> "tuple[DLParameters, dict]":
+        """The story's parameters: supplied, given as ``calibration``, or calibrated."""
         configured = self._configured_parameters
         if isinstance(configured, DLParameters):
             return configured, {"calibrated": False}
@@ -416,13 +457,16 @@ class BatchPredictor:
                     f"{sorted(configured)}"
                 )
             return configured[name], {"calibrated": False}
-        calibration = calibrate_dl_model(
-            observed,
-            training_times=training_times,
-            batch=self._calibration.batch,
-            backend=self._solver.backend,
-            operator=self._solver.operator,
-        )
+        if isinstance(calibration, Exception):
+            raise calibration
+        if calibration is None:
+            calibration = calibrate_dl_model(
+                observed,
+                training_times=training_times,
+                batch=self._calibration.batch,
+                backend=self._solver.backend,
+                operator=self._solver.operator,
+            )
         details = {
             "calibrated": True,
             "loss": calibration.loss,
@@ -443,6 +487,16 @@ class BatchPredictor:
         replaces its state.  ``training_times=None`` defaults to the story's
         own first six observed hours.
         """
+        return self._fit_story(name, observed, training_times)
+
+    def _fit_story(
+        self,
+        name: str,
+        observed: DensitySurface,
+        training_times: "Sequence[float] | None",
+        calibration: "CalibrationResult | Exception | None" = None,
+    ) -> "BatchPredictor":
+        """:meth:`fit_story`, with the story's ``calibration`` if already computed."""
         if training_times is None:
             story_times = [
                 float(t) for t in observed.times[: min(6, observed.times.size)]
@@ -457,7 +511,9 @@ class BatchPredictor:
             densities=observed.profile(initial_time),
             initial_time=initial_time,
         )
-        parameters, details = self._resolve_parameters(name, observed, story_times)
+        parameters, details = self._resolve_parameters(
+            name, observed, story_times, calibration
+        )
         # Commit only after every stage succeeded, so a failed fit (e.g. a
         # calibration error) leaves no half-fitted story behind and the
         # predictor remains usable for its other stories.
@@ -465,6 +521,44 @@ class BatchPredictor:
         self._parameters[name] = parameters
         self._calibration_details[name] = details
         return self
+
+    def fit_shard(
+        self,
+        surfaces: "Mapping[str, DensitySurface]",
+        training_times: "Sequence[float] | None" = None,
+    ) -> "ShardFit":
+        """:meth:`fit_story` of every story, with calibrations refined in lock-step.
+
+        The shard's calibrations run first, together
+        (:func:`~repro.core.calibration.calibrate_dl_shard`); then each
+        story is fitted as by :meth:`fit_story`, with its calibration taken
+        from that run instead of calibrating again.  Each story's result
+        therefore equals :meth:`fit_story` on it alone (only the
+        refinement's wall-clock ``seconds`` differ), and a story that fails
+        is reported in ``failures`` and leaves no state behind.  Stories
+        with supplied parameters, and sequential calibrations, have nothing
+        to share and are fitted one by one.
+        """
+        if self._configured_parameters is not None or not self._calibration.batch:
+            return fit_story_by_story(self.fit_story, surfaces, training_times)
+        calibrations, phases = calibrate_dl_shard(
+            list(surfaces.values()),
+            training_times=training_times,
+            backend=self._solver.backend,
+            operator=self._solver.operator,
+        )
+        by_name = dict(zip(surfaces, calibrations))
+        shard = fit_story_by_story(
+            lambda name, observed, times: self._fit_story(name, observed, times, by_name[name]),
+            surfaces,
+            training_times,
+        )
+        names = list(surfaces)
+        shard.phases[:0] = [
+            FitPhase(phase.name, tuple(names[i] for i in phase.stories), phase.start, phase.seconds)
+            for phase in phases
+        ]
+        return shard
 
     def fit(
         self,

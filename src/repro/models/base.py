@@ -16,9 +16,10 @@ For corpus workloads :meth:`PredictionModel.batch_fitter` returns a
 :class:`BatchFitter` that accumulates stories incrementally (the shape the
 service layer's shard solver needs: per-story fit failures must not poison
 shard-mates) and evaluates them together; :meth:`PredictionModel.fit_batch`
-is the convenience wrapper over it.  The default :class:`SequentialBatchFitter`
-simply loops; models with a genuinely batched path (the DL model's
-spatial-group solve) override :meth:`PredictionModel.batch_fitter`.
+is the convenience wrapper over it, and :meth:`BatchFitter.fit_shard` fits
+a whole shard at once.  The default :class:`SequentialBatchFitter` simply
+loops; models with a genuinely batched path (the DL model's spatial-group
+solve and lock-step calibration) override :meth:`PredictionModel.batch_fitter`.
 
 All models raise the same typed errors:
 :class:`~repro.core.errors.NotFittedError` on predict-before-fit and
@@ -36,7 +37,12 @@ from repro.cascade.density import DensitySurface
 from repro.core.accuracy import build_accuracy_table
 from repro.core.config import ModelSpec
 from repro.core.errors import NotFittedError
-from repro.core.prediction import PredictionResult, _resolve_evaluation_times
+from repro.core.prediction import (
+    PredictionResult,
+    ShardFit,
+    _resolve_evaluation_times,
+    fit_story_by_story,
+)
 
 
 def _jsonify(value):
@@ -200,6 +206,20 @@ class BatchFitter(ABC):
         training_times: "Sequence[float] | None" = None,
     ) -> None:
         """Fit one story; re-fitting an existing name replaces its state."""
+
+    def fit_shard(
+        self,
+        surfaces: "Mapping[str, DensitySurface]",
+        training_times: "Sequence[float] | None" = None,
+    ) -> ShardFit:
+        """Fit every story of a shard; a story that fails fails alone.
+
+        The default is :meth:`fit_story` story by story.  Models that can
+        fit a shard's stories together (the DL model's lock-step
+        calibration) override it; each story's fit must still equal
+        :meth:`fit_story` on it alone.
+        """
+        return fit_story_by_story(self.fit_story, surfaces, training_times)
 
     @property
     @abstractmethod

@@ -6,7 +6,8 @@ A thin adapter over the classic predictor pair: single stories go through
 registry are **bit-identical** to the pre-registry code paths, and the
 corpus path keeps the batched spatial-group solve (stories sharing a
 distance interval and initial time advance as columns of one batched PDE
-solve with shared cached operator factorizations).
+solve with shared cached operator factorizations).  A shard's calibrations
+refine in lock-step (:meth:`DLBatchFitter.fit_shard`).
 
 Spec params understood (``ModelSpec.params``):
 
@@ -18,7 +19,7 @@ Spec params understood (``ModelSpec.params``):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cascade.density import DensitySurface
 from repro.core.config import ModelSpec
@@ -26,6 +27,7 @@ from repro.core.prediction import (
     BatchPredictor,
     DiffusionPredictor,
     PredictionResult,
+    ShardFit,
 )
 from repro.models.base import BatchFitter, FittedModel, PredictionModel, coerce_spec
 
@@ -96,6 +98,14 @@ class DLBatchFitter(BatchFitter):
         training_times: "Sequence[float] | None" = None,
     ) -> None:
         self._predictor.fit_story(name, observed, training_times)
+
+    def fit_shard(
+        self,
+        surfaces: "Mapping[str, DensitySurface]",
+        training_times: "Sequence[float] | None" = None,
+    ) -> ShardFit:
+        # The shard's calibrations share their LM refinement.
+        return self._predictor.fit_shard(surfaces, training_times)
 
     @property
     def story_names(self) -> tuple[str, ...]:

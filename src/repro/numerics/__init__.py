@@ -13,8 +13,9 @@ on:
   time steppers.
 * :mod:`repro.numerics.operator_cache` -- process-wide cache of prefactorized
   diffusion operators, keyed by (grid, dt, d, mode) and shared across solves;
-  the tridiagonal Neumann operator is stored banded (LAPACK ``gttrf``) or as
-  a pure-numpy Thomas factorization, with dense LU as the reference mode.
+  the tridiagonal Neumann operator is stored as a symmetric LDL^T (LAPACK
+  ``pttrf``) or its pure-numpy Thomas twin, with dense LU as the reference
+  mode.
 * :mod:`repro.numerics.backends` -- the solver backends (``"internal"``,
   ``"scipy"``, and anything registered in ``BACKENDS`` at runtime) plus the
   vectorised Crank-Nicolson engine behind batched solves.
@@ -71,6 +72,7 @@ from repro.numerics.optimization import (
     MultiStartFitResult,
     grid_candidates,
     grid_search,
+    grouped_multi_start_least_squares,
     least_squares_fit,
     mean_relative_error,
     multi_start_least_squares,
@@ -115,6 +117,7 @@ __all__ = [
     "grid_candidates",
     "least_squares_fit",
     "multi_start_least_squares",
+    "grouped_multi_start_least_squares",
     "grid_search",
     "sum_of_squares",
     "mean_relative_error",

@@ -11,15 +11,18 @@ registry in this module.  Two backends ship with the package:
   diffusion term matrix-free and solves banded systems -- O(n) memory and
   O(n) work per step -- with the factorizations shared through
   :mod:`repro.numerics.operator_cache` across steps, solves and calibration
-  candidates.  Each step iterates to the Crank-Nicolson fixed point from an
-  explicit predictor, with updates scaled by the Newton factor of a
-  :class:`~repro.numerics.pde_solver.LogisticReaction` (about three
-  iterations per step on calibration batches), and when every diffusion
-  rate has the same number of columns one in-place LAPACK ``gttrs`` call
-  per iteration solves all of them (see :class:`_CrankNicolsonStepper`).
-  The ``operator_mode`` knob (``"banded"`` by default, via ``"auto"``) can
-  force the pure-numpy ``"thomas"`` solver or the legacy ``"dense"`` LU for
-  cross-checking; those solve one diffusion rate at a time.
+  candidates.  Each step iterates to the Crank-Nicolson fixed point from a
+  predictor -- Adams-Bashforth-2 for a
+  :class:`~repro.numerics.pde_solver.LogisticReaction`, explicit Euler
+  otherwise -- with updates scaled by the logistic reaction's Newton
+  factor (about two and a half iterations per step on calibration
+  batches, three from the explicit predictor).  The banded operator holds
+  one block per column, so one in-place LAPACK ``pttrs`` call per
+  iteration solves every column of the batch, whatever its mix of
+  diffusion rates (see :class:`_CrankNicolsonStepper`).  The
+  ``operator_mode`` knob (``"banded"`` by default, via ``"auto"``) can
+  force the pure-numpy ``"thomas"`` solver or the legacy ``"dense"`` LU
+  for cross-checking; those solve one diffusion rate at a time.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
@@ -365,17 +368,22 @@ def _step_schedule(
 class _CrankNicolsonStepper:
     """One batched Crank-Nicolson solve: its buffers, operators and iteration.
 
-    Everything a step needs that does not change between steps -- column
-    layout, operator factorizations for every step size, the growth-rate
-    table and the work buffers -- is set up once here.  Each step then
-    solves the Crank-Nicolson system
+    Everything a step needs that does not change between steps -- operator
+    factorizations for every step size, the growth-rate table and the work
+    buffers -- is set up once here.  Each step then solves the
+    Crank-Nicolson system
 
         (I - dt/2 d A) u' = u + dt/2 d A u + dt/2 (f(u, t) + f(u', t + dt))
 
     by a fixed-point iteration on ``G(v)``, the left-hand operator applied
     to the right-hand side at ``v``:
 
-    * it starts from the explicit predictor ``u + dt (d A u + f(u, t))``;
+    * it starts from a predictor: for a
+      :class:`~repro.numerics.pde_solver.LogisticReaction`, the
+      Adams-Bashforth-2 extrapolation ``u + dt ((1 + c/2) F_n - c/2 F_{n-1})``
+      with ``F = d A u + f(u, t)`` and ``c = dt / dt_prev`` (explicit Euler
+      ``u + dt F_n`` on the first step, and on every step of any other
+      reaction);
     * each update is ``v + (G(v) - v) / s`` with the pointwise Newton factor
       ``s = max(1 - dt/2 f'(v), 1/2)`` when the reaction is a
       :class:`~repro.numerics.pde_solver.LogisticReaction` (``s = 1``, plain
@@ -390,17 +398,14 @@ class _CrankNicolsonStepper:
     predictor and the Newton factor change how many iterations a step takes,
     not what it converges to.
 
-    Layout: when every diffusion rate has the same number of columns ``m``,
-    the grid has at least 3 points and the operator mode is banded, the
-    state is kept column-major with the ``G`` rate groups interleaved --
-    group ``g``'s ``j``-th column at column ``j * G + g`` -- so the state,
-    viewed as ``(G * n, m)``, is a block of right-hand sides for the
-    block-diagonal operator of
+    Layout: the state is column-major in the problem's own column order.
+    With the banded operator on a grid of at least 3 points, it is,
+    flattened, one right-hand side for the block-diagonal operator of
     :func:`~repro.numerics.operator_cache.stacked_crank_nicolson_operator`
-    and one in-place ``gttrs`` call solves every group.  An iteration whose
-    right-hand side holds a non-finite value is solved group by group
-    instead (a NaN would cross the zero couplings between blocks).  Other
-    batches keep the problem's column order and are solved group by group.
+    (one block per column), and one in-place ``pttrs`` call solves every
+    column.  An iteration whose right-hand side holds a non-finite value is
+    solved one diffusion rate at a time instead (a NaN would cross the zero
+    couplings between blocks), as are the ``thomas`` and ``dense`` modes.
     """
 
     def __init__(
@@ -417,24 +422,9 @@ class _CrankNicolsonStepper:
         batch = problem.batch_size
         rates = problem.diffusion_rates
         distinct = np.unique(rates)
-        members = [np.flatnonzero(rates == rate) for rate in distinct]
-        self.groups = len(members)
-        self.stacked = (
-            operator_mode == "banded"
-            and num_points >= 3
-            and len({columns.size for columns in members}) == 1
-        )
-        if self.stacked:
-            # Column j * G + g holds group g's j-th member.
-            order = np.stack(members, axis=1).ravel()
-            selectors: "list[slice | np.ndarray]" = [
-                slice(g, None, self.groups) for g in range(self.groups)
-            ]
-        else:
-            order = np.arange(batch)
-            selectors = [_column_selector(columns) for columns in members]
-        self._order = None if np.array_equal(order, np.arange(batch)) else order
-        self._inverse = None if self._order is None else np.argsort(order)
+        selectors = [_column_selector(np.flatnonzero(rates == rate)) for rate in distinct]
+        self.groups = len(distinct)
+        self.stacked = operator_mode == "banded" and num_points >= 3
 
         # Operators for every step size, looked up once per solve.
         self._factors: "dict[float, tuple[list, object]]" = {}
@@ -449,9 +439,7 @@ class _CrankNicolsonStepper:
                 for rate, selector in zip(distinct, selectors)
             ]
             stacked = (
-                operator_cache.stacked_crank_nicolson_operator(
-                    num_points, spacing, dt, tuple(float(rate) for rate in distinct)
-                )
+                operator_cache.stacked_crank_nicolson_operator(num_points, spacing, dt, rates)
                 if self.stacked
                 else None
             )
@@ -463,7 +451,7 @@ class _CrankNicolsonStepper:
         )
         self._spacing = spacing
         self._nodes = grid.nodes
-        self._rates = rates[order][None, :]
+        self._rates = rates[None, :]
         self._step_times = step_times
         self._dts = dts
         self._tolerance = tolerance
@@ -472,45 +460,32 @@ class _CrankNicolsonStepper:
 
         reaction = problem.reaction
         if isinstance(reaction, LogisticReaction):
-            if self._order is not None:
-                reaction = reaction.take(self._order)
             # r(t) at every step time: one exp for the whole solve.
             self._growth = reaction.growth_rates(step_times)
             self._capacity = reaction.capacity
             self._reaction = None
-        elif self._order is not None:
-            inverse, forward = self._inverse, self._order
-
-            def permuted(states: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-                return np.asarray(reaction(states[:, inverse], x, t))[:, forward]
-
-            self._reaction = permuted
         else:
             self._reaction = reaction
 
         def buffer() -> np.ndarray:
             return np.empty((num_points, batch), order="F")
 
-        self._state = np.asfortranarray(problem.initial_states[:, order])
+        self._state = np.array(problem.initial_states, order="F")
         self._next = buffer()
         self._constant = buffer()
         self._rhs = buffer()
         self._work = buffer()
         self._factor = buffer()
+        # h F of this step and of the last one, for the AB2 predictor.
+        self._slope = buffer()
+        self._previous_slope = buffer()
         self._active = np.empty(batch, dtype=bool)
-        # The right-hand side viewed as (G * n, m): its stacked form.
-        self._stacked_rhs = (
-            self._rhs.reshape((self.groups * num_points, -1), order="F")
-            if self.stacked
-            else None
-        )
+        # The right-hand side flattened: one column of the stacked operator.
+        self._stacked_rhs = self._rhs.reshape(-1, order="F") if self.stacked else None
 
     def emit(self, out: np.ndarray) -> None:
-        """Write the current state, in the problem's column order, to ``out``."""
-        if self._inverse is None:
-            out[...] = self._state
-        else:
-            np.take(self._state, self._inverse, axis=1, out=out)
+        """Write the current state to ``out``."""
+        out[...] = self._state
 
     def step(self, k: int) -> None:
         """Advance the state by step ``k`` of the schedule."""
@@ -539,9 +514,23 @@ class _CrankNicolsonStepper:
         np.multiply(diffusion, half_dt, out=diffusion)
         constant += diffusion
         constant += state
-        # Explicit predictor u + dt (d A u + f(u, t)) = 2 * constant - u.
-        np.multiply(constant, 2.0, out=new)
-        new -= state
+        if typed and k:
+            # AB2: 2 constant - u + c h F_n - c^2 h_prev F_{n-1}
+            #    = constant + (1 + c) h F_n - c^2 h_prev F_{n-1}.
+            ratio = dt / self._dts[k - 1]
+            slope, previous = self._slope, self._previous_slope
+            np.subtract(constant, state, out=slope)
+            np.multiply(slope, 1.0 + ratio, out=new)
+            new += constant
+            np.multiply(previous, ratio * ratio, out=work)
+            new -= work
+            self._slope, self._previous_slope = previous, slope
+        else:
+            # Explicit Euler u + dt (d A u + f(u, t)) = 2 * constant - u.
+            np.multiply(constant, 2.0, out=new)
+            new -= state
+            if typed:
+                np.subtract(constant, state, out=self._previous_slope)
 
         if typed:
             hr = half_dt * self._growth[k + 1]

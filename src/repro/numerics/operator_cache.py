@@ -17,22 +17,25 @@ The Neumann Laplacian is tridiagonal, so three factorization *modes* are
 offered through :func:`crank_nicolson_operator`:
 
 ``"banded"`` (the default for the Crank-Nicolson engine)
-    LAPACK ``gttrf``/``gttrs`` tridiagonal LU -- O(n) memory and O(n) per
-    solve, with :func:`scipy.linalg.solve_banded` as a refactorizing fallback
-    when the LAPACK wrappers are unavailable.
+    Symmetric tridiagonal ``L D L^T`` through LAPACK ``pttrf``/``pttrs`` --
+    O(n) memory and O(n) per solve.  The operator is not symmetric (the
+    Neumann ghost node doubles the boundary coupling), but halving its first
+    and last row makes it symmetric positive definite, and a solve halves
+    the same rows of the right-hand side; halving is exact.  No general LU
+    (``gttrs``) is used.
 ``"thomas"``
-    A pure-numpy Thomas (tridiagonal) factorization with no scipy
-    dependency, registered as its own solver backend in
-    :mod:`repro.numerics.backends`.
+    The same ``L D L^T`` recurrences in pure numpy, with no scipy
+    dependency -- the twin the equivalence tests cross-check ``banded``
+    against.
 ``"dense"``
     The original dense LU (:func:`scipy.linalg.lu_factor`), kept as the
     reference implementation the equivalence tests and the substrate
     benchmark compare against.
 
-:func:`stacked_crank_nicolson_operator` caches one banded factorization of
-the block-diagonal operator of several diffusion rates, so a batch whose
-groups are interleaved column by column is solved by a single ``gttrs``
-call.
+:func:`stacked_crank_nicolson_operator` assembles the block-diagonal
+operator of a whole batch, one block per column, from the cached per-rate
+factors, so one ``pttrs`` call solves every column of a step.  It caches
+nothing keyed by the column layout.
 
 Cached arrays are returned read-only; callers that need to modify an operator
 must copy it first.
@@ -41,6 +44,7 @@ must copy it first.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -127,94 +131,152 @@ class DenseFactorization:
         return lu_solve(self._lu_piv, rhs)
 
 
-class BandedFactorization:
-    """Tridiagonal LU via LAPACK ``gttrf``/``gttrs`` -- O(n) memory and solves.
+def _halved_symmetric_bands(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(diag, off)`` of ``W M`` when that is symmetric with a positive diagonal.
 
-    When the LAPACK generator wrappers are unavailable the solve falls back to
-    :func:`scipy.linalg.solve_banded` on the stored bands, which refactorizes
-    per call but stays O(n).
+    ``W = diag(1/2, 1, ..., 1, 1/2)`` halves the first and last row.  The
+    Neumann ghost node doubles the boundary coupling of the Laplacian, so
+    every Crank-Nicolson operator ``I - dt/2 * d * A`` becomes symmetric --
+    and, being diagonally dominant, positive definite -- once those two rows
+    are halved.  Halving is exact in floating point.  Returns ``None`` for
+    bands this does not symmetrize.
+    """
+    diag = np.array(diag, dtype=float)
+    lower = np.array(sub, dtype=float)
+    upper = np.array(sup, dtype=float)
+    if diag.size < 2:
+        return None
+    diag[[0, -1]] *= 0.5
+    lower[-1] *= 0.5  # the last row's coupling
+    upper[0] *= 0.5  # the first row's coupling
+    if not (np.array_equal(lower, upper) and np.all(diag > 0.0)):
+        return None
+    return diag, upper
+
+
+def _halve_block_ends(rhs: np.ndarray, block: int) -> None:
+    """Halve the first and last row of every ``block`` rows of an F-ordered ``rhs``."""
+    rhs.reshape((block, -1), order="F")[:: block - 1] *= 0.5
+
+
+class BandedFactorization:
+    """Symmetric tridiagonal LDL^T via LAPACK ``pttrf``/``pttrs`` -- O(n) memory and solves.
+
+    A Crank-Nicolson operator ``M`` is factored as the symmetric positive
+    definite ``W M = L D L^T`` (see :func:`_halved_symmetric_bands`), and a
+    solve halves the first and last row of the right-hand side before one
+    ``pttrs`` call.  ``pttrs`` keeps no division on its dependency chain, so
+    it runs about twice as fast as a general tridiagonal LU solve.
+
+    Grids with fewer than 3 points and bands that halving does not make
+    symmetric positive definite are solved by the pure-numpy
+    :class:`ThomasFactorization` twin instead.
     """
 
     mode = "banded"
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
-        self._bands = (sub, diag, sup)
-        self._factor = None
-        self._gttrs = None
-        self._tiny = None
-        if np.asarray(diag).size < 3:
-            # The LAPACK gtt* wrappers reject the degenerate 2x2 case; the
-            # pure-numpy elimination handles it at identical cost.
-            self._tiny = ThomasFactorization(sub, diag, sup)
-            return
-        try:
-            from scipy.linalg.lapack import dgttrf, dgttrs
-        except ImportError:  # pragma: no cover - old scipy without the wrapper
-            return
-        dl, d, du, du2, ipiv, info = dgttrf(sub, diag, sup)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"tridiagonal factorization failed (gttrf info={info})"
-            )
-        self._factor = (dl, d, du, du2, ipiv)
-        # Bound once: the per-solve import lookup costs as much as a small
-        # solve's arithmetic.
-        self._gttrs = dgttrs
+        self._factor: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._pttrs = None
+        self._twin: "ThomasFactorization | None" = None
+        self._block = int(np.asarray(diag).size)
+        symmetric = _halved_symmetric_bands(sub, diag, sup) if self._block >= 3 else None
+        if symmetric is not None:
+            from scipy.linalg.lapack import dpttrf, dpttrs
+
+            pivots, multipliers, info = dpttrf(*symmetric)
+            if info == 0:
+                self._factor = (pivots, multipliers)
+                # Bound once: the per-solve import lookup costs as much as a
+                # small solve's arithmetic.
+                self._pttrs = dpttrs
+                return
+        self._twin = ThomasFactorization(sub, diag, sup)
+
+    @classmethod
+    def block_diagonal(
+        cls, blocks: "Sequence[BandedFactorization]", layout: np.ndarray
+    ) -> "BandedFactorization":
+        """The factorization of ``diag(M[layout[0]], M[layout[1]], ...)``.
+
+        ``blocks`` are factorizations of one size; ``layout`` picks the block
+        at each position.  Their ``L D L^T`` factors are concatenated with
+        zero multipliers between blocks -- what ``pttrf`` computes for the
+        block-diagonal matrix, since a zero coupling adds exact zeros -- so
+        this costs O(len(layout) n) and no factorization.  With a finite
+        right-hand side every block's solution is bit-identical to its own
+        solve; a non-finite entry does not stay in its block (``0 * inf`` is
+        NaN).
+        """
+        size = blocks[0]._block
+        if any(block._factor is None or block._block != size for block in blocks):
+            raise ValueError("blocks must be LDL^T factorizations of one size")
+        pivots = np.stack([block._factor[0] for block in blocks])
+        multipliers = np.zeros((len(blocks), size))
+        multipliers[:, :-1] = np.stack([block._factor[1] for block in blocks])
+        stacked = cls.__new__(cls)
+        stacked._factor = (pivots[layout].ravel(), multipliers[layout].ravel()[:-1])
+        stacked._pttrs = blocks[0]._pttrs
+        stacked._twin = None
+        stacked._block = size
+        return stacked
 
     def __getstate__(self) -> dict:
         # LAPACK wrappers do not pickle; __setstate__ binds it again.
-        return {**self.__dict__, "_gttrs": None}
+        return {**self.__dict__, "_pttrs": None}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         if self._factor is not None:
-            from scipy.linalg.lapack import dgttrs
+            from scipy.linalg.lapack import dpttrs
 
-            self._gttrs = dgttrs
+            self._pttrs = dpttrs
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the stored factors."""
-        arrays = self._bands if self._factor is None else self._factor
-        return sum(int(np.asarray(array).nbytes) for array in arrays)
+        if self._twin is not None:
+            return self._twin.nbytes
+        return sum(int(array.nbytes) for array in self._factor)
 
     def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Solve for one right-hand side ``(n,)`` or a column block ``(n, k)``.
 
         With ``overwrite=True`` the solution is written over ``rhs`` and
-        ``rhs`` is returned; LAPACK solves a Fortran-contiguous float64
-        ``rhs`` in place, without a copy.
+        ``rhs`` is returned; a Fortran-contiguous float64 ``rhs`` is solved
+        in place, without a copy.
         """
-        if self._tiny is not None:
-            solution = self._tiny.solve(rhs)
-        elif self._factor is None:  # pragma: no cover - exercised only on old scipy
-            from scipy.linalg import solve_banded
-
-            sub, diag, sup = self._bands
-            ab = np.zeros((3, diag.size))
-            ab[0, 1:] = sup
-            ab[1, :] = diag
-            ab[2, :-1] = sub
-            solution = solve_banded((1, 1), ab, rhs)
+        if self._twin is not None:
+            solution = self._twin.solve(rhs)
         else:
-            solution, info = self._gttrs(*self._factor, rhs, overwrite_b=overwrite)
+            in_place = overwrite and rhs.dtype == np.float64 and rhs.flags.f_contiguous
+            work = rhs if in_place else np.array(rhs, dtype=float, order="F")
+            _halve_block_ends(work, self._block)
+            solution, info = self._pttrs(*self._factor, work, overwrite_b=True)
             if info != 0:  # pragma: no cover - cannot happen for a valid factorization
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
-        if overwrite and solution is not rhs:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (pttrs info={info})")
+        if overwrite and not np.may_share_memory(solution, rhs):
             rhs[...] = solution
             return rhs
         return solution
 
 
 class ThomasFactorization:
-    """Pure-numpy Thomas algorithm with a precomputed forward elimination.
+    """Pure-numpy tridiagonal ``L D U`` elimination, the twin of :class:`BandedFactorization`.
 
-    The factorization stores the elimination multipliers ``w_i = a_i / b'_{i-1}``
-    and the modified pivots ``b'_i`` once, so repeated solves cost one forward
-    and one backward sweep (O(n) each, vectorised across right-hand-side
-    columns).  No pivoting is performed, so the matrix must be (strictly)
-    diagonally dominant -- which every Crank-Nicolson operator
-    ``I - dt/2 * d * A`` is, since the diagonal is ``1 + |off-diagonals|``.
+    ``L`` and ``U`` are unit bidiagonal and ``D`` holds the pivots; each is
+    computed once, so repeated solves cost one forward and one backward
+    sweep (O(n) each, vectorised across right-hand-side columns).  When
+    halving the first and last row makes the bands symmetric positive
+    definite -- every Crank-Nicolson operator -- the factors are the
+    ``L D L^T`` of that matrix, computed with the recurrences of LAPACK
+    ``pttrf``/``pttrs``, so the ``thomas`` and ``banded`` modes take the same
+    arithmetic.  Other bands are eliminated as they are.  No pivoting is
+    performed, so the matrix must be (strictly) diagonally dominant --
+    which every Crank-Nicolson operator ``I - dt/2 * d * A`` is, since the
+    diagonal is ``1 + |off-diagonals|``.
     """
 
     mode = "thomas"
@@ -229,41 +291,48 @@ class ThomasFactorization:
                 f"bands must have shapes ({n - 1},), ({n},), ({n - 1},); "
                 f"got {sub.shape}, {diag.shape}, {sup.shape}"
             )
-        multipliers = np.empty(n - 1)
-        pivots = np.empty(n)
-        pivots[0] = diag[0]
-        for i in range(1, n):
-            if pivots[i - 1] == 0.0:
+        symmetric = _halved_symmetric_bands(sub, diag, sup)
+        self._halve = symmetric is not None
+        if symmetric is not None:
+            diag, sub = symmetric
+            sup = sub
+        lower = np.empty(n - 1)
+        pivots = diag.copy()
+        for i in range(n - 1):
+            if pivots[i] == 0.0:
                 raise np.linalg.LinAlgError(
                     "zero pivot in Thomas factorization (matrix must be "
                     "diagonally dominant; no pivoting is performed)"
                 )
-            multipliers[i - 1] = sub[i - 1] / pivots[i - 1]
-            pivots[i] = diag[i] - multipliers[i - 1] * sup[i - 1]
+            lower[i] = sub[i] / pivots[i]
+            pivots[i + 1] -= lower[i] * sup[i]
         if pivots[-1] == 0.0:
             raise np.linalg.LinAlgError("zero pivot in Thomas factorization")
-        self._multipliers = multipliers
+        self._lower = lower
         self._pivots = pivots
-        self._sup = sup.copy()
+        # Symmetric bands have U = L^T: the same multipliers.
+        self._upper = lower if symmetric is not None else sup / pivots[:-1]
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the stored factors."""
-        return int(self._multipliers.nbytes + self._pivots.nbytes + self._sup.nbytes)
+        arrays = {id(a): a for a in (self._lower, self._pivots, self._upper)}
+        return sum(int(array.nbytes) for array in arrays.values())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side ``(n,)`` or a column block ``(n, k)``."""
-        rhs = np.asarray(rhs, dtype=float)
         n = self._pivots.size
-        if rhs.shape[0] != n:
-            raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {n}")
-        w, bp, sup = self._multipliers, self._pivots, self._sup
-        y = rhs.copy()
+        y = np.array(rhs, dtype=float)
+        if y.shape[0] != n:
+            raise ValueError(f"rhs has leading dimension {y.shape[0]}, expected {n}")
+        lower, pivots, upper = self._lower, self._pivots, self._upper
+        if self._halve:
+            y[[0, -1]] *= 0.5
         for i in range(1, n):
-            y[i] -= w[i - 1] * y[i - 1]
-        y[n - 1] /= bp[n - 1]
+            y[i] -= y[i - 1] * lower[i - 1]
+        y[n - 1] /= pivots[n - 1]
         for i in range(n - 2, -1, -1):
-            y[i] = (y[i] - sup[i] * y[i + 1]) / bp[i]
+            y[i] = y[i] / pivots[i] - y[i + 1] * upper[i]
         return y
 
 
@@ -296,38 +365,32 @@ def crank_nicolson_operator(
     return ThomasFactorization(*bands)
 
 
-@lru_cache(maxsize=256)
 def stacked_crank_nicolson_operator(
     num_points: int,
     spacing: float,
     dt: float,
-    diffusion_rates: "tuple[float, ...]",
+    diffusion_rates: "Sequence[float]",
 ) -> BandedFactorization:
-    """Banded factorization of the block-diagonal ``diag(I - dt/2 * d_g * A)``.
+    """Banded factorization of the block-diagonal ``diag(I - dt/2 * d_k * A)``.
 
-    One block per diffusion rate, in the given order, with zero coupling
-    between blocks.  A batch whose ``(n, m * G)`` column-major state holds
-    group ``g``'s ``j``-th column at column ``j * G + g`` is, viewed as
-    ``(G * n, m)``, a block of right-hand sides for this system, so one
-    ``gttrs`` call solves every group.  With finite right-hand sides each
-    block's solution is bit-identical to its own
-    :func:`crank_nicolson_operator` solve: the zero couplings contribute
-    exact zeros to the elimination.  A non-finite entry does not stay in its
-    block (``0 * inf`` is NaN), so callers solve such right-hand sides group
-    by group.
+    One block per entry of ``diffusion_rates``, in order, with zero coupling
+    between blocks.  A column-major ``(n, k)`` state is, flattened, one
+    right-hand side for this system, so one ``pttrs`` call solves every
+    column.  Nothing keyed by the column layout is cached: the blocks come
+    from the cached per-rate :func:`crank_nicolson_operator` factors and are
+    assembled per call in O(k n) (:meth:`BandedFactorization.block_diagonal`).
+    A single rate is the plain cached operator.
     """
     if num_points < 3:
         raise ValueError(f"stacked operators need at least 3 grid points, got {num_points}")
-    if len(diffusion_rates) == 1:
-        # One block is the plain operator: share its factorization.
-        return crank_nicolson_operator(num_points, spacing, dt, diffusion_rates[0], "banded")
-    subs, diags, sups = zip(
-        *(_crank_nicolson_bands(num_points, spacing, dt, rate) for rate in diffusion_rates)
-    )
-    # Zero couplings between consecutive blocks.
-    sub = np.concatenate([np.append(0.0, band) for band in subs])[1:]
-    sup = np.concatenate([np.append(0.0, band) for band in sups])[1:]
-    return BandedFactorization(sub, np.concatenate(diags), sup)
+    distinct, layout = np.unique(np.asarray(diffusion_rates, dtype=float), return_inverse=True)
+    blocks = [
+        crank_nicolson_operator(num_points, spacing, dt, float(rate), "banded")
+        for rate in distinct
+    ]
+    if layout.size == 1:
+        return blocks[0]
+    return BandedFactorization.block_diagonal(blocks, layout)
 
 
 def cache_stats() -> dict:
@@ -337,9 +400,6 @@ def cache_stats() -> dict:
         "laplacian_tridiagonal": neumann_laplacian_tridiagonal.cache_info()._asdict(),
         "crank_nicolson_factor": crank_nicolson_factor.cache_info()._asdict(),
         "crank_nicolson_operator": crank_nicolson_operator.cache_info()._asdict(),
-        "stacked_crank_nicolson_operator": (
-            stacked_crank_nicolson_operator.cache_info()._asdict()
-        ),
     }
 
 
@@ -349,4 +409,3 @@ def clear_operator_caches() -> None:
     neumann_laplacian_tridiagonal.cache_clear()
     crank_nicolson_factor.cache_clear()
     crank_nicolson_operator.cache_clear()
-    stacked_crank_nicolson_operator.cache_clear()

@@ -17,6 +17,9 @@ s1.  For the reproduction we additionally provide automated calibration
   calibration refine N seed candidates as columns of a single batched PDE
   solve instead of running N sequential ``scipy.optimize.least_squares``
   loops, and converge when the optimum has a parameter on its bound.
+  :func:`grouped_multi_start_least_squares` runs the starts of several
+  independent problems (a shard's calibrations) in the same lock-step
+  calls and returns one result per problem.
 * :func:`grid_search` -- coarse exhaustive search used to seed the local
   optimiser (the DL objective is non-convex in (d, r-parameters, K)).
 * loss helpers (:func:`sum_of_squares`, :func:`mean_relative_error`).
@@ -258,6 +261,49 @@ def multi_start_least_squares(
         Rungs of the damping ladder (damping escalations tried per iteration
         before a start is declared stalled); at least 1.
     """
+    (fit,) = grouped_multi_start_least_squares(
+        residual_batch,
+        seeds,
+        np.zeros(len(seeds), dtype=int),
+        bounds=bounds,
+        names=names,
+        max_iterations=max_iterations,
+        finite_difference_step=finite_difference_step,
+        gradient_tolerance=gradient_tolerance,
+        step_tolerance=step_tolerance,
+        loss_tolerance=loss_tolerance,
+        max_step_retries=max_step_retries,
+    )
+    if fit is None:
+        raise RuntimeError("no start produced a finite refinement loss")
+    return fit
+
+
+def grouped_multi_start_least_squares(
+    residual_batch: BatchResidualFunction,
+    seeds: "np.ndarray | Sequence[Sequence[float]]",
+    groups: "np.ndarray | Sequence[int]",
+    bounds: "tuple[Sequence[float], Sequence[float]] | None" = None,
+    names: "Sequence[str] | None" = None,
+    max_iterations: int = 40,
+    finite_difference_step: float = 1e-6,
+    gradient_tolerance: float = 1e-10,
+    step_tolerance: float = 1e-10,
+    loss_tolerance: float = 1e-12,
+    max_step_retries: int = 6,
+) -> "list[MultiStartFitResult | None]":
+    """:func:`multi_start_least_squares` of several independent problems at once.
+
+    ``groups[s]`` (``0 .. G-1``) names the problem start ``s`` refines.
+    Every start of every group advances in the same lock-step iterations,
+    so an iteration is still at most two ``residual_batch`` calls; the
+    callback receives global start indices.  Starts never interact, so each
+    group's result is exactly what :func:`multi_start_least_squares` returns
+    for its starts alone: its best start (indexed among the group's starts),
+    and ``iterations``, ``residual_batches`` and ``n_evaluations`` counted
+    over the iterations and calls in which the group had a start in play.
+    A group none of whose starts has a finite loss gets ``None``.
+    """
     points = np.array(seeds, dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise ValueError("seeds must be a non-empty (n_starts, n_params) array")
@@ -273,6 +319,14 @@ def multi_start_least_squares(
         if lower.shape != (n_params,) or upper.shape != (n_params,):
             raise ValueError("bounds must match the seed parameter dimension")
         points = np.clip(points, lower, upper)
+    groups = np.asarray(groups, dtype=int)
+    if groups.shape != (n_starts,) or groups.min() < 0:
+        raise ValueError("groups must hold one non-negative group index per seed")
+    n_groups = int(groups.max()) + 1
+
+    def per_group(starts: "np.ndarray | list[int]") -> np.ndarray:
+        """How many of ``starts`` each group has."""
+        return np.bincount(groups[starts], minlength=n_groups)
 
     all_indices = np.arange(n_starts)
     residuals = [np.asarray(r, dtype=float) for r in residual_batch(points, all_indices)]
@@ -282,18 +336,19 @@ def multi_start_least_squares(
             f"{n_starts} points"
         )
     losses = np.array([sum_of_squares(r) for r in residuals])
-    n_evaluations = n_starts
-    residual_batches = 1
+    n_evaluations = per_group(all_indices)
+    residual_batches = np.ones(n_groups, dtype=int)
     damping = np.full(n_starts, 1e-3)
     active = np.isfinite(losses)
     converged = np.zeros(n_starts, dtype=bool)
-    iterations = 0
+    iterations = np.zeros(n_groups, dtype=int)
 
     for _ in range(max_iterations):
         active_idx = np.nonzero(active)[0]
         if active_idx.size == 0:
             break
-        iterations += 1
+        in_play = per_group(active_idx)
+        iterations += in_play > 0
 
         # One batched call evaluates every forward-difference perturbation of
         # every active start (steps flip backward at the upper bound so the
@@ -312,8 +367,8 @@ def multi_start_least_squares(
                 block[row * n_params + j] = perturbed
                 block_start[row * n_params + j] = s
         perturbed_residuals = residual_batch(block, block_start)
-        residual_batches += 1
-        n_evaluations += block.shape[0]
+        residual_batches += in_play > 0
+        n_evaluations += in_play * n_params
 
         # Each start's gradient J^T r is formed once and serves both the
         # convergence test and the ladder.  A parameter on a bound whose
@@ -371,8 +426,9 @@ def multi_start_least_squares(
             ladder_residuals = residual_batch(
                 ladder.reshape(-1, n_params), np.repeat(pending, max_step_retries)
             )
-            residual_batches += 1
-            n_evaluations += ladder.shape[0] * max_step_retries
+            pending_in_group = per_group(pending)
+            residual_batches += pending_in_group > 0
+            n_evaluations += pending_in_group * max_step_retries
 
             for row, s in enumerate(pending):
                 for rung in range(max_step_retries):
@@ -401,31 +457,38 @@ def multi_start_least_squares(
                     active[s] = False
                     converged[s] = True
 
-    finite = np.where(np.isfinite(losses), losses, np.inf)
-    best_start = int(np.argmin(finite))
-    if not np.isfinite(finite[best_start]):
-        raise RuntimeError("no start produced a finite refinement loss")
-    best = FitResult(
-        parameters=points[best_start].copy(),
-        loss=float(losses[best_start]),
-        success=bool(converged[best_start]),
-        n_evaluations=n_evaluations,
-        message=(
-            f"multi-start Levenberg-Marquardt: {n_starts} starts, "
-            f"{iterations} iterations"
-        ),
-        names=tuple(names) if names is not None else tuple(),
-    )
-    return MultiStartFitResult(
-        best=best,
-        start_parameters=points,
-        start_losses=losses,
-        best_start=best_start,
-        iterations=iterations,
-        n_evaluations=n_evaluations,
-        converged=converged,
-        residual_batches=residual_batches,
-    )
+    results: "list[MultiStartFitResult | None]" = []
+    for group in range(n_groups):
+        starts = np.flatnonzero(groups == group)
+        finite = np.where(np.isfinite(losses[starts]), losses[starts], np.inf)
+        if not starts.size or not np.isfinite(finite.min()):
+            results.append(None)
+            continue
+        best_start = int(np.argmin(finite))
+        best = starts[best_start]
+        results.append(
+            MultiStartFitResult(
+                best=FitResult(
+                    parameters=points[best].copy(),
+                    loss=float(losses[best]),
+                    success=bool(converged[best]),
+                    n_evaluations=int(n_evaluations[group]),
+                    message=(
+                        f"multi-start Levenberg-Marquardt: {starts.size} starts, "
+                        f"{iterations[group]} iterations"
+                    ),
+                    names=tuple(names) if names is not None else tuple(),
+                ),
+                start_parameters=points[starts],
+                start_losses=losses[starts],
+                best_start=best_start,
+                iterations=int(iterations[group]),
+                n_evaluations=int(n_evaluations[group]),
+                converged=converged[starts],
+                residual_batches=int(residual_batches[group]),
+            )
+        )
+    return results
 
 
 def grid_candidates(

@@ -7,7 +7,7 @@ registered in :data:`EXECUTORS` here and a third, ``cluster``, in
 
 * ``thread`` -- an in-process ``ThreadPoolExecutor``, one thread by
   default.  The solver's hot loop is many short GIL-releasing calls (about
-  fifteen per Picard iteration: one stacked ``dgttrs`` f2py call plus small
+  fifteen per Picard iteration: one stacked ``dpttrs`` f2py call plus small
   numpy ufuncs), so a second thread does not overlap the linear algebra --
   the two threads hand the GIL back and forth thousands of times a second.
   Measured on a 2-CPU box, two calibration jobs took 6.6 s back to back on
@@ -56,10 +56,11 @@ from typing import Any, Callable, Mapping
 
 from repro.cascade.density import DensitySurface, materialize_surface
 from repro.core.config import ModelSpec
-from repro.core.prediction import BatchPredictor
+from repro.core.calibration import FitPhase
+from repro.core.prediction import BatchPredictor, ShardFit
 from repro.core.registry import Registry
 from repro.service.sharding import ShardKey
-from repro.service.tracing import NOOP_TRACER, TraceContext, Tracer, TracerLike
+from repro.service.tracing import NOOP_TRACER, Span, TraceContext, Tracer, TracerLike
 
 
 class WorkerCrashError(RuntimeError):
@@ -142,57 +143,72 @@ def _operator_cache_counts() -> "tuple[int, int]":
         return 0, 0
 
 
-def _record_calibration_phases(
+def _record_fit_spans(
     tracer: TracerLike,
-    parent: "TraceContext | None",
+    parent: "TraceContext | Span | None",
     fitter: object,
-    name: str,
-    fit_start: float,
-    fit_seconds: float,
+    names: "list[str]",
+    shard: ShardFit,
 ) -> None:
-    """Split a story's fit span into grid-search vs LM-refinement children.
+    """Spans of a shard fit, from its timed phases; no time is counted twice.
 
-    Reads the story's calibration details through the ``dl`` fitter's
-    :meth:`~repro.core.prediction.BatchPredictor.calibration_details_for`
-    (``details.refinement.seconds`` is the LM wall time); fitters of other
-    models have no ``BatchPredictor`` and get no sub-phases.
+    Each story gets a ``story.fit`` span over the phases it went through
+    alone -- its whole fit, or its calibration grid plus, when it was
+    refined alone, its refinement -- with a ``calibration.grid`` /
+    ``calibration.refine`` child per calibration phase.  A refinement
+    several stories shared in lock-step is one ``calibration.refine`` span
+    under the shard's fit span, with a ``stories`` attribute.  Grid spans
+    carry the calibration's ``engine`` and ``candidates``, read through the
+    ``dl`` fitter's
+    :meth:`~repro.core.prediction.BatchPredictor.calibration_details_for`.
     """
-    predictor = getattr(fitter, "predictor", None)
-    if not isinstance(predictor, BatchPredictor):
-        return
     try:
-        details = predictor.calibration_details_for(name).get("details")
-        if not isinstance(details, dict):
-            return
-        refinement = details.get("refinement")
-        refine_seconds = (
-            float(refinement.get("seconds", 0.0))
-            if isinstance(refinement, dict)
-            else 0.0
-        )
-        grid_seconds = max(fit_seconds - refine_seconds, 0.0)
-        attributes: "dict[str, Any]" = {"story": name}
-        engine = details.get("engine")
-        if engine is not None:
-            attributes["engine"] = engine
-        candidates = details.get("candidates_evaluated")
-        if candidates is not None:
-            attributes["candidates"] = candidates
-        tracer.record_span(
-            "calibration.grid",
-            parent=parent,
-            start=fit_start,
-            duration=grid_seconds,
-            attributes=attributes,
-        )
-        if refine_seconds > 0.0:
-            tracer.record_span(
-                "calibration.refine",
+        own: "dict[str, list[FitPhase]]" = {name: [] for name in names}
+        for phase in shard.phases:
+            if len(phase.stories) == 1:
+                own[phase.stories[0]].append(phase)
+            else:
+                tracer.record_span(
+                    "calibration.refine",
+                    parent=parent,
+                    start=phase.start,
+                    duration=phase.seconds,
+                    attributes={"stories": len(phase.stories)},
+                )
+        predictor = getattr(fitter, "predictor", None)
+        for name, phases in own.items():
+            attributes: "dict[str, Any]" = {"story": name}
+            error = shard.failures.get(name)
+            if error is not None:
+                attributes["error"] = type(error).__name__
+            story_ctx = tracer.record_span(
+                "story.fit",
                 parent=parent,
-                start=fit_start + grid_seconds,
-                duration=refine_seconds,
-                attributes={"story": name},
+                start=phases[0].start if phases else time.time(),
+                duration=sum(phase.seconds for phase in phases),
+                attributes=attributes,
             )
+            for phase in phases:
+                if phase.name == "fit":
+                    continue
+                attributes = {"story": name}
+                if phase.name == "refine":
+                    attributes["stories"] = 1
+                elif isinstance(predictor, BatchPredictor) and error is None:
+                    details = predictor.calibration_details_for(name).get("details", {})
+                    for key, label in (
+                        ("engine", "engine"),
+                        ("candidates_evaluated", "candidates"),
+                    ):
+                        if key in details:
+                            attributes[label] = details[key]
+                tracer.record_span(
+                    f"calibration.{phase.name}",
+                    parent=story_ctx,
+                    start=phase.start,
+                    duration=phase.seconds,
+                    attributes=attributes,
+                )
     except Exception:  # noqa: BLE001 - instrumentation must never fail a solve
         return
 
@@ -202,10 +218,12 @@ def solve_shard_payload(
 ) -> "dict[str, object]":
     """Solve one shard payload: the single shard-numerics path of the service.
 
-    Resolves the shard's model from the registry, fits each story in
-    isolation (a story whose *fit* fails maps to its own exception without
-    poisoning shard-mates) and evaluates every fitted story in one joint
-    call -- for ``dl`` that is the batched spatial-group solve.  Every
+    Resolves the shard's model from the registry, fits the shard through
+    :meth:`~repro.models.base.BatchFitter.fit_shard` (a story whose *fit*
+    fails maps to its own exception without poisoning shard-mates; for
+    ``dl`` the calibrations refine in lock-step) and evaluates every fitted
+    story in one joint call -- for ``dl`` that is the batched
+    spatial-group solve.  Every
     backend lands here, which is what makes their results bit-identical:
     the backends only choose *where* this function runs, never *how* it
     computes.
@@ -231,43 +249,17 @@ def solve_shard_payload(
         name: materialize_surface(surface)
         for name, surface in payload.surfaces.items()
     }
-    outcomes: "dict[str, object]" = {}
-    fitted: "list[str]" = []
     fit_t0 = time.perf_counter() if inst is not None else 0.0
     fit_span = (
         tracer.span("solve.fit", parent=parent, attributes={"stories": len(surfaces)})
         if traced
         else None
     )
-    for name, surface in surfaces.items():
-        story_start = time.time()
-        story_t0 = time.perf_counter()
-        try:
-            fitter.fit_story(name, surface, key.training_times)
-            fitted.append(name)
-        except Exception as error:  # noqa: BLE001 - per-story failure
-            outcomes[name] = error
-            if traced:
-                tracer.record_span(
-                    "story.fit",
-                    parent=fit_span,
-                    start=story_start,
-                    duration=time.perf_counter() - story_t0,
-                    attributes={"story": name, "error": type(error).__name__},
-                )
-            continue
-        if traced:
-            fit_seconds = time.perf_counter() - story_t0
-            story_ctx = tracer.record_span(
-                "story.fit",
-                parent=fit_span,
-                start=story_start,
-                duration=fit_seconds,
-                attributes={"story": name},
-            )
-            _record_calibration_phases(
-                tracer, story_ctx, fitter, name, story_start, fit_seconds
-            )
+    shard = fitter.fit_shard(surfaces, key.training_times)
+    outcomes: "dict[str, object]" = dict(shard.failures)
+    fitted = [name for name in surfaces if name not in shard.failures]
+    if traced:
+        _record_fit_spans(tracer, fit_span, fitter, list(surfaces), shard)
     if fit_span is not None:
         fit_span.finish()
     if inst is not None:

@@ -46,6 +46,11 @@ from repro.core.registry import Registry
 LINE_LIMIT = 16 * 1024 * 1024
 
 
+#: Schemes :func:`parse_address` parses itself; any other registered
+#: scheme is handed its address text after the colon as ``path``.
+_BUILTIN_SCHEMES = ("stdio", "unix", "tcp")
+
+
 class AddressError(ValueError):
     """An address string does not parse under the transport grammar."""
 
@@ -60,17 +65,20 @@ class Address:
     port: "int | None" = None
 
     def __str__(self) -> str:
-        if self.scheme == "unix":
-            return f"unix:{self.path}"
         if self.scheme == "tcp":
             return f"tcp:{self.host}:{self.port}"
+        if self.path is not None:
+            return f"{self.scheme}:{self.path}"
         return self.scheme
 
 
 def parse_address(spec: "str | Address") -> Address:
-    """Parse ``unix:/path``, ``tcp:host:port``, ``stdio`` or a bare path.
+    """Parse ``unix:/path``, ``tcp:host:port``, ``stdio``, ``SCHEME:REST`` or a bare path.
 
-    A bare string with no recognised scheme prefix is a Unix socket path.
+    ``SCHEME:REST``, where ``SCHEME`` names a transport registered in
+    :data:`TRANSPORTS` beyond the built-in three, parses to
+    ``Address(SCHEME, path=REST)`` for that transport to interpret.  A
+    string with any other prefix is a bare Unix socket path.
     """
     if isinstance(spec, Address):
         return spec
@@ -100,6 +108,9 @@ def parse_address(spec: "str | Address") -> Address:
         if not 0 <= port <= 65535:
             raise AddressError(f"address {text!r} port {port} is out of range")
         return Address(scheme="tcp", host=host, port=port)
+    scheme, sep, rest = text.partition(":")
+    if sep and scheme not in _BUILTIN_SCHEMES and scheme in TRANSPORTS:
+        return Address(scheme=scheme, path=rest)
     # A bare path is a Unix socket path.
     return Address(scheme="unix", path=text)
 

@@ -397,6 +397,38 @@ class TestPredictedNewtonStep:
         # The logistic fixed point: everything ends at the capacity.
         np.testing.assert_allclose(solution.states[-1], 25.0, rtol=1e-3)
 
+    def test_stiff_uneven_steps_land_on_the_crank_nicolson_fixed_point(self):
+        # The AB2 predictor extrapolates from the last two steps, scaled by
+        # c = dt / dt_prev; with r = 100 and step ratios from 1/5 to 5 that
+        # extrapolation is far off, but only the starting point of the
+        # iteration changes: every step must still satisfy the
+        # Crank-Nicolson equations.  One output row per step checks each.
+        from repro.numerics.finite_difference import second_derivative
+
+        batch, capacity, rate = 4, 25.0, 100.0
+        diffusion = np.asarray([0.01, 0.05] * 2)
+        problem = logistic_batch_problem(
+            diffusion,
+            num_points=33,
+            growth=(np.zeros(batch), np.zeros(batch), np.full(batch, rate)),
+        )
+        steps = [0.01, 0.05, 0.01, 0.002, 0.01, 0.05, 0.02, 0.05, 0.05, 0.004, 0.02]
+        times = np.cumsum([1.0, *steps])
+        solution = ReactionDiffusionSolver(max_step=0.05).solve_batch(problem, times)
+        assert solution.metadata["steps"] == len(steps)
+        states = solution.states
+        assert np.isfinite(states).all()
+        spacing = problem.grid.spacing
+
+        def explicit_half(u, h):
+            return h * (diffusion * second_derivative(u, spacing) + rate * u * (1 - u / capacity))
+
+        for k in range(len(steps)):
+            h = 0.5 * (times[k + 1] - times[k])
+            u, v = states[k], states[k + 1]
+            residual = (v - explicit_half(v, h)) - (u + explicit_half(u, h))
+            assert np.max(np.abs(residual)) < 1e-8 * capacity
+
 
 class TestStackedSolve:
     def test_interleaved_equal_groups_are_bit_identical_to_solving_alone(self):
@@ -438,16 +470,18 @@ class TestStackedSolve:
             assert_bit_identical(batched.states[:, :, j], alone[j].states)
 
     @pytest.mark.parametrize(
-        "diffusion_rates, num_points",
-        [([0.01, 0.01, 0.05], 21), ([0.01, 0.05, 0.01, 0.05], 2)],
+        "diffusion_rates, num_points, stacked",
+        [([0.01, 0.01, 0.05], 21, True), ([0.01, 0.05, 0.01, 0.05], 2, False)],
         ids=["unequal-groups", "two-point-grid"],
     )
-    def test_falls_back_to_per_group_solves(self, diffusion_rates, num_points):
+    def test_falls_back_to_per_group_solves(self, diffusion_rates, num_points, stacked):
+        # Unequal diffusion groups are one stacked call (one block per
+        # column); only a grid under 3 points solves group by group.
         problem = logistic_batch_problem(diffusion_rates, num_points=num_points)
         solver = ReactionDiffusionSolver(max_step=0.05)
         times = [1.0, 2.0]
         batched = solver.solve_batch(problem, times)
-        assert batched.metadata["stacked_solve"] is False
+        assert batched.metadata["stacked_solve"] is stacked
         for j in range(problem.batch_size):
             alone = solver.solve(problem.column_problem(j), times)
             assert_bit_identical(batched.states[:, :, j], alone.states)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numerics.finite_difference import laplacian_matrix, laplacian_tridiagonal
+from repro.numerics.finite_difference import laplacian_matrix
 from repro.numerics.operator_cache import (
     OPERATOR_MODES,
     BandedFactorization,
@@ -223,15 +223,19 @@ class TestStackedOperator:
             solved = stacked.solve(rhs.reshape((groups * num_points, -1), order="F"))
         assert not np.isfinite(solved[num_points:]).all()
 
-    def test_cached_per_key_and_cleared_with_the_others(self):
+    def test_assembled_per_call_from_the_cached_rate_factors(self):
+        # Nothing keyed by a column layout is cached: each call assembles
+        # its blocks from the per-rate operators, which are cache hits.
         clear_operator_caches()
         first = stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES)
-        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES) is first
-        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES[::-1]) is not first
-        stats = cache_stats()["stacked_crank_nicolson_operator"]
-        assert (stats["hits"], stats["misses"]) == (1, 2)
-        clear_operator_caches()
-        assert cache_stats()["stacked_crank_nicolson_operator"]["currsize"] == 0
+        assert stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES) is not first
+        stats = cache_stats()
+        assert "stacked_crank_nicolson_operator" not in stats
+        operators = stats["crank_nicolson_operator"]
+        assert (operators["misses"], operators["hits"]) == (3, 3)
+        rhs = np.random.default_rng(2).random((11 * len(self.RATES), 2))
+        again = stacked_crank_nicolson_operator(11, 0.1, 0.05, self.RATES)
+        np.testing.assert_array_equal(again.solve(rhs), first.solve(rhs))
 
     def test_one_rate_shares_the_plain_factorization(self):
         plain = crank_nicolson_operator(11, 0.1, 0.05, 0.02, "banded")
@@ -249,3 +253,58 @@ class TestStackedOperator:
         expected = operator.solve(rhs)
         assert operator.solve(rhs, overwrite=True) is rhs
         np.testing.assert_array_equal(rhs, expected)
+
+
+class TestSymmetricLDLSolve:
+    """The LDL^T solve of ``W M`` (first and last row halved) against LAPACK's dense solve."""
+
+    @given(
+        num_points=st.integers(min_value=2, max_value=60),
+        spacing=st.floats(min_value=0.01, max_value=2.0),
+        dt=st.floats(min_value=1e-4, max_value=1.0),
+        diffusion=st.floats(min_value=1e-4, max_value=5.0),
+        columns=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_numpy_solve(self, num_points, spacing, dt, diffusion, columns, seed):
+        matrix = dense_lhs(num_points, spacing, dt, diffusion)
+        rhs = np.random.default_rng(seed).normal(size=(num_points, columns))
+        expected = np.linalg.solve(matrix, rhs)
+        scale = np.linalg.cond(matrix) * (np.max(np.abs(expected)) + 1.0)
+        bands = (np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1))
+        for factorization in (BandedFactorization(*bands), ThomasFactorization(*bands)):
+            solution = factorization.solve(rhs)
+            assert np.max(np.abs(solution - expected)) < 1e-13 * scale
+        # The right-hand side is left as it was (the halving works on a copy).
+        np.testing.assert_array_equal(
+            rhs, np.random.default_rng(seed).normal(size=(num_points, columns))
+        )
+
+    @given(
+        num_points=st.integers(min_value=3, max_value=30),
+        rates=st.lists(st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.1]), min_size=2, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_block_per_column_matches_numpy_solve(self, num_points, rates, seed):
+        # The batch layout of the engine: an F-ordered (n, columns) state,
+        # flattened, is one right-hand side of the block-diagonal operator.
+        spacing, dt = 0.125, 0.05
+        rhs = np.asfortranarray(np.random.default_rng(seed).normal(size=(num_points, len(rates))))
+        expected = np.column_stack(
+            [
+                np.linalg.solve(dense_lhs(num_points, spacing, dt, rate), rhs[:, j])
+                for j, rate in enumerate(rates)
+            ]
+        )
+        stacked = stacked_crank_nicolson_operator(num_points, spacing, dt, rates)
+        stacked.solve(rhs.reshape(-1, order="F"), overwrite=True)
+        assert np.max(np.abs(rhs - expected)) < 1e-12 * (np.max(np.abs(expected)) + 1.0)
+
+    def test_crank_nicolson_bands_take_the_lapack_ldl_path(self):
+        operator = crank_nicolson_operator(17, 0.25, 0.05, 0.02, "banded")
+        assert operator._twin is None
+        # Bands that halving does not symmetrize go through the numpy twin.
+        general = BandedFactorization(np.full(4, 0.3), np.full(5, 2.0), np.full(4, -0.1))
+        assert general._twin is not None

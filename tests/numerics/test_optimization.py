@@ -6,6 +6,7 @@ import pytest
 from repro.numerics.optimization import (
     FitResult,
     grid_search,
+    grouped_multi_start_least_squares,
     least_squares_fit,
     mean_relative_error,
     multi_start_least_squares,
@@ -415,6 +416,69 @@ class TestActiveSetStep:
         assert result.converged.all()
         assert calls == [1, 2]
         np.testing.assert_array_equal(result.start_parameters, [[0.0, 1.0]])
+
+
+class TestGroupedStarts:
+    """Several problems in lock-step: each group equals refining it alone."""
+
+    T = np.linspace(0.0, 5.0, 30)
+    TARGETS = (
+        1.2 * np.exp(-0.8 * T) - 0.05,  # optimum with c on its bound
+        0.7 * np.exp(-1.5 * T) + 0.3,  # interior optimum
+        np.full(30, np.nan),  # no finite loss anywhere
+    )
+    BOUNDS = ([0.0, 0.05, 0.0], [6.0, 6.0, 0.6])
+    SEEDS = ([[1.0, 1.0, 0.1], [2.0, 0.5, 0.25]], [[0.5, 0.5, 0.5]], [[1.0, 1.0, 1.0]])
+
+    @classmethod
+    def problem(cls, group):
+        def residual_batch(points, start_indices):
+            return [a * np.exp(-b * cls.T) + c - cls.TARGETS[group] for a, b, c in points]
+
+        return residual_batch
+
+    def test_each_group_equals_its_solo_refinement(self):
+        groups = np.repeat([0, 1, 2], [len(seeds) for seeds in self.SEEDS])
+        calls: "list[int]" = []
+
+        def residual_batch(points, start_indices):
+            calls.append(len(points))
+            return [
+                self.problem(groups[s])(point[None, :], [s])[0]
+                for point, s in zip(points, start_indices)
+            ]
+
+        fits = grouped_multi_start_least_squares(
+            residual_batch,
+            [seed for seeds in self.SEEDS for seed in seeds],
+            groups,
+            bounds=self.BOUNDS,
+            names=("a", "b", "c"),
+        )
+        assert fits[2] is None
+        solo = [
+            multi_start_least_squares(
+                self.problem(group), self.SEEDS[group], bounds=self.BOUNDS, names=("a", "b", "c")
+            )
+            for group in (0, 1)
+        ]
+        for fit, alone in zip(fits, solo):
+            np.testing.assert_array_equal(fit.start_parameters, alone.start_parameters)
+            np.testing.assert_array_equal(fit.start_losses, alone.start_losses)
+            np.testing.assert_array_equal(fit.converged, alone.converged)
+            assert fit.best_start == alone.best_start
+            np.testing.assert_array_equal(fit.best.parameters, alone.best.parameters)
+            assert vars(fit.best).keys() == vars(alone.best).keys()
+            for key in ("loss", "success", "n_evaluations", "message", "names"):
+                assert getattr(fit.best, key) == getattr(alone.best, key), key
+            for counter in ("iterations", "residual_batches", "n_evaluations"):
+                assert getattr(fit, counter) == getattr(alone, counter), counter
+        # The groups shared their calls: as many as the longest one needs.
+        assert len(calls) == max(alone.residual_batches for alone in solo)
+
+    def test_rejects_mismatched_groups(self):
+        with pytest.raises(ValueError, match="groups"):
+            grouped_multi_start_least_squares(self.problem(0), self.SEEDS[0], [0])
 
 
 class TestGridSearch:

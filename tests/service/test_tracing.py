@@ -281,6 +281,44 @@ class TestServicePropagation:
         assert grid["attributes"]["engine"] == "batched"
         assert refine["duration"] > 0.0
 
+    def test_shared_refinement_is_one_span_per_shard(self, surfaces):
+        # Two calibrating stories in one shard refine in lock-step: each
+        # keeps its own story.fit span with its grid, and the shared
+        # refinement is recorded once, under the shard's fit span.
+        tracer = Tracer()
+        pair = {name: surfaces[name] for name in ("story0", "story1")}
+
+        async def run():
+            async with PredictionService(tracer=tracer, max_shard_size=8) as service:
+                parent = tracer.span("job", attributes={"job": "j1"})
+                jobs = [
+                    await service.submit(
+                        name, surface, TRAINING_TIMES, EVALUATION_TIMES, trace=parent.context
+                    )
+                    for name, surface in pair.items()
+                ]
+                for job in jobs:
+                    await job.wait()
+                parent.finish()
+                return jobs, parent
+
+        jobs, parent = asyncio.run(run())
+        assert all(job.status is JobStatus.SUCCEEDED for job in jobs)
+        records = tracer.spans(parent.trace_id)
+        assert validate_trace(records, parent.trace_id) == []
+        by_id = {r["span_id"]: r for r in records}
+        (fit,) = [r for r in records if r["name"] == "solve.fit"]
+        (refine,) = [r for r in records if r["name"] == "calibration.refine"]
+        assert refine["parent_id"] == fit["span_id"]
+        assert refine["attributes"]["stories"] == 2
+        story_fits = [r for r in records if r["name"] == "story.fit"]
+        assert sorted(r["attributes"]["story"] for r in story_fits) == sorted(pair)
+        grids = [r for r in records if r["name"] == "calibration.grid"]
+        assert sorted(by_id[r["parent_id"]]["attributes"]["story"] for r in grids) == sorted(pair)
+        # No time counted twice: the story fits and the shared refinement
+        # fit inside the shard's fit span.
+        assert sum(r["duration"] for r in story_fits) + refine["duration"] <= fit["duration"]
+
     def test_phase_histograms_populate_without_tracing(self, surfaces):
         async def run():
             async with PredictionService(

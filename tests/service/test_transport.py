@@ -24,6 +24,7 @@ from repro.service import DaemonClient, PredictionDaemon, transport
 from repro.service.transport import (
     Address,
     AddressError,
+    Listener,
     TRANSPORTS,
     TransportSpec,
     UnixListener,
@@ -133,6 +134,25 @@ class TestTransportRegistry:
         finally:
             TRANSPORTS.register("unix", builtin, overwrite=True)
         assert type(create_listener(address)) is UnixListener
+
+    def test_registered_custom_scheme_is_reachable(self, tmp_path):
+        # A transport registered under a new scheme gets its own addresses;
+        # an unregistered prefix still reads as a bare Unix path.
+        class MemoryListener(Listener):
+            scheme = "mem"
+
+        assert parse_address("mem:x") == Address(scheme="unix", path="mem:x")
+        TRANSPORTS.register("mem", TransportSpec(description="in memory", listener=MemoryListener))
+        try:
+            listener = create_listener("mem:x")
+            assert isinstance(listener, MemoryListener)
+            assert listener.address == Address(scheme="mem", path="x")
+            assert str(listener.address) == "mem:x"
+            assert parse_address(str(listener.address)) == listener.address
+        finally:
+            TRANSPORTS.unregister("mem")
+        assert parse_address("mem:x") == Address(scheme="unix", path="mem:x")
+        assert str(parse_address(f"{tmp_path}/d.sock")) == f"unix:{tmp_path}/d.sock"
 
     def test_stdio_cannot_be_dialled(self):
         async def run():

@@ -470,14 +470,15 @@ class TestServeBatch:
         # failure, 1 means nothing scored, 2 means bad configuration.
         from repro.core.prediction import BatchPredictor
 
-        original = BatchPredictor.fit_story
+        original = BatchPredictor._fit_story
 
-        def failing(self, name, observed, training_times=None):
+        # _fit_story is what fit_story and the shard path's fit_shard share.
+        def failing(self, name, observed, training_times=None, calibration=None):
             if name == "doomed":
                 raise ValueError("synthetic per-story fit failure")
-            return original(self, name, observed, training_times)
+            return original(self, name, observed, training_times, calibration)
 
-        monkeypatch.setattr(BatchPredictor, "fit_story", failing)
+        monkeypatch.setattr(BatchPredictor, "_fit_story", failing)
         inline = {
             "distances": [1, 2, 3, 4, 5],
             "times": [1, 2, 3, 4],
@@ -515,10 +516,10 @@ class TestServeBatch:
         # there are none, so the exit code must stay 1.
         from repro.core.prediction import BatchPredictor
 
-        def failing(self, name, observed, training_times=None):
+        def failing(self, name, observed, training_times=None, calibration=None):
             raise ValueError("synthetic per-story fit failure")
 
-        monkeypatch.setattr(BatchPredictor, "fit_story", failing)
+        monkeypatch.setattr(BatchPredictor, "_fit_story", failing)
         manifest = write_manifest(
             tmp_path,
             {

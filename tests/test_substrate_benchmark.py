@@ -1,8 +1,10 @@
-"""The substrate benchmark's gates: the corpus.io RSS child, the iteration ceilings and scoring."""
+"""The substrate benchmark's gates: the corpus.io RSS child, the iteration ceilings, scoring
+and the lock-step shard calibration."""
 
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 import os
 import sys
 from pathlib import Path
@@ -101,3 +103,34 @@ def test_scoring_section_matches_its_scalar_reference():
     assert report["cells_per_story"] == 25
     assert report["max_accuracy_delta_vs_scalar"] == 0.0
     assert report["seconds_per_story"] > 0.0
+
+
+def _shard_gate_verdict(delta) -> bool:
+    gate = _load("check_regression")
+    report = {"calibration": {"shard": {"max_parameter_delta_vs_story": delta}}}
+    (verdict,) = [
+        ok
+        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
+        if "calibration.shard.max_parameter_delta_vs_story" in line
+    ]
+    return verdict
+
+
+@pytest.mark.parametrize("field", ["diffusion_rate", "floor", "carrying_capacity"])
+def test_shard_parameter_delta_gate_trips_on_one_ulp(field):
+    # A lock-step shard calibration must give every story exactly the
+    # parameters of calibrating it alone: one ulp of difference in any
+    # fitted parameter fails the gate.
+    from repro import PAPER_S1_HOP_PARAMETERS
+
+    bench = _load_benchmark()
+    alone = PAPER_S1_HOP_PARAMETERS
+    if field == "floor":
+        rate = alone.growth_rate
+        nudged = replace(alone, growth_rate=replace(rate, floor=np.nextafter(rate.floor, 1.0)))
+    else:
+        nudged = replace(alone, **{field: float(np.nextafter(getattr(alone, field), np.inf))})
+    same = bench._parameter_delta(alone, alone)
+    off = bench._parameter_delta(alone, nudged)
+    assert same == 0.0 and _shard_gate_verdict(same)
+    assert 0.0 < off and not _shard_gate_verdict(off)
