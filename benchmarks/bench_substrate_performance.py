@@ -106,6 +106,7 @@ from repro.service import (
 from repro.network.distance import friendship_hop_distances
 from repro.network.generators import DiggLikeGraphConfig, generate_digg_like_graph
 from repro.numerics import operator_cache
+from repro.numerics.backends import InternalBackend
 from repro.numerics.grid import UniformGrid
 from repro.numerics.operator_cache import clear_operator_caches
 from repro.numerics.pde_solver import ReactionDiffusionProblem, ReactionDiffusionSolver
@@ -361,7 +362,9 @@ def run_operator_mode_benchmark(num_points: int = 4000, quick: bool = False) -> 
     dense_states = None
     for mode in ("dense", "banded", "thomas"):
         clear_operator_caches()
-        solver = ReactionDiffusionSolver(max_step=max_step, operator=mode)
+        solver = ReactionDiffusionSolver(
+            max_step=max_step, backend=InternalBackend(operator_mode=mode)
+        )
         solver.solve(problem, [1.0 + max_step])  # pay the factorization up front
         start = time.perf_counter()
         solution = solver.solve(problem, [horizon])
@@ -1246,7 +1249,6 @@ def run_convergence_benchmark(quick: bool = False) -> dict:
             PAPER_S1_HOP_PARAMETERS,
             points_per_unit=points_per_unit,
             max_step=max_step,
-            operator="banded",
         )
         start = time.perf_counter()
         surface = model.predict(phi, times)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, default_training_times
 from repro.core.errors import NotFittedError
 
 
@@ -58,7 +58,7 @@ class LinearInfluenceBaseline:
     ) -> "LinearInfluenceBaseline":
         """Estimate the influence matrix from the training window's increments."""
         if training_times is None:
-            training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+            training_times = default_training_times(observed)
         training = observed.restrict_times(sorted(float(t) for t in training_times))
         if training.times.size < 3:
             raise ValueError("the Linear Influence baseline needs at least three training times")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface
+from repro.cascade.density import DensitySurface, default_training_times
 from repro.core.errors import NotFittedError
 from repro.numerics.ode import (
     LogisticCurve,
@@ -70,7 +70,7 @@ class PerDistanceLogisticBaseline:
         last training value.
         """
         if training_times is None:
-            training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+            training_times = default_training_times(observed)
         training = observed.restrict_times(sorted(float(t) for t in training_times))
         self._unit = observed.unit
 

@@ -187,6 +187,15 @@ def label_indices(
     return indices
 
 
+def default_training_times(surface: DensitySurface) -> "list[float]":
+    """The paper's training window: the surface's first six observed hours.
+
+    Hour 1 provides the initial density phi and hours 2..6 the fitting
+    targets (fewer when the surface has fewer hours).
+    """
+    return [float(t) for t in surface.times[:6]]
+
+
 def materialize_surface(surface) -> DensitySurface:
     """A concrete :class:`DensitySurface` from a surface or a lazy handle.
 

@@ -72,14 +72,11 @@ Five subcommands cover the common workflows without writing any Python:
 The prediction commands accept ``--backend`` to pick the PDE solver backend
 by registry name (``internal`` is the package's own Crank-Nicolson engine
 with banded operator caching; ``scipy`` delegates to ``solve_ivp`` for
-cross-validation) and ``--operator`` to pick the Crank-Nicolson operator
-factorization mode (``auto`` | ``banded`` | ``thomas`` | ``dense``;
-``thomas`` is the pure-numpy tridiagonal solver).  They also accept
-``--model`` to pick the prediction model by :mod:`repro.models` registry
-name (``dl``, ``logistic``, ``sis``, ``linear-influence``, or anything
-registered at runtime).  Unknown names exit with the engine's / registry's
-error message listing everything registered -- including names registered
-at runtime.
+cross-validation).  They also accept ``--model`` to pick the prediction
+model by :mod:`repro.models` registry name (``dl``, ``logistic``, ``sis``,
+``linear-influence``, or anything registered at runtime).  Unknown names
+exit with the engine's / registry's error message listing everything
+registered -- including names registered at runtime.
 
 Run ``python -m repro --help`` for the full argument reference.
 """
@@ -150,17 +147,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
             "cross-validates through scipy.integrate.solve_ivp"
         ),
     )
-    # Same runtime-validation rationale: unknown modes exit with the engine's
-    # own error message listing every registered operator mode.
-    parser.add_argument(
-        "--operator",
-        default="auto",
-        help=(
-            "Crank-Nicolson operator factorization mode: 'auto' (the "
-            "backend's default, banded for the internal engine), 'banded', "
-            "'thomas' (pure-numpy tridiagonal solver) or 'dense'"
-        ),
-    )
 
 
 def _add_model_argument(
@@ -185,12 +171,12 @@ def _add_model_argument(
 def _check_names(args: argparse.Namespace, models: "Iterable[str | None]") -> "str | None":
     """Check every registry name a command was given, before any work.
 
-    Covers ``--backend`` / ``--operator`` (the solver engine's own
-    checks), each of ``models`` (``None`` means "not given") and
-    ``--executor``, on the commands that have them.  Returns the first
-    error message (for stderr), or None when every name resolves; an
-    omitted ``--workers`` then becomes the executor's default pool size
-    (1 thread, 4 processes or in-flight cluster shards).
+    Covers ``--backend`` (the solver engine's own check), each of
+    ``models`` (``None`` means "not given") and ``--executor``, on the
+    commands that have them.  Returns the first error message (for
+    stderr), or None when every name resolves; an omitted ``--workers``
+    then becomes the executor's default pool size (1 thread, 4 processes
+    or in-flight cluster shards).
     """
     from repro.core.errors import UnknownNameError
     from repro.models import MODELS
@@ -199,7 +185,7 @@ def _check_names(args: argparse.Namespace, models: "Iterable[str | None]") -> "s
 
     try:
         if hasattr(args, "backend"):
-            ReactionDiffusionSolver(backend=args.backend, operator=args.operator)
+            ReactionDiffusionSolver(backend=args.backend)
         for model in models:
             if model is not None:
                 MODELS.get(model)
@@ -207,7 +193,7 @@ def _check_names(args: argparse.Namespace, models: "Iterable[str | None]") -> "s
             default_workers = executor_default_workers(args.executor)
             if args.workers is None:
                 args.workers = default_workers
-    except (UnknownNameError, ValueError) as error:
+    except UnknownNameError as error:
         return f"error: {error}"
     return None
 
@@ -886,7 +872,7 @@ def _model_spec(args: argparse.Namespace, model: str, batch_calibration: bool):
 
     return ModelSpec(
         name=model,
-        solver=SolverConfig(backend=args.backend, operator=args.operator),
+        solver=SolverConfig(backend=args.backend),
         calibration=CalibrationConfig(batch=batch_calibration),
     )
 
@@ -1010,7 +996,6 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
             "metric": args.metric,
             "hours": args.hours,
             "backend": args.backend,
-            "operator": args.operator,
             "model": args.model,
             "calibration": "sequential" if args.sequential_calibration else "batched",
             "overall_accuracy": results.overall_accuracy,
@@ -1120,7 +1105,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
     async def run():
         async with PredictionService(
-            solver=SolverConfig(backend=args.backend, operator=args.operator),
+            solver=SolverConfig(backend=args.backend),
             calibration=CalibrationConfig(batch=not args.sequential_calibration),
             max_workers=args.workers,
             executor=args.executor,
@@ -1325,7 +1310,7 @@ def _command_daemon(args: argparse.Namespace) -> int:
         resume=args.resume,
         trace=args.trace,
         trace_dir=args.trace_dir,
-        solver=SolverConfig(backend=args.backend, operator=args.operator),
+        solver=SolverConfig(backend=args.backend),
         calibration=CalibrationConfig(batch=not args.sequential_calibration),
         max_workers=args.workers,
         executor=args.executor,
@@ -1665,7 +1650,7 @@ def _command_compare(args: argparse.Namespace) -> int:
         models=args.models,
         training_times=training_times,
         evaluation_times=training_times[1:],
-        solver=SolverConfig(backend=args.backend, operator=args.operator),
+        solver=SolverConfig(backend=args.backend),
     )
 
     report = sys.stderr if args.json == "-" else sys.stdout

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface, label_indices
+from repro.cascade.density import DensitySurface, default_training_times, label_indices
 from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch_states
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
@@ -167,7 +167,6 @@ def _prediction_residuals(
     points_per_unit: int,
     max_step: float,
     backend: str = "internal",
-    operator: str = "auto",
 ) -> np.ndarray:
     """Residuals of one candidate, computed through a sequential solve."""
     model = DiffusiveLogisticModel(
@@ -175,42 +174,9 @@ def _prediction_residuals(
         points_per_unit=points_per_unit,
         max_step=max_step,
         backend=backend,
-        operator=operator,
     )
     predicted = model.predict(initial_density, list(target_times), observed.distances)
     return _surface_residuals(predicted, observed, target_times)
-
-
-def _batch_prediction_residuals(
-    parameter_sets: Sequence[DLParameters],
-    initial_density: InitialDensity,
-    observed: DensitySurface,
-    target_times: Sequence[float],
-    points_per_unit: int,
-    max_step: float,
-    backend: str = "internal",
-    operator: str = "auto",
-) -> "list[np.ndarray]":
-    """Residuals of many candidates, all advanced in one batched solve.
-
-    Every candidate is sampled at once from the ``(times, nodes, batch)``
-    state tensor; each returned vector equals :func:`_surface_residuals` of
-    that candidate bit for bit and is C-contiguous (``np.dot`` on a strided
-    view may round differently, which the refinement would amplify).
-    The calibration's own evaluations go through :meth:`_Settings.residuals`.
-    """
-    solution = solve_dl_batch_states(
-        parameter_sets,
-        initial_density,
-        list(target_times),
-        points_per_unit=points_per_unit,
-        max_step=max_step,
-        backend=backend,
-        operator=operator,
-    )
-    targets = _ResidualTargets.of(observed, target_times)
-    sampled = solution.sample_surface(observed.distances)
-    return list(_sampled_residuals(sampled, solution.times, targets, target_times))
 
 
 def _sampled_residuals(
@@ -249,7 +215,6 @@ def fit_growth_rate(
     max_step: float = 0.05,
     initial_guess: "Sequence[float] | None" = None,
     backend: str = "internal",
-    operator: str = "auto",
 ) -> CalibrationResult:
     """Fit the exponential-decay growth rate with d and K fixed.
 
@@ -271,11 +236,9 @@ def fit_growth_rate(
         the batched calibration passes its grid winner here.
     backend:
         Solver backend used for the residual solves.
-    operator:
-        Crank-Nicolson operator factorization mode forwarded to the solver.
     """
     if training_times is None:
-        training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+        training_times = default_training_times(observed)
     training = _training_surface(observed, training_times)
     initial_density = InitialDensity.from_surface(training)
     target_times = [float(t) for t in training.times[1:]]
@@ -300,7 +263,6 @@ def fit_growth_rate(
             points_per_unit,
             max_step,
             backend=backend,
-            operator=operator,
         )
 
     fit = least_squares_fit(
@@ -328,6 +290,9 @@ def fit_growth_rate(
     )
 
 
+DEFAULT_DIFFUSION_GRID = (0.005, 0.01, 0.02, 0.05, 0.1)
+"""Diffusion-rate candidates every calibration path searches."""
+
 DEFAULT_AMPLITUDE_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_DECAY_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_FLOOR_GRID = (0.05, 0.1, 0.25, 0.5)
@@ -338,12 +303,11 @@ def calibrate_dl_model(
     observed: DensitySurface,
     training_times: "Sequence[float] | None" = None,
     carrying_capacity: "float | None" = None,
-    diffusion_candidates: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.1),
+    diffusion_candidates: Sequence[float] = DEFAULT_DIFFUSION_GRID,
     points_per_unit: int = 8,
     max_step: float = 0.05,
     batch: bool = False,
     backend: str = "internal",
-    operator: str = "auto",
 ) -> CalibrationResult:
     """Joint calibration of (d, r(t)-parameters) with K from the heuristic.
 
@@ -372,12 +336,11 @@ def calibrate_dl_model(
             points_per_unit=points_per_unit,
             max_step=max_step,
             backend=backend,
-            operator=operator,
         )
     if carrying_capacity is None:
         carrying_capacity = choose_carrying_capacity(observed)
     if training_times is None:
-        training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+        training_times = default_training_times(observed)
 
     best: "CalibrationResult | None" = None
     per_candidate: dict[float, float] = {}
@@ -390,7 +353,6 @@ def calibrate_dl_model(
             points_per_unit=points_per_unit,
             max_step=max_step,
             backend=backend,
-            operator=operator,
         )
         per_candidate[float(candidate)] = result.loss
         if best is None or result.loss < best.loss:
@@ -405,7 +367,7 @@ def calibrate_dl_model_batched(
     observed: DensitySurface,
     training_times: "Sequence[float] | None" = None,
     carrying_capacity: "float | None" = None,
-    diffusion_candidates: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.1),
+    diffusion_candidates: Sequence[float] = DEFAULT_DIFFUSION_GRID,
     amplitude_grid: Sequence[float] = DEFAULT_AMPLITUDE_GRID,
     decay_grid: Sequence[float] = DEFAULT_DECAY_GRID,
     floor_grid: Sequence[float] = DEFAULT_FLOOR_GRID,
@@ -415,7 +377,6 @@ def calibrate_dl_model_batched(
     refine_starts: int = 4,
     engine: str = "batched",
     backend: str = "internal",
-    operator: str = "auto",
 ) -> CalibrationResult:
     """Grid-then-refine calibration with vectorised candidate evaluation.
 
@@ -472,7 +433,6 @@ def calibrate_dl_model_batched(
         refine_starts=refine_starts,
         engine=engine,
         backend=backend,
-        operator=operator,
     )
     if isinstance(result, Exception):
         raise result
@@ -483,7 +443,7 @@ def calibrate_dl_shard(
     surfaces: Sequence[DensitySurface],
     training_times: "Sequence[float] | None" = None,
     carrying_capacity: "float | None" = None,
-    diffusion_candidates: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.1),
+    diffusion_candidates: Sequence[float] = DEFAULT_DIFFUSION_GRID,
     amplitude_grid: Sequence[float] = DEFAULT_AMPLITUDE_GRID,
     decay_grid: Sequence[float] = DEFAULT_DECAY_GRID,
     floor_grid: Sequence[float] = DEFAULT_FLOOR_GRID,
@@ -493,7 +453,6 @@ def calibrate_dl_shard(
     refine_starts: int = 4,
     engine: str = "batched",
     backend: str = "internal",
-    operator: str = "auto",
 ) -> "tuple[list[CalibrationResult | Exception], list[FitPhase]]":
     """:func:`calibrate_dl_model_batched` of many stories, refined in lock-step.
 
@@ -520,7 +479,7 @@ def calibrate_dl_shard(
         raise ValueError(f"engine must be 'batched' or 'sequential', got {engine!r}")
     if refine_starts < 1:
         raise ValueError(f"refine_starts must be >= 1, got {refine_starts}")
-    settings = _Settings(points_per_unit, max_step, engine, backend, operator)
+    settings = _Settings(points_per_unit, max_step, engine, backend)
     results: "list[CalibrationResult | Exception]" = []
     lockstep: "dict[tuple, list[int]]" = {}
     stages: "dict[int, _GridStage]" = {}
@@ -596,13 +555,12 @@ class _PhaseTimer:
 
 @dataclass(frozen=True)
 class _Settings:
-    """How a calibration solves: resolution, engine, backend and operator mode."""
+    """How a calibration solves: resolution, engine and backend."""
 
     points_per_unit: int
     max_step: float
     engine: str
     backend: str
-    operator: str
 
     def residuals(
         self, parameter_sets: "list[DLParameters]", stages: "list[_GridStage]"
@@ -623,7 +581,6 @@ class _Settings:
                     self.points_per_unit,
                     self.max_step,
                     backend=self.backend,
-                    operator=self.operator,
                 )
                 for parameters, stage in zip(parameter_sets, stages)
             ]
@@ -634,7 +591,6 @@ class _Settings:
             points_per_unit=self.points_per_unit,
             max_step=self.max_step,
             backend=self.backend,
-            operator=self.operator,
         )
         residuals: "list[np.ndarray]" = [np.empty(0)] * len(stages)
         # Sampled once per distinct set of distances (one for most shards).
@@ -699,7 +655,7 @@ def _grid_stage(
     if carrying_capacity is None:
         carrying_capacity = choose_carrying_capacity(observed)
     if training_times is None:
-        training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+        training_times = default_training_times(observed)
     training = _training_surface(observed, training_times)
     initial_density = InitialDensity.from_surface(training)
     target_times = [float(t) for t in training.times[1:]]
@@ -853,8 +809,6 @@ def _select_refinement_seeds(
     different basins of the non-convex loss) before falling back to the next
     best rows overall.  Rows with non-finite losses are never selected.
     """
-    if refine_starts < 1:
-        raise ValueError(f"refine_starts must be >= 1, got {refine_starts}")
     order = [int(i) for i in np.argsort(losses, kind="stable") if np.isfinite(losses[i])]
     chosen: list[int] = []
     seen_diffusions: set[float] = set()
@@ -878,9 +832,9 @@ def growth_rate_grid_result(
     observed: DensitySurface,
     diffusion_rate: float,
     carrying_capacity: float,
-    amplitude_grid: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
-    decay_grid: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
-    floor_grid: Sequence[float] = (0.05, 0.1, 0.25, 0.5),
+    amplitude_grid: Sequence[float] = DEFAULT_AMPLITUDE_GRID,
+    decay_grid: Sequence[float] = DEFAULT_DECAY_GRID,
+    floor_grid: Sequence[float] = DEFAULT_FLOOR_GRID,
     training_times: "Sequence[float] | None" = None,
     points_per_unit: int = 6,
     max_step: float = 0.1,
@@ -891,7 +845,7 @@ def growth_rate_grid_result(
     recovered growth-rate curve is to the paper's published Equation 7.
     """
     if training_times is None:
-        training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+        training_times = default_training_times(observed)
     training = _training_surface(observed, training_times)
     initial_density = InitialDensity.from_surface(training)
     target_times = [float(t) for t in training.times[1:]]

@@ -5,7 +5,7 @@ its solver and calibration settings as one of three frozen dataclasses,
 so adding a knob touches this module instead of every signature:
 
 * :class:`SolverConfig` -- the spatial/temporal discretisation and the
-  solver backend/operator pair.  Hashable, so it can join shard keys.
+  solver backend.  Hashable, so it can join shard keys.
 * :class:`CalibrationConfig` -- how DL parameters are calibrated from a
   training window (batched grid-then-refine vs sequential).
 * :class:`ModelSpec` -- the full description of one model workload:
@@ -21,7 +21,6 @@ from typing import Any, Mapping
 DEFAULT_POINTS_PER_UNIT = 20
 DEFAULT_MAX_STEP = 0.02
 DEFAULT_BACKEND = "internal"
-DEFAULT_OPERATOR = "auto"
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,13 @@ class SolverConfig:
         Maximum internal time step (hours).
     backend:
         Name of a registered PDE solver backend
-        (:data:`repro.numerics.backends.BACKENDS`).
-    operator:
-        Crank-Nicolson operator factorization mode
-        (``auto`` | ``banded`` | ``thomas`` | ``dense``).
+        (:data:`repro.numerics.backends.BACKENDS`).  The internal backend
+        solves Crank-Nicolson steps on its banded LDL^T operator.
     """
 
     points_per_unit: int = DEFAULT_POINTS_PER_UNIT
     max_step: float = DEFAULT_MAX_STEP
     backend: str = DEFAULT_BACKEND
-    operator: str = DEFAULT_OPERATOR
 
     def __post_init__(self) -> None:
         if self.points_per_unit < 1:
@@ -65,7 +61,6 @@ class SolverConfig:
             "points_per_unit": self.points_per_unit,
             "max_step": self.max_step,
             "backend": self.backend,
-            "operator": self.operator,
         }
 
 

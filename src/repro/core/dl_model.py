@@ -120,11 +120,11 @@ class DiffusiveLogisticModel:
     max_step:
         Maximum internal time step in hours.
     backend:
-        ``"internal"``, ``"thomas"`` or ``"scipy"`` (see
+        A registered backend name (``"internal"`` or ``"scipy"``) or a
+        :class:`~repro.numerics.backends.SolverBackend` instance, such as
+        ``InternalBackend(operator_mode="thomas")`` for a reference
+        factorization (see
         :class:`~repro.numerics.pde_solver.ReactionDiffusionSolver`).
-    operator:
-        Crank-Nicolson operator factorization mode (``"auto"``, ``"banded"``,
-        ``"thomas"`` or ``"dense"``), forwarded to the solver.
     """
 
     def __init__(
@@ -134,14 +134,13 @@ class DiffusiveLogisticModel:
         integrator: "TimeIntegrator | None" = None,
         max_step: float = 0.02,
         backend: str = "internal",
-        operator: str = "auto",
     ) -> None:
         if points_per_unit < 2:
             raise ValueError("points_per_unit must be at least 2")
         self._parameters = parameters
         self._points_per_unit = points_per_unit
         self._solver = ReactionDiffusionSolver(
-            integrator=integrator, max_step=max_step, backend=backend, operator=operator
+            integrator=integrator, max_step=max_step, backend=backend
         )
 
     @property
@@ -255,7 +254,6 @@ def solve_dl_batch(
     points_per_unit: int = 20,
     max_step: float = 0.02,
     backend: str = "internal",
-    operator: str = "auto",
     grid: "UniformGrid | None" = None,
 ) -> "list[DLSolution]":
     """Solve many DL problems in one batched PDE solve.
@@ -283,7 +281,6 @@ def solve_dl_batch(
         points_per_unit=points_per_unit,
         max_step=max_step,
         backend=backend,
-        operator=operator,
         grid=grid,
     )
     return [
@@ -303,7 +300,6 @@ def solve_dl_batch_states(
     points_per_unit: int = 20,
     max_step: float = 0.02,
     backend: str = "internal",
-    operator: str = "auto",
     grid: "UniformGrid | None" = None,
 ) -> BatchPDESolution:
     """:func:`solve_dl_batch` without the per-member split.
@@ -346,7 +342,7 @@ def solve_dl_batch_states(
         # column solves of an opaque reaction.
         column_reactions=[p.reaction for p in parameter_sets],
     )
-    solver = ReactionDiffusionSolver(max_step=max_step, backend=backend, operator=operator)
+    solver = ReactionDiffusionSolver(max_step=max_step, backend=backend)
     return solver.solve_batch(problem, times)
 
 

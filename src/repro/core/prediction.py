@@ -27,7 +27,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.cascade.density import DensitySurface, first_match_indices, materialize_surface
+from repro.cascade.density import (
+    DensitySurface,
+    default_training_times,
+    first_match_indices,
+    materialize_surface,
+)
 from repro.core.accuracy import AccuracyTable, build_accuracy_table
 from repro.core.calibration import (
     CalibrationResult,
@@ -101,7 +106,7 @@ class DiffusionPredictor:
         the training window.
     solver:
         A :class:`~repro.core.config.SolverConfig` describing the grid
-        resolution, time step, backend and operator mode of every solve.
+        resolution, time step and backend of every solve.
     calibration:
         A :class:`~repro.core.config.CalibrationConfig`.  Omitted, :meth:`fit`
         calibrates through the sequential per-candidate protocol
@@ -151,7 +156,7 @@ class DiffusionPredictor:
         phi is (re)built.
         """
         if training_times is None:
-            training_times = [float(t) for t in observed.times[: min(6, observed.times.size)]]
+            training_times = default_training_times(observed)
         training_times = sorted(float(t) for t in training_times)
         if not training_times:
             raise ValueError("at least one training time is required")
@@ -173,7 +178,6 @@ class DiffusionPredictor:
                 training_times=training_times,
                 batch=self._calibration.batch,
                 backend=self._solver.backend,
-                operator=self._solver.operator,
             )
             self._fitted_parameters = calibration.parameters
             self._calibration_details = {
@@ -211,7 +215,6 @@ class DiffusionPredictor:
             points_per_unit=self._solver.points_per_unit,
             max_step=self._solver.max_step,
             backend=self._solver.backend,
-            operator=self._solver.operator,
         )
 
     def predict(
@@ -465,7 +468,6 @@ class BatchPredictor:
                 training_times=training_times,
                 batch=self._calibration.batch,
                 backend=self._solver.backend,
-                operator=self._solver.operator,
             )
         details = {
             "calibrated": True,
@@ -498,9 +500,7 @@ class BatchPredictor:
     ) -> "BatchPredictor":
         """:meth:`fit_story`, with the story's ``calibration`` if already computed."""
         if training_times is None:
-            story_times = [
-                float(t) for t in observed.times[: min(6, observed.times.size)]
-            ]
+            story_times = default_training_times(observed)
         else:
             story_times = sorted(float(t) for t in training_times)
         if not story_times:
@@ -545,7 +545,6 @@ class BatchPredictor:
             list(surfaces.values()),
             training_times=training_times,
             backend=self._solver.backend,
-            operator=self._solver.operator,
         )
         by_name = dict(zip(surfaces, calibrations))
         shard = fit_story_by_story(
@@ -631,7 +630,6 @@ class BatchPredictor:
                 points_per_unit=self._solver.points_per_unit,
                 max_step=self._solver.max_step,
                 backend=self._solver.backend,
-                operator=self._solver.operator,
             )
             solutions.update(zip(names, solved))
         return {name: solutions[name] for name in self._initial_densities}

@@ -19,10 +19,10 @@ registry in this module.  Two backends ship with the package:
   batches, three from the explicit predictor).  The banded operator holds
   one block per column, so one in-place LAPACK ``pttrs`` call per
   iteration solves every column of the batch, whatever its mix of
-  diffusion rates (see :class:`_CrankNicolsonStepper`).  The
-  ``operator_mode`` knob (``"banded"`` by default, via ``"auto"``) can
-  force the pure-numpy ``"thomas"`` solver or the legacy ``"dense"`` LU
-  for cross-checking; those solve one diffusion rate at a time.
+  diffusion rates (see :class:`_CrankNicolsonStepper`).  An instance
+  built with ``InternalBackend(operator_mode="thomas")`` (pure-numpy
+  recurrences) or ``"dense"`` (LU) is a reference for cross-checking;
+  those solve one diffusion rate at a time.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
@@ -153,36 +153,25 @@ class InternalBackend(SolverBackend):
     Parameters
     ----------
     operator_mode:
-        Factorization used for the Crank-Nicolson operator: ``"auto"``
-        (resolves to ``"banded"``), ``"banded"``, ``"thomas"`` or ``"dense"``.
-        See :func:`repro.numerics.operator_cache.crank_nicolson_operator`.
+        Factorization used for the Crank-Nicolson operator: ``"banded"``
+        (the default), or the ``"thomas"`` and ``"dense"`` references.
+        Fixed at construction.  See
+        :func:`repro.numerics.operator_cache.crank_nicolson_operator`.
     """
 
     name = "internal"
-    _DEFAULT_OPERATOR_MODE = "banded"
 
-    def __init__(self, operator_mode: str = "auto") -> None:
-        self.operator_mode = operator_mode
+    def __init__(self, operator_mode: str = "banded") -> None:
+        if operator_mode not in operator_cache.OPERATOR_MODES:
+            raise ValueError(
+                f"unknown operator mode {operator_mode!r}; expected one of "
+                f"{operator_cache.OPERATOR_MODES}"
+            )
+        self._operator_mode = operator_mode
 
     @property
     def operator_mode(self) -> str:
-        """Requested operator mode (``"auto"`` resolves lazily to banded)."""
-        return self._operator_mode
-
-    @operator_mode.setter
-    def operator_mode(self, mode: str) -> None:
-        if mode != "auto" and mode not in operator_cache.OPERATOR_MODES:
-            raise ValueError(
-                f"unknown operator mode {mode!r}; expected 'auto' or one of "
-                f"{operator_cache.OPERATOR_MODES}"
-            )
-        self._operator_mode = mode
-
-    @property
-    def resolved_operator_mode(self) -> str:
-        """The concrete factorization mode the Crank-Nicolson engine will use."""
-        if self._operator_mode == "auto":
-            return self._DEFAULT_OPERATOR_MODE
+        """The Crank-Nicolson factorization mode (read-only)."""
         return self._operator_mode
 
     def solve(
@@ -312,7 +301,7 @@ class InternalBackend(SolverBackend):
     ) -> BatchPDESolution:
         step_times, dts, rows = _step_schedule(problem.start_time, times, max_step)
         stepper = _CrankNicolsonStepper(
-            problem, self.resolved_operator_mode, step_times, dts, tolerance, max_iterations
+            problem, self._operator_mode, step_times, dts, tolerance, max_iterations
         )
         outputs = np.empty((times.size, problem.grid.num_points, problem.batch_size))
         for step, due in enumerate(rows):
@@ -329,7 +318,7 @@ class InternalBackend(SolverBackend):
                 "backend": self.name,
                 "integrator": "crank_nicolson",
                 "engine": "batched_crank_nicolson",
-                "operator": self.resolved_operator_mode,
+                "operator": self._operator_mode,
                 "steps": len(dts),
                 "picard_iterations": stepper.iterations,
                 "max_step": max_step,

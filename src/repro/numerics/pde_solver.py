@@ -34,14 +34,16 @@ and take Newton-scaled fixed-point iterations.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.numerics.grid import UniformGrid
 from repro.numerics.integrators import CrankNicolsonIntegrator, TimeIntegrator
+
+if TYPE_CHECKING:
+    from repro.numerics.backends import SolverBackend
 
 DiffusionCoefficient = Callable[[np.ndarray, float], np.ndarray]
 """d(x, t): vectorised over the grid nodes, returns per-node diffusion rates."""
@@ -447,21 +449,13 @@ class ReactionDiffusionSolver:
         names raise :class:`~repro.core.errors.UnknownNameError` listing the
         registered backends; register new ones in
         :data:`repro.numerics.backends.BACKENDS`.
-    operator:
-        Factorization mode for the Crank-Nicolson diffusion operator:
-        ``"auto"`` (the backend's default -- banded for the internal engine),
-        ``"banded"``, ``"thomas"`` or ``"dense"``.  Only meaningful for
-        backends that expose an ``operator_mode`` (the internal engine and
-        its subclasses); selecting a non-auto mode on any other backend
-        raises :class:`ValueError`.
     """
 
     def __init__(
         self,
         integrator: "TimeIntegrator | None" = None,
         max_step: float = 0.05,
-        backend: str = "internal",
-        operator: str = "auto",
+        backend: "str | SolverBackend" = "internal",
     ) -> None:
         from repro.numerics.backends import get_backend
 
@@ -470,18 +464,6 @@ class ReactionDiffusionSolver:
         self._integrator = integrator if integrator is not None else CrankNicolsonIntegrator()
         self._max_step = max_step
         self._backend = get_backend(backend)
-        if operator != "auto":
-            if not hasattr(self._backend, "operator_mode"):
-                raise ValueError(
-                    f"backend {self._backend.name!r} does not support operator "
-                    f"mode selection; remove operator={operator!r} or use the "
-                    "internal engine"
-                )
-            # get_backend passes instances through unchanged, so configure a
-            # copy: the caller's (possibly shared) backend must not change
-            # behaviour behind other solvers holding it.
-            self._backend = copy.copy(self._backend)
-            self._backend.operator_mode = operator
 
     @property
     def integrator(self) -> TimeIntegrator:
@@ -497,12 +479,6 @@ class ReactionDiffusionSolver:
     def backend_instance(self) -> "object":
         """The resolved :class:`~repro.numerics.backends.SolverBackend`."""
         return self._backend
-
-    @property
-    def operator(self) -> "str | None":
-        """Operator mode of the backend, or None when it has no such knob."""
-        mode = getattr(self._backend, "resolved_operator_mode", None)
-        return mode
 
     @property
     def max_step(self) -> float:

@@ -4,8 +4,8 @@ Wraps any registered prediction model (:mod:`repro.models`) behind an async
 job queue so whole corpora of cascades are scored concurrently:
 
 * :mod:`repro.service.sharding` -- group stories by the spatial signature
-  (grid, dt, backend, operator mode, model name) that lets them share one
-  batched solve and its cached operator factorizations, plus the
+  (grid, dt, backend, model name) that lets them share one batched solve
+  and its cached operator factorizations, plus the
   :class:`ShardAutotuner` that sizes shards from observed solve times.
   Stories scored by different models never share a shard.
 * :mod:`repro.service.service` -- the :class:`PredictionService`: bounded

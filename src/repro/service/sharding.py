@@ -3,11 +3,10 @@
 The batched solver engine advances every story of a shard as the columns of
 one state matrix, so all members must share the *spatial signature* of the
 solve: the distance interval, the initial (calibration-anchor) time, the
-grid resolution and time step, and the solver backend / operator mode --
-the values that key the operator cache in
-:mod:`repro.numerics.operator_cache`.  Stories with different training or
-evaluation windows also cannot ride in the same batch, so those windows are
-part of the key as well.
+grid resolution and time step, and the solver backend -- the values that
+key the operator cache in :mod:`repro.numerics.operator_cache`.  Stories
+with different training or evaluation windows also cannot ride in the same
+batch, so those windows are part of the key as well.
 
 :class:`CorpusSharder` computes that signature per story and groups a corpus
 into :class:`Shard` objects, optionally splitting oversized groups so one
@@ -40,8 +39,8 @@ class ShardKey:
     points_per_unit, max_step:
         Grid resolution and internal time step of the solve -- together with
         the interval these determine the cached operator's ``(n, dx, dt)``.
-    backend, operator:
-        Solver backend name and operator factorization mode.
+    backend:
+        Solver backend name.
     training_times:
         The shared training window, or ``None`` when every story defaults to
         its own first observed hours.
@@ -61,7 +60,6 @@ class ShardKey:
     points_per_unit: int
     max_step: float
     backend: str
-    operator: str
     training_times: "tuple[float, ...] | None" = None
     evaluation_times: "tuple[float, ...] | None" = None
     model: str = "dl"
@@ -75,7 +73,7 @@ class ShardKey:
         """
         return (
             f"{self.model}@[{self.lower:g},{self.upper:g}]"
-            f":ppu{self.points_per_unit}:{self.backend}:{self.operator}"
+            f":ppu{self.points_per_unit}:{self.backend}"
         )
 
 
@@ -293,7 +291,6 @@ class CorpusSharder:
             points_per_unit=self._solver.points_per_unit,
             max_step=self._solver.max_step,
             backend=self._solver.backend,
-            operator=self._solver.operator,
             training_times=window,
             evaluation_times=evaluation,
             model=model if model is not None else self._model,

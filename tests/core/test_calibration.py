@@ -10,7 +10,9 @@ import pytest
 
 from repro.cascade.density import DensitySurface
 from repro.core.calibration import (
-    _batch_prediction_residuals,
+    _GridStage,
+    _ResidualTargets,
+    _Settings,
     _surface_residuals,
     calibrate_dl_model,
     calibrate_dl_model_batched,
@@ -261,10 +263,18 @@ class TestBatchResiduals:
             DLParameters(0.002, ExponentialDecayGrowthRate(0.5, 0.5, 0.05), 25.0),
             DLParameters(0.05, ExponentialDecayGrowthRate(1e306, 1.0, 0.1), 25.0),
         ]
+        # Every evaluation a calibration makes goes through _Settings.residuals.
+        stage = _GridStage(
+            training=observed,
+            initial_density=phi,
+            target_times=target_times,
+            targets=_ResidualTargets.of(observed, target_times),
+            carrying_capacity=25.0,
+            candidates=np.empty((0, 4)),
+        )
+        settings = _Settings(points_per_unit=8, max_step=0.05, engine="batched", backend="internal")
         with np.errstate(all="ignore"):
-            batched = _batch_prediction_residuals(
-                candidates, phi, observed, target_times, points_per_unit=8, max_step=0.05
-            )
+            batched = settings.residuals(candidates, [stage] * len(candidates))
             solutions = solve_dl_batch(
                 candidates, phi, target_times, points_per_unit=8, max_step=0.05
             )

@@ -61,7 +61,6 @@ class TestSolverConfig:
         assert config.points_per_unit == 20
         assert config.max_step == 0.02
         assert config.backend == "internal"
-        assert config.operator == "auto"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -223,15 +223,16 @@ class TestOperatorCache:
 
 class TestOperatorModes:
     def test_default_mode_is_banded(self):
+        assert InternalBackend().operator_mode == "banded"
         solver = ReactionDiffusionSolver(max_step=0.05)
-        assert solver.operator == "banded"
         batched = solver.solve_batch(dl_like_batch_problem(batch=2), [2.0])
         assert batched.metadata["operator"] == "banded"
 
     @pytest.mark.parametrize("mode", ["dense", "banded", "thomas"])
     def test_explicit_mode_reported_in_metadata(self, mode):
-        solver = ReactionDiffusionSolver(max_step=0.05, operator=mode)
-        assert solver.operator == mode
+        solver = ReactionDiffusionSolver(
+            max_step=0.05, backend=InternalBackend(operator_mode=mode)
+        )
         batched = solver.solve_batch(dl_like_batch_problem(batch=2), [2.0])
         assert batched.metadata["operator"] == mode
 
@@ -239,34 +240,24 @@ class TestOperatorModes:
     def test_modes_match_dense_reference(self, mode):
         problem = dl_like_batch_problem(batch=5)
         times = [1.0, 2.0, 4.0]
-        dense = ReactionDiffusionSolver(max_step=0.05, operator="dense").solve_batch(
-            problem, times
-        )
-        other = ReactionDiffusionSolver(max_step=0.05, operator=mode).solve_batch(
-            problem, times
-        )
+        dense = ReactionDiffusionSolver(
+            max_step=0.05, backend=InternalBackend(operator_mode="dense")
+        ).solve_batch(problem, times)
+        other = ReactionDiffusionSolver(
+            max_step=0.05, backend=InternalBackend(operator_mode=mode)
+        ).solve_batch(problem, times)
         assert np.max(np.abs(other.states - dense.states)) < 1e-12
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ReactionDiffusionSolver(operator="sparse-qr")
+        for mode in ("auto", "sparse-qr"):
+            with pytest.raises(ValueError, match="unknown operator mode"):
+                InternalBackend(operator_mode=mode)
 
-    def test_mode_selection_rejected_for_scipy_backend(self):
-        with pytest.raises(ValueError):
-            ReactionDiffusionSolver(backend="scipy", operator="banded")
-
-    def test_mode_selection_does_not_mutate_shared_backend_instance(self):
-        shared = InternalBackend()
-        first = ReactionDiffusionSolver(backend=shared)
-        second = ReactionDiffusionSolver(backend=shared, operator="dense")
-        assert second.operator == "dense"
-        # The caller's instance (and any solver already holding it) is untouched.
-        assert shared.operator_mode == "auto"
-        assert first.operator == "banded"
-
-    def test_scipy_backend_ignores_auto_mode(self):
-        solver = ReactionDiffusionSolver(backend="scipy")
-        assert solver.operator is None
+    def test_mode_is_fixed_at_construction(self):
+        backend = InternalBackend(operator_mode="thomas")
+        with pytest.raises(AttributeError):
+            backend.operator_mode = "dense"
+        assert backend.operator_mode == "thomas"
 
     def test_single_solve_metadata_reports_operator(self):
         problem = dl_like_batch_problem(batch=2).column_problem(0)
@@ -489,7 +480,7 @@ class TestStackedSolve:
     @pytest.mark.parametrize("mode", ["dense", "thomas"])
     def test_other_operator_modes_solve_per_group(self, mode):
         problem = logistic_batch_problem([0.01, 0.05])
-        batched = ReactionDiffusionSolver(max_step=0.05, operator=mode).solve_batch(
-            problem, [2.0]
-        )
+        batched = ReactionDiffusionSolver(
+            max_step=0.05, backend=InternalBackend(operator_mode=mode)
+        ).solve_batch(problem, [2.0])
         assert batched.metadata["stacked_solve"] is False

@@ -93,7 +93,6 @@ def shard_key(**overrides) -> ShardKey:
         points_per_unit=12,
         max_step=0.02,
         backend="dense",
-        operator="cached",
         training_times=tuple(TRAINING_TIMES),
         evaluation_times=tuple(EVALUATION_TIMES),
         model="dl",

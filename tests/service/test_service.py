@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cascade.density import DensitySurface
-from repro.core.config import SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import (
@@ -389,30 +388,6 @@ class TestBackpressure:
 
 
 class TestServiceConfiguration:
-    def test_operator_mode_flows_to_solutions(self, corpus_surfaces):
-        one = {"story0": corpus_surfaces["story0"]}
-        banded = score_corpus_sync(
-            one,
-            training_times=TRAINING_TIMES,
-            evaluation_times=EVALUATION_TIMES,
-            parameters=PAPER_S1_HOP_PARAMETERS,
-            solver=SolverConfig(operator="banded"),
-        )
-        thomas = score_corpus_sync(
-            one,
-            training_times=TRAINING_TIMES,
-            evaluation_times=EVALUATION_TIMES,
-            parameters=PAPER_S1_HOP_PARAMETERS,
-            solver=SolverConfig(operator="thomas"),
-        )
-        assert banded["story0"].solution.pde_solution.metadata["operator"] == "banded"
-        assert thomas["story0"].solution.pde_solution.metadata["operator"] == "thomas"
-        assert np.allclose(
-            banded["story0"].predicted.values,
-            thomas["story0"].predicted.values,
-            atol=1e-10,
-        )
-
     def test_default_workers_follow_the_executor(self):
         cases = [
             ("thread", {}, 1),

@@ -18,9 +18,7 @@ def make_surface(distances, times, scale=1.0):
 class TestShardKey:
     def test_key_includes_spatial_signature_and_solver_config(self):
         sharder = CorpusSharder(
-            solver=SolverConfig(
-                points_per_unit=12, max_step=0.05, backend="internal", operator="banded"
-            )
+            solver=SolverConfig(points_per_unit=12, max_step=0.05, backend="internal")
         )
         key = sharder.key_for(make_surface([1, 2, 3], [1, 2, 3, 4]))
         assert key == ShardKey(
@@ -30,7 +28,6 @@ class TestShardKey:
             points_per_unit=12,
             max_step=0.05,
             backend="internal",
-            operator="banded",
         )
 
     def test_training_window_anchors_initial_time(self):
@@ -45,9 +42,9 @@ class TestShardKey:
 
     def test_different_solver_config_gives_different_keys(self):
         surface = make_surface([1, 2, 3], [1, 2, 3])
-        banded = CorpusSharder(solver=SolverConfig(operator="banded")).key_for(surface)
-        thomas = CorpusSharder(solver=SolverConfig(operator="thomas")).key_for(surface)
-        assert banded != thomas
+        coarse = CorpusSharder(solver=SolverConfig(points_per_unit=8)).key_for(surface)
+        fine = CorpusSharder(solver=SolverConfig(points_per_unit=20)).key_for(surface)
+        assert coarse != fine
 
 
 class TestShardGrouping:

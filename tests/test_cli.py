@@ -50,18 +50,6 @@ class TestParser:
         args = build_parser().parse_args(["predict", "--backend", "cuda"])
         assert args.backend == "cuda"
 
-    def test_unknown_operator_accepted_by_parser(self):
-        # Operator modes are validated by the engine at run time (mirroring
-        # --backend), so the parser accepts any string.
-        args = build_parser().parse_args(["predict", "--operator", "cholesky"])
-        assert args.operator == "cholesky"
-
-    def test_operator_defaults_to_auto(self):
-        for command in ("predict", "predict-batch"):
-            assert build_parser().parse_args([command]).operator == "auto"
-        serve = build_parser().parse_args(["serve-batch", "--manifest", "m.json"])
-        assert serve.operator == "auto"
-
     def test_serve_batch_defaults(self):
         args = build_parser().parse_args(["serve-batch", "--manifest", "m.json"])
         assert args.manifest == "m.json"
@@ -199,7 +187,7 @@ class TestPredictBatch:
         assert payload["stories"]["s1"]["overall_accuracy"] > 0.0
         assert payload["calibration"] == "batched"
         assert payload["backend"] == "internal"
-        assert payload["operator"] == "auto"
+        assert "operator" not in payload
 
     def test_json_parameters_are_structured_numbers(self, tmp_path, capsys):
         # The payload must round-trip through json.loads with numeric
@@ -222,45 +210,12 @@ class TestPredictBatch:
         # The repr stays in the human-readable summary.
         assert "DLParameters(" in capsys.readouterr().out
 
-    def test_operator_thomas_matches_banded(self, tmp_path, capsys):
-        payloads = {}
-        for operator in ("banded", "thomas"):
-            output = tmp_path / f"{operator}.json"
-            exit_code = main(
-                ["predict-batch", *CORPUS_ARGS, "--stories", "s1", "--hours", "3",
-                 "--operator", operator, "--json", str(output)]
-            )
-            assert exit_code == 0
-            payloads[operator] = json.loads(output.read_text())
-        capsys.readouterr()
-        banded, thomas = payloads["banded"], payloads["thomas"]
-        assert banded["operator"] == "banded" and thomas["operator"] == "thomas"
-        assert banded["overall_accuracy"] == pytest.approx(
-            thomas["overall_accuracy"], abs=1e-9
-        )
-        banded_params = banded["stories"]["s1"]["parameters"]
-        thomas_params = thomas["stories"]["s1"]["parameters"]
-        assert banded_params["r"].pop("type") == thomas_params["r"].pop("type")
-        for field in ("d", "K"):
-            assert banded_params[field] == pytest.approx(thomas_params[field], abs=1e-9)
-        assert banded_params["r"] == pytest.approx(thomas_params["r"], abs=1e-9)
-
-    def test_unknown_operator_exits_with_mode_list(self, capsys):
-        exit_code = main(["predict-batch", *CORPUS_ARGS, "--operator", "cholesky"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert captured.err.startswith("error:")
-        assert "cholesky" in captured.err
-        for mode in ("'banded'", "'thomas'", "'dense'"):
-            assert mode in captured.err
-
-    def test_operator_on_scipy_backend_exits_cleanly(self, capsys):
-        exit_code = main(
-            ["predict-batch", *CORPUS_ARGS, "--backend", "scipy", "--operator", "dense"]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "does not support operator" in captured.err
+    def test_operator_option_is_gone(self, capsys):
+        # The Crank-Nicolson factorization is not a command-line choice.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict-batch", *CORPUS_ARGS, "--operator", "banded"])
+        assert exit_info.value.code == 2
+        assert "--operator" in capsys.readouterr().err
 
     def test_skips_empty_stories_and_reports_them(self, capsys):
         # s4 has no votes in its first hour on the small corpus; the batch
@@ -555,7 +510,6 @@ class TestDaemonCommands:
         assert args.autotune is False
         assert args.timeout is None
         assert args.backend == "internal"
-        assert args.operator == "auto"
 
     def test_daemon_workers_default_to_the_executor(self, monkeypatch):
         import repro.service
