@@ -41,7 +41,7 @@ the initial phase of the cascade is assumed known.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -418,6 +418,13 @@ def calibrate_dl_model_batched(
     ``parameters_at_bound``, the names of the winning start's growth-rate
     parameters that end on a ``GROWTH_RATE_BOUNDS`` bound (``"floor"`` on
     logistic-shaped stories).
+
+    The refinement runs on (amplitude, ln decay, floor): the decay's loss
+    valley is much straighter on a log scale, so LM needs fewer iterations.
+    Seeds, the bounds and every residual evaluation go through the map,
+    which returns each grid decay and each decay bound exactly, so the
+    seeds keep their grid losses and a decay that ends on its bound is
+    reported as the bound.  ``details`` report natural (a, b, c).
     """
     (result,), _ = calibrate_dl_shard(
         [observed],
@@ -717,10 +724,53 @@ def _refine_alone(
         return error
 
 
+class _LogDecay:
+    """The coordinates LM refines a growth rate in: (amplitude, ln decay, floor).
+
+    ``r(t) = a e^{-b (t - 1)} + c`` is a sum of exponentials, the textbook
+    "sloppy" least-squares problem: in (a, b, c) its loss valley is curved,
+    and on ``ln b`` it is much straighter (Transtrum, Machta & Sethna, PRE
+    2011), so LM needs far fewer iterations.  Natural parameters are clipped
+    into ``GROWTH_RATE_BOUNDS`` before the map, and the box maps with them.
+
+    ``exp(log(b))`` need not be ``b`` (``exp(log(0.05))`` is
+    ``0.05000000000000001``), so the log of each of ``decays`` and of both
+    decay bounds maps back to that value exactly: the grid seeds evaluate to
+    their grid losses bit for bit, and a decay stepped onto its bound is
+    the bound.
+    """
+
+    def __init__(self, decays: "np.ndarray | Sequence[float]") -> None:
+        low, high = GROWTH_RATE_BOUNDS[0][1], GROWTH_RATE_BOUNDS[1][1]
+        exact = np.unique(np.clip(np.asarray(decays, dtype=float), low, high))
+        self._exact = {float(np.log(b)): float(b) for b in (low, high, *exact)}
+        lower, upper = (self.coordinates(bound).tolist() for bound in GROWTH_RATE_BOUNDS)
+        self.bounds = (lower, upper)
+
+    @staticmethod
+    def coordinates(theta: "np.ndarray | Sequence[float]") -> np.ndarray:
+        """``(a, b, c)`` clipped into ``GROWTH_RATE_BOUNDS``, as ``(a, ln b, c)``."""
+        amplitude, decay, floor = np.clip(np.asarray(theta, dtype=float), *GROWTH_RATE_BOUNDS)
+        return np.array([amplitude, np.log(decay), floor])
+
+    def natural(self, point: np.ndarray) -> np.ndarray:
+        """``(a, ln b, c)`` back to ``(a, b, c)``."""
+        amplitude, log_decay, floor = (float(v) for v in point)
+        decay = self._exact.get(log_decay)
+        if decay is None:
+            decay = float(np.exp(log_decay))
+        return np.array([amplitude, decay, floor])
+
+
 def _refine_together(
     stages: "list[_GridStage]", refine_starts: int, settings: _Settings
 ) -> "list[CalibrationResult | Exception]":
-    """Refine the grid winners of stories sharing a lock-step key, in one LM call."""
+    """Refine the grid winners of stories sharing a lock-step key, in one LM call.
+
+    LM runs in :class:`_LogDecay` coordinates; seeds, bounds and every
+    residual evaluation go through the map, and ``details`` report natural
+    (a, b, c).
+    """
     seeds, groups, seed_diffusions, start_stages = [], [], [], []
     story_seeds = []
     for group, stage in enumerate(stages):
@@ -731,12 +781,15 @@ def _refine_together(
             groups.append(group)
             seed_diffusions.append(float(stage.candidates[i][0]))
             start_stages.append(stage)
+    # Every story of a shard has the same grid, so the map does not depend on
+    # which stories share the refinement.
+    log_decay = _LogDecay(np.concatenate([stage.candidates[:, 2] for stage in stages]))
 
     def evaluate(points: np.ndarray, start_indices: np.ndarray) -> "list[np.ndarray]":
         return settings.residuals(
             [
-                start_stages[s].parameters(theta, seed_diffusions[s])
-                for theta, s in zip(points, start_indices)
+                start_stages[s].parameters(log_decay.natural(point), seed_diffusions[s])
+                for point, s in zip(points, start_indices)
             ],
             [start_stages[s] for s in start_indices],
         )
@@ -744,9 +797,9 @@ def _refine_together(
     refinement_start = time.perf_counter()
     fits = grouped_multi_start_least_squares(
         evaluate,
-        np.asarray(seeds),
+        np.array([log_decay.coordinates(seed) for seed in seeds]),
         groups,
-        bounds=GROWTH_RATE_BOUNDS,
+        bounds=log_decay.bounds,
         names=("amplitude", "decay", "floor"),
     )
     refinement_seconds = time.perf_counter() - refinement_start
@@ -757,6 +810,8 @@ def _refine_together(
             results.append(RuntimeError("no start produced a finite refinement loss"))
             continue
         diffusions = [float(stage.candidates[i][0]) for i in indices]
+        start_parameters = [log_decay.natural(point) for point in multi.start_parameters]
+        best = replace(multi.best, parameters=start_parameters[multi.best_start])
         grid = stage.grid_result
         details = dict(grid.details)
         details["refinement"] = {
@@ -764,13 +819,13 @@ def _refine_together(
             "starts": len(indices),
             "seed_diffusions": diffusions,
             "start_losses": [float(loss) for loss in multi.start_losses],
-            "start_parameters": [[float(v) for v in row] for row in multi.start_parameters],
+            "start_parameters": [[float(v) for v in row] for row in start_parameters],
             "best_start": multi.best_start,
             "converged": [bool(flag) for flag in multi.converged],
             "parameters_at_bound": [
                 name
                 for name, value, low, high in zip(
-                    multi.best.names, multi.best.parameters, *GROWTH_RATE_BOUNDS
+                    best.names, best.parameters, *GROWTH_RATE_BOUNDS
                 )
                 if value <= low or value >= high
             ],
@@ -779,16 +834,14 @@ def _refine_together(
             "residual_batches": multi.residual_batches,
             "seconds": refinement_seconds,
         }
-        if multi.best.loss <= grid.loss:
+        if best.loss <= grid.loss:
             details["refined"] = True
             results.append(
                 CalibrationResult(
-                    parameters=stage.parameters(
-                        multi.best.parameters, diffusions[multi.best_start]
-                    ),
-                    loss=float(multi.best.loss),
+                    parameters=stage.parameters(best.parameters, diffusions[multi.best_start]),
+                    loss=float(best.loss),
                     training_times=grid.training_times,
-                    details={**details, "growth_rate_fit": multi.best},
+                    details={**details, "growth_rate_fit": best},
                 )
             )
         else:

@@ -13,7 +13,8 @@ s1.  For the reproduction we additionally provide automated calibration
   start through one batched callback per iteration, and every rung of every
   start's damping ladder through a second one.  A parameter that sits on a
   bound while the gradient pushes it outward is held there, and the step is
-  solved on the remaining free parameters.  This is what lets the DL
+  solved on the remaining free parameters; a step that would cross a bound
+  puts that parameter on it and re-solves the rest.  This is what lets the DL
   calibration refine N seed candidates as columns of a single batched PDE
   solve instead of running N sequential ``scipy.optimize.least_squares``
   loops, and converge when the optimum has a parameter on its bound.
@@ -220,11 +221,20 @@ def multi_start_least_squares(
     ``g = J^T r``, a parameter is *held* when it sits on a bound and ``g``
     points out of the box (``x <= lower`` with ``g > 0``, or ``x >= upper``
     with ``g < 0``).  The damped normal equations are solved on the free
-    parameters only, the held ones keep their value, and the candidate is
-    clipped into the box.  Solving the full system and clipping afterwards
-    would let the bound-pushing parameter distort the free ones, so a fit
-    whose optimum lies on a bound would crawl to ``max_iterations``.  When
-    no parameter is held the step is the plain full-system solve.
+    parameters only, and the held ones keep their value.  Solving the full
+    system and clipping afterwards would let the bound-pushing parameter
+    distort the free ones, so a fit whose optimum lies on a bound would
+    crawl to ``max_iterations``.
+
+    Each rung's step is then projected onto the box.  A free parameter the
+    step would push past a bound goes exactly onto that bound, and the
+    remaining free parameters are solved again from the same damped normal
+    equations with that shift moved to the right-hand side,
+    ``-J_rest^T (r + J shift)``; the candidate is finally clipped.  Clipping
+    the crossing step instead would keep the other parameters' share of a
+    step that assumed the crossing one moved all the way, so a parameter
+    heading for its bound would approach it geometrically, rung by rung.
+    A step that crosses no bound is the plain damped solve.
 
     The step is chosen from a damping ladder: rung ``k`` of a start damps by
     ``4**k`` times its current damping, and the start takes the first rung,
@@ -297,12 +307,14 @@ def grouped_multi_start_least_squares(
     ``groups[s]`` (``0 .. G-1``) names the problem start ``s`` refines.
     Every start of every group advances in the same lock-step iterations,
     so an iteration is still at most two ``residual_batch`` calls; the
-    callback receives global start indices.  Starts never interact, so each
-    group's result is exactly what :func:`multi_start_least_squares` returns
-    for its starts alone: its best start (indexed among the group's starts),
-    and ``iterations``, ``residual_batches`` and ``n_evaluations`` counted
-    over the iterations and calls in which the group had a start in play.
-    A group none of whose starts has a finite loss gets ``None``.
+    callback receives global start indices.  Every start takes the
+    active-set, bound-projected step described there.  Starts never
+    interact, so each group's result is exactly what
+    :func:`multi_start_least_squares` returns for its starts alone: its best
+    start (indexed among the group's starts), and ``iterations``,
+    ``residual_batches`` and ``n_evaluations`` counted over the iterations
+    and calls in which the group had a start in play.  A group none of
+    whose starts has a finite loss gets ``None``.
     """
     points = np.array(seeds, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -403,25 +415,19 @@ def grouped_multi_start_least_squares(
             for row, s in enumerate(pending):
                 jacobian = jacobians[s]
                 normal = jacobian.T @ jacobian
-                gradient = gradients[s]
-                scaling = np.maximum(np.diag(normal), 1e-12)
-                free = ~held[s]
-                if not free.all():
-                    # Solve on the free parameters; the held ones stay put.
-                    normal = normal[np.ix_(free, free)]
-                    gradient = gradient[free]
-                    scaling = scaling[free]
                 rung_damping = damping[s]
                 for rung in range(max_step_retries):
-                    try:
-                        step = np.linalg.solve(
-                            normal + rung_damping * np.diag(scaling), -gradient
-                        )
-                    except np.linalg.LinAlgError:
-                        step = -gradient / scaling
-                    delta = np.zeros(n_params)
-                    delta[free] = step
-                    ladder[row, rung] = np.clip(points[s] + delta, lower, upper)
+                    ladder[row, rung] = _projected_step(
+                        points[s],
+                        jacobian,
+                        residuals[s],
+                        normal,
+                        gradients[s],
+                        ~held[s],
+                        rung_damping,
+                        lower,
+                        upper,
+                    )
                     rung_damping *= 4.0
             ladder_residuals = residual_batch(
                 ladder.reshape(-1, n_params), np.repeat(pending, max_step_retries)
@@ -489,6 +495,58 @@ def grouped_multi_start_least_squares(
             )
         )
     return results
+
+
+def _projected_step(
+    x: np.ndarray,
+    jacobian: np.ndarray,
+    residual: np.ndarray,
+    normal: np.ndarray,
+    gradient: np.ndarray,
+    free: np.ndarray,
+    damping: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> np.ndarray:
+    """One rung of the damping ladder: a damped Gauss-Newton step kept in the box.
+
+    The damped normal equations are solved on the ``free`` parameters.  A
+    parameter the step would push past a bound goes exactly onto that bound,
+    and the remaining free parameters are solved again from the same damped
+    equations with that shift on the right-hand side, ``-J_rest^T (r + J
+    shift)``; the candidate is then clipped into the box.  A step that
+    crosses no bound is the plain damped step.
+    """
+    scaling = np.maximum(np.diag(normal), 1e-12)
+    delta = np.zeros(x.size)
+    delta[free] = _damped_solve(normal, scaling, -gradient[free], free, damping)
+    candidate = x + delta
+    below, above = candidate < lower, candidate > upper
+    crossing = below | above
+    if crossing.any():
+        shift = np.zeros(x.size)
+        shift[below] = lower[below] - x[below]
+        shift[above] = upper[above] - x[above]
+        rest = free & ~crossing
+        if rest.any():
+            rhs = -(jacobian[:, rest].T @ (residual + jacobian @ shift))
+            shift[rest] = _damped_solve(normal, scaling, rhs, rest, damping)
+        candidate = x + shift
+        candidate[below] = lower[below]
+        candidate[above] = upper[above]
+    return np.clip(candidate, lower, upper)
+
+
+def _damped_solve(
+    normal: np.ndarray, scaling: np.ndarray, rhs: np.ndarray, subset: np.ndarray, damping: float
+) -> np.ndarray:
+    """Solve the damped normal equations restricted to the ``subset`` parameters."""
+    normal = normal[np.ix_(subset, subset)]
+    scaling = scaling[subset]
+    try:
+        return np.linalg.solve(normal + damping * np.diag(scaling), rhs)
+    except np.linalg.LinAlgError:
+        return rhs / scaling
 
 
 def grid_candidates(

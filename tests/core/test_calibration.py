@@ -5,12 +5,17 @@ model itself with known parameters, then verify the calibration recovers a
 parameter set that reproduces that surface.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.cascade.density import DensitySurface
+from repro.core import calibration
 from repro.core.calibration import (
+    GROWTH_RATE_BOUNDS,
     _GridStage,
+    _LogDecay,
     _ResidualTargets,
     _Settings,
     _surface_residuals,
@@ -248,6 +253,68 @@ class TestBatchedCalibration:
             atol=1e-10,
         )
         assert batched.loss == pytest.approx(sequential.loss, abs=1e-10)
+
+class TestLogDecayCoordinates:
+    """LM refines (amplitude, ln decay, floor); details report natural values."""
+
+    GRIDS = dict(
+        diffusion_candidates=(0.005, 0.01),
+        amplitude_grid=(0.5, 1.0),
+        decay_grid=(0.5, 1.0),
+        floor_grid=(0.1, 0.25),
+        refine_starts=2,
+    )
+
+    def test_seed_losses_equal_the_grid_losses(self, monkeypatch):
+        # With no LM iteration the starts stay on their seeds, so their
+        # losses are the seeds' losses evaluated through the map.
+        monkeypatch.setattr(
+            calibration,
+            "grouped_multi_start_least_squares",
+            functools.partial(calibration.grouped_multi_start_least_squares, max_iterations=0),
+        )
+        surface = synthetic_dl_surface(hours=6)
+        # exp(log(3.0)) is 3.0000000000000004: the map must still be exact.
+        result = calibrate_dl_model_batched(surface, **dict(self.GRIDS, decay_grid=(3.0,)))
+        refinement = result.details["refinement"]
+        assert refinement["iterations"] == 0
+        # The seeds are the best grid row of each diffusion rate.
+        grid = result.details["diffusion_grid"]
+        assert refinement["start_losses"] == [grid[d] for d in refinement["seed_diffusions"]]
+        winner = result.details["grid_winner"]
+        assert refinement["start_parameters"][0] == [
+            winner["amplitude"], winner["decay"], winner["floor"]
+        ]
+
+    def test_decay_on_its_lower_bound_is_reported_exactly(self):
+        # The rate decays more slowly than the box allows (0.01 < 0.05) and
+        # has no floor, so the fit ends with decay on its lower bound.
+        surface = synthetic_dl_surface(amplitude=0.5, decay=0.01, floor=0.0, hours=6)
+        result = calibrate_dl_model_batched(surface, **self.GRIDS)
+        refinement = result.details["refinement"]
+        assert result.parameters.growth_rate.decay == 0.05
+        assert "decay" in refinement["parameters_at_bound"]
+        assert refinement["start_parameters"][refinement["best_start"]][1] == 0.05
+
+    def test_start_parameters_lie_inside_the_bounds(self):
+        surface = synthetic_dl_surface(amplitude=0.5, decay=0.01, floor=0.0, hours=6)
+        result = calibrate_dl_model_batched(surface, **self.GRIDS)
+        lower, upper = GROWTH_RATE_BOUNDS
+        for row in result.details["refinement"]["start_parameters"]:
+            assert all(low <= value <= high for value, low, high in zip(row, lower, upper))
+
+    def test_map_round_trips_grid_decays_and_bounds(self):
+        # exp(log(0.05)) and exp(log(3.0)) are one ulp off; the map is exact.
+        coordinates = _LogDecay([0.5, 3.0])
+        for decay in (0.05, 0.5, 3.0, 6.0):
+            point = _LogDecay.coordinates([1.0, decay, 0.1])
+            assert coordinates.natural(point)[1] == decay
+        np.testing.assert_array_equal(
+            coordinates.bounds[0], [0.0, np.log(0.05), 0.0]
+        )
+        # Natural values outside the box are clipped into it first.
+        assert _LogDecay.coordinates([7.0, 0.0, -1.0]).tolist() == [6.0, np.log(0.05), 0.0]
+
 
 class TestBatchResiduals:
     def test_tensor_sampling_matches_per_candidate_surfaces(self):

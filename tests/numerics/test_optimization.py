@@ -200,13 +200,18 @@ class TestMultiStartLeastSquares:
 
 
 def one_rung_per_call_reference(
-    residual_batch, seeds, bounds, max_iterations=40, max_step_retries=6
+    residual_batch, seeds, bounds, max_iterations=40, max_step_retries=6, bounded_step=True
 ):
     """The damping retry loop that solves one ladder rung per callback call.
 
     Reference for the one-call ladder of :func:`multi_start_least_squares`
-    (same defaults for the step, tolerances and damping schedule).  Returns
-    ``(points, losses, iterations, converged, rejected_rungs)``.
+    (same defaults for the step, tolerances and damping schedule).  With
+    ``bounded_step`` it takes the same step: a parameter on a bound whose
+    gradient points out of the box is held, and a step that crosses a bound
+    puts that parameter on it and solves the others again with the shift on
+    the right-hand side.  Without it, the full-system step is clipped into
+    the box.  Returns ``(points, losses, iterations, converged,
+    rejected_rungs, crossing_rungs)``.
     """
     points = np.clip(np.array(seeds, dtype=float), bounds[0], bounds[1])
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
@@ -216,7 +221,15 @@ def one_rung_per_call_reference(
     damping = np.full(n_starts, 1e-3)
     active = np.isfinite(losses)
     converged = np.zeros(n_starts, dtype=bool)
-    iterations = rejected_rungs = 0
+    iterations = rejected_rungs = crossing_rungs = 0
+
+    def damped(normal, scaling, rhs, subset, lam):
+        block = normal[np.ix_(subset, subset)]
+        try:
+            return np.linalg.solve(block + lam * np.diag(scaling[subset]), rhs)
+        except np.linalg.LinAlgError:
+            return rhs / scaling[subset]
+
     for _ in range(max_iterations):
         active_idx = np.nonzero(active)[0]
         if active_idx.size == 0:
@@ -234,14 +247,19 @@ def one_rung_per_call_reference(
                 block.append(perturbed)
                 block_start.append(s)
         perturbed_residuals = residual_batch(np.array(block), np.array(block_start))
-        jacobians = {}
+        jacobians, held = {}, {}
         for row, s in enumerate(active_idx):
             jacobian = np.empty((residuals[s].size, n_params))
             for j in range(n_params):
                 shifted = perturbed_residuals[row * n_params + j]
                 jacobian[:, j] = (shifted - residuals[s]) / steps[row][j]
             jacobians[s] = jacobian
-            if np.max(np.abs(jacobian.T @ residuals[s])) < 1e-10:
+            gradient = jacobian.T @ residuals[s]
+            x = points[s]
+            held[s] = np.zeros(n_params, dtype=bool)
+            if bounded_step:
+                held[s] = ((x <= lower) & (gradient > 0)) | ((x >= upper) & (gradient < 0))
+            if np.max(np.abs(np.where(held[s], 0.0, gradient))) < 1e-10:
                 active[s] = False
                 converged[s] = True
         pending = [s for s in active_idx if active[s]]
@@ -250,14 +268,25 @@ def one_rung_per_call_reference(
                 break
             candidates = np.empty((len(pending), n_params))
             for row, s in enumerate(pending):
-                normal = jacobians[s].T @ jacobians[s]
-                gradient = jacobians[s].T @ residuals[s]
+                jacobian, x = jacobians[s], points[s]
+                normal = jacobian.T @ jacobian
+                gradient = jacobian.T @ residuals[s]
                 scaling = np.maximum(np.diag(normal), 1e-12)
-                try:
-                    delta = np.linalg.solve(normal + damping[s] * np.diag(scaling), -gradient)
-                except np.linalg.LinAlgError:
-                    delta = -gradient / scaling
-                candidates[row] = np.clip(points[s] + delta, lower, upper)
+                free = ~held[s]
+                delta = np.zeros(n_params)
+                delta[free] = damped(normal, scaling, -gradient[free], free, damping[s])
+                candidate = x + delta
+                crossing = (candidate < lower) | (candidate > upper)
+                if bounded_step and crossing.any():
+                    crossing_rungs += 1
+                    pinned = np.clip(candidate, lower, upper)
+                    shift = np.where(crossing, pinned - x, 0.0)
+                    rest = free & ~crossing
+                    if rest.any():
+                        rhs = -(jacobian[:, rest].T @ (residuals[s] + jacobian @ shift))
+                        shift[rest] = damped(normal, scaling, rhs, rest, damping[s])
+                    candidate = np.where(crossing, pinned, x + shift)
+                candidates[row] = np.clip(candidate, lower, upper)
             candidate_residuals = residual_batch(candidates, np.asarray(pending))
             still_pending = []
             for row, s in enumerate(pending):
@@ -282,7 +311,7 @@ def one_rung_per_call_reference(
         for s in pending:
             active[s] = False
             converged[s] = True
-    return points, losses, iterations, converged, rejected_rungs
+    return points, losses, iterations, converged, rejected_rungs, crossing_rungs
 
 
 class TestDampingLadder:
@@ -300,6 +329,9 @@ class TestDampingLadder:
 
     SEEDS = [[-1.2, 1.0], [2.5, -1.0], [0.0, 3.0], [-0.45, 0.2]]
     BOUNDS = ([-3.0, -3.0], [3.0, 3.0])
+    # The optimum (1, 1) lies outside this box, so rungs cross its upper
+    # bounds and take the projected step.
+    CROSSED_BOUNDS = ([-3.0, -3.0], [0.9, 0.8])
 
     def counting_batch(self, calls):
         def residual_batch(points, start_indices):
@@ -308,20 +340,33 @@ class TestDampingLadder:
 
         return residual_batch
 
-    @pytest.mark.parametrize("max_iterations", [3, 40])
-    def test_matches_one_rung_per_call(self, max_iterations):
+    @pytest.mark.parametrize(
+        "max_iterations, box",
+        [
+            pytest.param(3, "BOUNDS", id="3"),
+            pytest.param(40, "BOUNDS", id="40"),
+            pytest.param(3, "CROSSED_BOUNDS", id="3-crossed"),
+            pytest.param(40, "CROSSED_BOUNDS", id="40-crossed"),
+        ],
+    )
+    def test_matches_one_rung_per_call(self, max_iterations, box):
+        bounds = getattr(self, box)
         with np.errstate(invalid="ignore", divide="ignore"):
-            points, losses, iterations, converged, rejected = one_rung_per_call_reference(
-                self.residual_batch, self.SEEDS, self.BOUNDS, max_iterations=max_iterations
+            points, losses, iterations, converged, rejected, crossing = (
+                one_rung_per_call_reference(
+                    self.residual_batch, self.SEEDS, bounds, max_iterations=max_iterations
+                )
             )
             calls: "list[int]" = []
             result = multi_start_least_squares(
                 self.counting_batch(calls),
                 self.SEEDS,
-                bounds=self.BOUNDS,
+                bounds=bounds,
                 max_iterations=max_iterations,
             )
         assert rejected > 0, "the residual must make the reference reject rungs"
+        # Only the crossed box exercises the projection.
+        assert (crossing > 0) == (box == "CROSSED_BOUNDS")
         np.testing.assert_array_equal(result.start_parameters, points)
         np.testing.assert_array_equal(result.start_losses, losses)
         assert result.iterations == iterations
@@ -366,8 +411,10 @@ class TestActiveSetStep:
     def test_bound_pinned_optimum_converges_before_the_cap(self):
         # The reference takes the full-system step and clips it, as the
         # refinement did before the active set: it crawls to the cap.
-        _, clipped_losses, clipped_iterations, clipped_converged, _ = (
-            one_rung_per_call_reference(self.residual_batch, self.SEEDS, self.BOUNDS)
+        _, clipped_losses, clipped_iterations, clipped_converged, _, _ = (
+            one_rung_per_call_reference(
+                self.residual_batch, self.SEEDS, self.BOUNDS, bounded_step=False
+            )
         )
         assert clipped_iterations == 40
         assert not clipped_converged.any()
@@ -416,6 +463,42 @@ class TestActiveSetStep:
         assert result.converged.all()
         assert calls == [1, 2]
         np.testing.assert_array_equal(result.start_parameters, [[0.0, 1.0]])
+
+
+class TestProjectedStep:
+    """A step that crosses a bound puts that parameter on it and re-solves the rest."""
+
+    # A line y = x0 + x1 t through (1, 0.5), (2, 1.5), (3, 2.5): the
+    # unbounded fit is x0 = -0.5, x1 = 1, so from (1, 0.5) the damped step
+    # crosses the lower bound x0 >= 0.
+    T = np.array([1.0, 2.0, 3.0])
+    DATA = T - 0.5
+    BOUNDS = ([0.0, -5.0], [5.0, 5.0])
+
+    @classmethod
+    def residual_batch(cls, points, start_indices):
+        return [x0 + x1 * cls.T - cls.DATA for x0, x1 in points]
+
+    def test_crossing_parameter_lands_on_its_bound(self):
+        ladder = []
+
+        def residual_batch(points, start_indices):
+            ladder.append(np.array(points))
+            return self.residual_batch(points, start_indices)
+
+        multi_start_least_squares(
+            residual_batch, [[1.0, 0.5]], bounds=self.BOUNDS, max_iterations=1, max_step_retries=1
+        )
+        # Seeds, Jacobian block, then the one rung.
+        (candidate,) = ladder[2]
+        assert candidate[0] == 0.0
+        # x1 solves the same damped equations (damping 1e-3) with x0 moved
+        # to 0: sum t (0 + x1 t - data) = 0 gives x1 = 11/14 undamped.
+        t_dot_data, t_dot_t = float(self.T @ self.DATA), float(self.T @ self.T)
+        resolved = 0.5 + (t_dot_data - 0.5 * t_dot_t) / (t_dot_t * (1.0 + 1e-3))
+        assert candidate[1] == pytest.approx(resolved, rel=1e-8)
+        # Clipping the full step would have kept the unbounded slope, near 1.
+        assert abs(candidate[1] - 1.0) > 0.2
 
 
 class TestGroupedStarts:
