@@ -84,7 +84,7 @@ from repro.cascade.density import DensitySurface, compute_density_surface
 from repro.cascade.digg import SyntheticDiggConfig, build_synthetic_digg_dataset
 from repro.cascade.frontpage import FrontPageModel
 from repro.cascade.simulator import CascadeConfig, CascadeSimulator
-from repro.core.calibration import calibrate_dl_model_batched
+from repro.core.calibration import calibrate_dl_model
 from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import (
@@ -256,7 +256,7 @@ def run_bound_pinned_refinement() -> dict:
         stories=1, seed=1001, min_distances=6, max_distances=6, min_hours=6, max_hours=6
     )
     ((_, surface),) = iter_workload(config)
-    refinement = calibrate_dl_model_batched(surface).details["refinement"]
+    refinement = calibrate_dl_model(surface).details["refinement"]
     return {
         key: refinement[key]
         for key in ("iterations", "n_evaluations", "parameters_at_bound")
@@ -1323,10 +1323,10 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
     )
 
     sequential_seconds, sequential = best_of(
-        lambda: calibrate_dl_model_batched(surface, engine="sequential", **grids)
+        lambda: calibrate_dl_model(surface, engine="sequential", **grids)
     )
     batched_seconds, batched = best_of(
-        lambda: calibrate_dl_model_batched(surface, engine="batched", **grids)
+        lambda: calibrate_dl_model(surface, engine="batched", **grids)
     )
 
     phi = InitialDensity.from_surface(surface)

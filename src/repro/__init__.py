@@ -63,7 +63,6 @@ from repro.core import (
     UnknownNameError,
     build_accuracy_table,
     calibrate_dl_model,
-    calibrate_dl_model_batched,
     solve_dl_batch,
 )
 from repro.models import (
@@ -92,7 +91,6 @@ __all__ = [
     "PAPER_S1_INTEREST_PARAMETERS",
     "build_accuracy_table",
     "calibrate_dl_model",
-    "calibrate_dl_model_batched",
     "DensitySurface",
     "compute_density_surface",
     "CascadeDataset",

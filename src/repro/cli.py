@@ -11,9 +11,9 @@ Five subcommands cover the common workflows without writing any Python:
     Run the paper's prediction protocol (Table I / Table II) for one story
     and distance metric.
 ``predict-batch``
-    Run the prediction protocol for several stories in one shot: per-story
-    calibration through the batched grid-then-refine path and all forward
-    solves advanced together in one vectorised batched PDE solve.  Use
+    Run the prediction protocol for several stories in one shot: each
+    story is calibrated as by ``predict``, and all forward solves are
+    advanced together in one vectorised batched PDE solve.  Use
     ``--json`` to emit machine-readable results.
 ``serve-batch``
     Score a whole corpus of stories through the async prediction service:
@@ -288,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="length of the training/evaluation window in hours (>= 2)",
     )
     predict_batch.add_argument(
-        "--sequential-calibration",
-        action="store_true",
-        help="calibrate with the sequential per-candidate protocol instead of the batched grid",
-    )
-    predict_batch.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -353,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="maximum stories advanced together in one batched solve",
-    )
-    serve_batch.add_argument(
-        "--sequential-calibration",
-        action="store_true",
-        help="calibrate with the sequential per-candidate protocol instead of the batched grid",
     )
     serve_batch.add_argument(
         "--output",
@@ -498,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="default per-story wall-clock deadline for submitted jobs",
-    )
-    daemon.add_argument(
-        "--sequential-calibration",
-        action="store_true",
-        help="calibrate with the sequential per-candidate protocol instead of the batched grid",
     )
     daemon.add_argument(
         "--trace",
@@ -866,15 +851,11 @@ def _command_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_spec(args: argparse.Namespace, model: str, batch_calibration: bool):
+def _model_spec(args: argparse.Namespace, model: str):
     """Build the ModelSpec a prediction command resolved from its flags."""
-    from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+    from repro.core.config import ModelSpec, SolverConfig
 
-    return ModelSpec(
-        name=model,
-        solver=SolverConfig(backend=args.backend),
-        calibration=CalibrationConfig(batch=batch_calibration),
-    )
+    return ModelSpec(name=model, solver=SolverConfig(backend=args.backend))
 
 
 def _command_predict(args: argparse.Namespace) -> int:
@@ -894,9 +875,7 @@ def _command_predict(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    # batch_calibration=False preserves the command's historical sequential
-    # calibration protocol for the DL model.
-    spec = _model_spec(args, args.model, batch_calibration=False)
+    spec = _model_spec(args, args.model)
     fitted = get_model(args.model).fit(observed, spec, training_times)
     result = fitted.evaluate(observed, times=training_times[1:])
     title = f"Prediction accuracy -- {args.story}, {args.metric}, hours 2-{args.hours}"
@@ -962,9 +941,7 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
         )
         return 1
 
-    fitter = get_model(args.model).batch_fitter(
-        _model_spec(args, args.model, batch_calibration=not args.sequential_calibration)
-    )
+    fitter = get_model(args.model).batch_fitter(_model_spec(args, args.model))
     for story, surface in surfaces.items():
         fitter.fit_story(story, surface, training_times)
     results = BatchPredictionResult(
@@ -997,7 +974,6 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
             "hours": args.hours,
             "backend": args.backend,
             "model": args.model,
-            "calibration": "sequential" if args.sequential_calibration else "batched",
             "overall_accuracy": results.overall_accuracy,
             "skipped_stories": skipped,
             "stories": {story: _story_payload(results[story]) for story in surfaces},
@@ -1015,7 +991,7 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
 def _command_serve_batch(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.config import CalibrationConfig, SolverConfig
+    from repro.core.config import SolverConfig
     from repro.service import (
         JobStatus,
         ManifestError,
@@ -1106,7 +1082,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     async def run():
         async with PredictionService(
             solver=SolverConfig(backend=args.backend),
-            calibration=CalibrationConfig(batch=not args.sequential_calibration),
             max_workers=args.workers,
             executor=args.executor,
             queue_depth=args.queue_depth,
@@ -1288,7 +1263,7 @@ def _command_daemon(args: argparse.Namespace) -> int:
     except AddressError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from repro.core.config import CalibrationConfig, SolverConfig
+    from repro.core.config import SolverConfig
 
     quota = None
     if args.max_client_jobs is not None or args.max_client_stories is not None:
@@ -1311,7 +1286,6 @@ def _command_daemon(args: argparse.Namespace) -> int:
         trace=args.trace,
         trace_dir=args.trace_dir,
         solver=SolverConfig(backend=args.backend),
-        calibration=CalibrationConfig(batch=not args.sequential_calibration),
         max_workers=args.workers,
         executor=args.executor,
         executor_options=executor_options,

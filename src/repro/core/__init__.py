@@ -48,10 +48,8 @@ from repro.core.properties import (
 from repro.core.calibration import (
     CalibrationResult,
     calibrate_dl_model,
-    calibrate_dl_model_batched,
     calibrate_dl_shard,
     choose_carrying_capacity,
-    fit_growth_rate,
 )
 from repro.core.extensions import (
     SpatiallyScaledGrowthRate,
@@ -95,10 +93,8 @@ __all__ = [
     "is_lower_time_independent_solution",
     "CalibrationResult",
     "calibrate_dl_model",
-    "calibrate_dl_model_batched",
     "calibrate_dl_shard",
     "choose_carrying_capacity",
-    "fit_growth_rate",
     "SpatiallyScaledGrowthRate",
     "calibrate_spatial_scaling",
     "spatially_scaled_parameters",

@@ -10,28 +10,24 @@ automated calibration:
 * :func:`choose_carrying_capacity` -- the paper's heuristic ("K is set to 25
   since ... the density of s1 is always below 25"), generalised to any
   observed surface.
-* :func:`fit_growth_rate` -- least-squares fit of the exponential-decay growth
-  rate ``r(t) = a e^{-b (t - 1)} + c`` with d and K held fixed.
-* :func:`calibrate_dl_model` -- joint coarse-grid + local-refinement fit of
-  (d, a, b, c), with K chosen by the heuristic.
-* :func:`calibrate_dl_model_batched` -- the same coarse-grid + refinement
-  shape, but fully vectorised: every grid candidate is one column of a
-  single batched PDE solve, and the refinement stage advances the top-N grid
-  seeds together through a batched multi-start Levenberg-Marquardt
-  (:func:`repro.numerics.optimization.multi_start_least_squares`) whose
-  residual and finite-difference Jacobian evaluations are themselves columns
-  of batched solves (``calibrate_dl_model(..., batch=True)`` delegates
-  here).  The ``engine`` knob switches between the batched evaluation and a
-  candidate-by-candidate sequential reference, which the tests use to verify
-  the two paths agree to ~1e-8.
+* :func:`calibrate_dl_model` -- joint fit of (d, a, b, c) for
+  ``r(t) = a e^{-b (t - 1)} + c``, with K chosen by the heuristic.  Every
+  point of a coarse (d, a, b, c) seed grid is one column of a single
+  batched PDE solve, and the best grid points are then polished together
+  by a batched multi-start Levenberg-Marquardt refinement
+  (:func:`repro.numerics.optimization.grouped_multi_start_least_squares`)
+  whose residual and finite-difference Jacobian evaluations are themselves
+  columns of batched solves.  The ``engine`` knob switches between the
+  batched evaluation and a candidate-by-candidate sequential reference of
+  the same algorithm, which the tests use to verify the two agree to ~1e-8.
 * :func:`calibrate_dl_shard` -- the same calibration for a shard of stories:
   each story's grid is its own batched solve, and stories sharing a grid,
   initial time and training times refine in lock-step, all their starts in
   one :func:`~repro.numerics.optimization.grouped_multi_start_least_squares`
   call, so an iteration costs two batched solves for the whole shard
   instead of two per story.  Columns never interact, so each story's result
-  equals calibrating it alone; :func:`calibrate_dl_model_batched` is its
-  one-story case.
+  equals calibrating it alone; :func:`calibrate_dl_model` is its one-story
+  case.
 
 All fits compare DL-model predictions against the observed density surface on
 a *training window* of early hours, exactly like the paper's setup where only
@@ -55,7 +51,6 @@ from repro.numerics.optimization import (
     grid_candidates,
     grid_search,
     grouped_multi_start_least_squares,
-    least_squares_fit,
     sum_of_squares,
 )
 
@@ -206,164 +201,16 @@ def _sampled_residuals(
     return residuals.reshape(predicted.shape[2], -1)
 
 
-def fit_growth_rate(
-    observed: DensitySurface,
-    diffusion_rate: float,
-    carrying_capacity: float,
-    training_times: "Sequence[float] | None" = None,
-    points_per_unit: int = 8,
-    max_step: float = 0.05,
-    initial_guess: "Sequence[float] | None" = None,
-    backend: str = "internal",
-) -> CalibrationResult:
-    """Fit the exponential-decay growth rate with d and K fixed.
-
-    Parameters
-    ----------
-    observed:
-        The observed density surface (training data is sliced from it).
-    diffusion_rate, carrying_capacity:
-        Fixed d and K.
-    training_times:
-        Hours used for fitting; defaults to the first six observed hours
-        (hour 1 provides phi, hours 2..6 provide the targets), matching the
-        paper's first-six-hours evaluation protocol.
-    points_per_unit, max_step:
-        Solver resolution during fitting (kept coarse for speed; the final
-        prediction can use a finer grid).
-    initial_guess:
-        Optional ``(amplitude, decay, floor)`` seed for the local optimiser;
-        the batched calibration passes its grid winner here.
-    backend:
-        Solver backend used for the residual solves.
-    """
-    if training_times is None:
-        training_times = default_training_times(observed)
-    training = _training_surface(observed, training_times)
-    initial_density = InitialDensity.from_surface(training)
-    target_times = [float(t) for t in training.times[1:]]
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        amplitude, decay, floor = theta
-        parameters = DLParameters(
-            diffusion_rate=diffusion_rate,
-            growth_rate=ExponentialDecayGrowthRate(
-                amplitude=max(amplitude, 0.0),
-                decay=max(decay, 0.0),
-                floor=max(floor, 0.0),
-                reference_time=initial_density.initial_time,
-            ),
-            carrying_capacity=carrying_capacity,
-        )
-        return _prediction_residuals(
-            parameters,
-            initial_density,
-            training,
-            target_times,
-            points_per_unit,
-            max_step,
-            backend=backend,
-        )
-
-    fit = least_squares_fit(
-        residual,
-        initial_guess=list(initial_guess) if initial_guess is not None else [1.0, 1.0, 0.1],
-        bounds=(list(GROWTH_RATE_BOUNDS[0]), list(GROWTH_RATE_BOUNDS[1])),
-        names=("amplitude", "decay", "floor"),
-    )
-    amplitude, decay, floor = fit.parameters
-    parameters = DLParameters(
-        diffusion_rate=diffusion_rate,
-        growth_rate=ExponentialDecayGrowthRate(
-            amplitude=float(amplitude),
-            decay=float(decay),
-            floor=float(floor),
-            reference_time=initial_density.initial_time,
-        ),
-        carrying_capacity=carrying_capacity,
-    )
-    return CalibrationResult(
-        parameters=parameters,
-        loss=fit.loss,
-        training_times=tuple(float(t) for t in training.times),
-        details={"growth_rate_fit": fit},
-    )
-
-
 DEFAULT_DIFFUSION_GRID = (0.005, 0.01, 0.02, 0.05, 0.1)
-"""Diffusion-rate candidates every calibration path searches."""
+"""Diffusion-rate candidates the calibration searches."""
 
 DEFAULT_AMPLITUDE_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_DECAY_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_FLOOR_GRID = (0.05, 0.1, 0.25, 0.5)
-"""Coarse (a, b, c) seed grids for the batched calibration path."""
+"""Coarse (a, b, c) seed grids of the calibration."""
 
 
 def calibrate_dl_model(
-    observed: DensitySurface,
-    training_times: "Sequence[float] | None" = None,
-    carrying_capacity: "float | None" = None,
-    diffusion_candidates: Sequence[float] = DEFAULT_DIFFUSION_GRID,
-    points_per_unit: int = 8,
-    max_step: float = 0.05,
-    batch: bool = False,
-    backend: str = "internal",
-) -> CalibrationResult:
-    """Joint calibration of (d, r(t)-parameters) with K from the heuristic.
-
-    With ``batch=False`` (default), the diffusion rate is chosen by a coarse
-    grid search with a full growth-rate fit nested inside each candidate,
-    then the growth-rate parameters of the winning d are kept -- the original
-    one-solve-at-a-time protocol.
-
-    With ``batch=True``, calibration delegates to
-    :func:`calibrate_dl_model_batched`: the full (d, a, b, c) seed grid is
-    evaluated in vectorised batched solves (every candidate is one column of
-    one state matrix, sharing each cached operator factorization), and the
-    top grid candidates are polished together by a batched multi-start
-    refinement -- no sequential solve loop anywhere.  This is several times
-    faster at equal accuracy and is what the batched predictor and the
-    ``repro predict-batch`` CLI use.
-    """
-    if len(diffusion_candidates) == 0:
-        raise ValueError("diffusion_candidates must not be empty")
-    if batch:
-        return calibrate_dl_model_batched(
-            observed,
-            training_times=training_times,
-            carrying_capacity=carrying_capacity,
-            diffusion_candidates=diffusion_candidates,
-            points_per_unit=points_per_unit,
-            max_step=max_step,
-            backend=backend,
-        )
-    if carrying_capacity is None:
-        carrying_capacity = choose_carrying_capacity(observed)
-    if training_times is None:
-        training_times = default_training_times(observed)
-
-    best: "CalibrationResult | None" = None
-    per_candidate: dict[float, float] = {}
-    for candidate in diffusion_candidates:
-        result = fit_growth_rate(
-            observed,
-            diffusion_rate=float(candidate),
-            carrying_capacity=carrying_capacity,
-            training_times=training_times,
-            points_per_unit=points_per_unit,
-            max_step=max_step,
-            backend=backend,
-        )
-        per_candidate[float(candidate)] = result.loss
-        if best is None or result.loss < best.loss:
-            best = result
-    assert best is not None  # diffusion_candidates is validated non-empty above
-    best.details["diffusion_grid"] = per_candidate
-    best.details["carrying_capacity"] = carrying_capacity
-    return best
-
-
-def calibrate_dl_model_batched(
     observed: DensitySurface,
     training_times: "Sequence[float] | None" = None,
     carrying_capacity: "float | None" = None,
@@ -378,23 +225,35 @@ def calibrate_dl_model_batched(
     engine: str = "batched",
     backend: str = "internal",
 ) -> CalibrationResult:
-    """Grid-then-refine calibration with vectorised candidate evaluation.
+    """Joint calibration of (d, r(t)-parameters), with K from the heuristic.
 
     Every point of the ``diffusion_candidates x amplitude x decay x floor``
     product becomes one column of a batched solve (columns sharing a
     diffusion rate share each prefactorized operator), the best grid point is
-    selected by the same relative-residual loss the sequential path uses, and
+    selected by the relative-residual loss of :func:`_surface_residuals`, and
     -- unless ``refine=False`` -- the top ``refine_starts`` grid candidates
     are polished together by a batched multi-start Levenberg-Marquardt
     refinement: every start and every finite-difference Jacobian column is
     one column of one batched PDE solve per iteration
-    (:func:`repro.numerics.optimization.multi_start_least_squares`), so no
-    sequential least-squares loop remains anywhere in the calibration.
+    (:func:`repro.numerics.optimization.multi_start_least_squares`).
 
-    This is the one-story case of :func:`calibrate_dl_shard`.
+    This is the one-story case of :func:`calibrate_dl_shard`, and the one
+    calibration every predictor, model adapter, service and CLI command
+    runs.
 
     Parameters
     ----------
+    training_times:
+        Hours used for fitting; defaults to the first six observed hours
+        (hour 1 provides phi, the later hours the targets), matching the
+        paper's first-six-hours evaluation protocol.
+    carrying_capacity:
+        Fixed K; ``None`` picks it with :func:`choose_carrying_capacity`.
+    diffusion_candidates:
+        The diffusion rates the grid searches; must not be empty.
+    points_per_unit, max_step:
+        Solver resolution during fitting (kept coarse for speed; the final
+        prediction can use a finer grid).
     refine_starts:
         Number of grid candidates seeding the multi-start refinement.  The
         grid winner is always included; further seeds prefer distinct
@@ -426,6 +285,8 @@ def calibrate_dl_model_batched(
     seeds keep their grid losses and a decay that ends on its bound is
     reported as the bound.  ``details`` report natural (a, b, c).
     """
+    if len(diffusion_candidates) == 0:
+        raise ValueError("diffusion_candidates must not be empty")
     (result,), _ = calibrate_dl_shard(
         [observed],
         training_times=training_times,
@@ -461,7 +322,7 @@ def calibrate_dl_shard(
     engine: str = "batched",
     backend: str = "internal",
 ) -> "tuple[list[CalibrationResult | Exception], list[FitPhase]]":
-    """:func:`calibrate_dl_model_batched` of many stories, refined in lock-step.
+    """:func:`calibrate_dl_model` of many stories, refined in lock-step.
 
     Each story's grid search is its own batched solve.  Stories that share
     a distance interval, an initial time and training times then put all

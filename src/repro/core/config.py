@@ -1,15 +1,17 @@
 """Typed, frozen configuration objects for the prediction stack.
 
 Every layer of the stack (predictors, sharder, service, daemon, CLI) takes
-its solver and calibration settings as one of three frozen dataclasses,
-so adding a knob touches this module instead of every signature:
+its settings as one of two frozen dataclasses, so adding a knob touches
+this module instead of every signature:
 
 * :class:`SolverConfig` -- the spatial/temporal discretisation and the
   solver backend.  Hashable, so it can join shard keys.
-* :class:`CalibrationConfig` -- how DL parameters are calibrated from a
-  training window (batched grid-then-refine vs sequential).
 * :class:`ModelSpec` -- the full description of one model workload:
-  registry name, model-specific parameters, solver and calibration config.
+  registry name, model-specific parameters and solver config.
+
+DL parameters are calibrated one way only
+(:func:`repro.core.calibration.calibrate_dl_model`), so there is no
+calibration setting; :class:`CalibrationConfig` is an empty placeholder.
 """
 
 from __future__ import annotations
@@ -66,29 +68,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """How DL parameters are fitted from the training window.
+    """An empty placeholder: DL calibration has no settings.
 
-    Attributes
-    ----------
-    batch:
-        ``True`` calibrates through the batched grid-then-refine path
-        (``calibrate_dl_model(batch=True)``); ``False`` runs the sequential
-        per-candidate protocol.  Models without a calibration stage ignore
-        this config.
+    There is one calibration protocol, so nothing selects one and no
+    constructor accepts this class.  It is kept, field-less, only because
+    the serving benchmark reports ``asdict(CalibrationConfig())`` among the
+    program defaults; it goes once that report stops naming it.
     """
-
-    batch: bool = True
-
-    def replace(self, **changes: Any) -> "CalibrationConfig":
-        return replace(self, **changes)
-
-    def to_json_dict(self) -> dict:
-        return {"batch": self.batch}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One model workload: registry name, parameters, solver, calibration.
+    """One model workload: registry name, parameters and solver.
 
     Attributes
     ----------
@@ -104,14 +95,11 @@ class ModelSpec:
     solver:
         The :class:`SolverConfig` for models that run PDE solves; models
         without a spatial solve carry it for shard-signature purposes only.
-    calibration:
-        The :class:`CalibrationConfig`; only meaningful for ``dl``.
     """
 
     name: str = "dl"
     params: Mapping[str, Any] = field(default_factory=dict)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -134,5 +122,4 @@ class ModelSpec:
             "name": self.name,
             "params": params,
             "solver": self.solver.to_json_dict(),
-            "calibration": self.calibration.to_json_dict(),
         }

@@ -113,9 +113,9 @@ def calibrate_spatial_scaling(
     observed:
         The observed density surface.
     base_result:
-        Output of :func:`repro.core.calibration.calibrate_dl_model` (or
-        :func:`fit_growth_rate`): supplies the temporal growth rate, the
-        diffusion rate and the carrying capacity, all of which are kept fixed.
+        Output of :func:`repro.core.calibration.calibrate_dl_model`:
+        supplies the temporal growth rate, the diffusion rate and the
+        carrying capacity, all of which are kept fixed.
     training_times:
         Hours used for fitting; defaults to the base result's window.
     scale_bounds:

@@ -16,7 +16,9 @@ This is the workflow of Section III-C of the paper:
 :class:`BatchPredictor` runs the same workflow for *many* stories in one
 call: phi is built per story, parameters are supplied or calibrated per
 story, and the forward solves of all stories sharing a spatial setup are
-advanced together as columns of one batched PDE solve.
+advanced together as columns of one batched PDE solve.  Both predictors fit
+a story through one function, :func:`fit_story_state`, so a story gets the
+same phi and parameters from either.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.calibration import (
     calibrate_dl_model,
     calibrate_dl_shard,
 )
-from repro.core.config import CalibrationConfig, SolverConfig
+from repro.core.config import SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel, DLSolution, solve_dl_batch
 from repro.core.errors import NotFittedError
 from repro.core.initial_density import InitialDensity
@@ -106,12 +108,9 @@ class DiffusionPredictor:
         the training window.
     solver:
         A :class:`~repro.core.config.SolverConfig` describing the grid
-        resolution, time step and backend of every solve.
-    calibration:
-        A :class:`~repro.core.config.CalibrationConfig`.  Omitted, :meth:`fit`
-        calibrates through the sequential per-candidate protocol
-        (``CalibrationConfig(batch=False)``); ``batch=True`` selects the
-        batched grid-then-refine path (``calibrate_dl_model(batch=True)``).
+        resolution, time step and backend of every solve.  Calibration
+        (:func:`~repro.core.calibration.calibrate_dl_model`) runs on the
+        solver's backend at its own coarser grid.
     """
 
     def __init__(
@@ -119,13 +118,9 @@ class DiffusionPredictor:
         parameters: "DLParameters | None" = None,
         *,
         solver: "SolverConfig | None" = None,
-        calibration: "CalibrationConfig | None" = None,
     ) -> None:
         self._configured_parameters = parameters
         self._solver = solver if solver is not None else SolverConfig()
-        self._calibration = (
-            calibration if calibration is not None else CalibrationConfig(batch=False)
-        )
         self._fitted_parameters: "DLParameters | None" = None
         self._initial_density: "InitialDensity | None" = None
         self._calibration_details: dict = {}
@@ -134,11 +129,6 @@ class DiffusionPredictor:
     def solver_config(self) -> SolverConfig:
         """The solver configuration every solve of this predictor uses."""
         return self._solver
-
-    @property
-    def calibration_config(self) -> CalibrationConfig:
-        """The calibration configuration :meth:`fit` uses."""
-        return self._calibration
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -153,38 +143,15 @@ class DiffusionPredictor:
         When the predictor was constructed without explicit parameters, the
         training window (default: the first six observed hours) is used to
         calibrate them; otherwise the supplied parameters are kept and only
-        phi is (re)built.
+        phi is (re)built.  See :func:`fit_story_state`.
         """
-        if training_times is None:
-            training_times = default_training_times(observed)
-        training_times = sorted(float(t) for t in training_times)
-        if not training_times:
-            raise ValueError("at least one training time is required")
-
-        initial_time = training_times[0]
-        initial_profile = observed.profile(initial_time)
-        self._initial_density = InitialDensity(
-            distances=observed.distances,
-            densities=initial_profile,
-            initial_time=initial_time,
+        (
+            self._initial_density,
+            self._fitted_parameters,
+            self._calibration_details,
+        ) = fit_story_state(
+            observed, training_times, self._configured_parameters, self._solver.backend
         )
-
-        if self._configured_parameters is not None:
-            self._fitted_parameters = self._configured_parameters
-            self._calibration_details = {"calibrated": False}
-        else:
-            calibration = calibrate_dl_model(
-                observed,
-                training_times=training_times,
-                batch=self._calibration.batch,
-                backend=self._solver.backend,
-            )
-            self._fitted_parameters = calibration.parameters
-            self._calibration_details = {
-                "calibrated": True,
-                "loss": calibration.loss,
-                "details": calibration.details,
-            }
         return self
 
     @property
@@ -256,6 +223,48 @@ class DiffusionPredictor:
         return _score_solution(
             solution, actual, times, distances, self.calibration_details
         )
+
+
+def fit_story_state(
+    observed: DensitySurface,
+    training_times: "Sequence[float] | None",
+    parameters: "DLParameters | None",
+    backend: str,
+    calibrated: "CalibrationResult | Exception | None" = None,
+) -> "tuple[InitialDensity, DLParameters, dict]":
+    """One story's phi, parameters and calibration details.
+
+    phi is the observed profile at the first training time
+    (``training_times=None``: the story's first six observed hours).  The
+    parameters are ``parameters`` when given; otherwise ``calibrated``, the
+    story's calibration if already computed (an exception re-raises), or
+    else :func:`~repro.core.calibration.calibrate_dl_model` on ``backend``.
+    """
+    if training_times is None:
+        training_times = default_training_times(observed)
+    training_times = sorted(float(t) for t in training_times)
+    if not training_times:
+        raise ValueError("at least one training time is required")
+    initial_time = training_times[0]
+    phi = InitialDensity(
+        distances=observed.distances,
+        densities=observed.profile(initial_time),
+        initial_time=initial_time,
+    )
+    if parameters is not None:
+        return phi, parameters, {"calibrated": False}
+    if isinstance(calibrated, Exception):
+        raise calibrated
+    if calibrated is None:
+        calibrated = calibrate_dl_model(
+            observed, training_times=training_times, backend=backend
+        )
+    details = {
+        "calibrated": True,
+        "loss": calibrated.loss,
+        "details": calibrated.details,
+    }
+    return phi, calibrated.parameters, details
 
 
 def _resolve_evaluation_times(
@@ -399,7 +408,8 @@ class BatchPredictor:
     the training window, DL equation integrated forward -- but the forward
     solves of every story sharing a spatial setup (same distance interval and
     initial time) are advanced together as the columns of one batched PDE
-    solve, and calibration defaults to the batched grid-then-refine path.
+    solve.  Each story is fitted by the same :func:`fit_story_state` as
+    :meth:`DiffusionPredictor.fit`, so both give a story the same parameters.
 
     Parameters
     ----------
@@ -407,10 +417,9 @@ class BatchPredictor:
         ``None`` to calibrate each story from its own training window, one
         :class:`DLParameters` shared by every story, or a mapping from story
         name to its parameters.
-    solver, calibration:
-        Typed configs, as for :class:`DiffusionPredictor`, except that
-        calibration defaults to the batched grid evaluation
-        (``CalibrationConfig(batch=True)``).
+    solver:
+        A :class:`~repro.core.config.SolverConfig`, as for
+        :class:`DiffusionPredictor`.
     """
 
     def __init__(
@@ -418,13 +427,9 @@ class BatchPredictor:
         parameters: "DLParameters | Mapping[str, DLParameters] | None" = None,
         *,
         solver: "SolverConfig | None" = None,
-        calibration: "CalibrationConfig | None" = None,
     ) -> None:
         self._configured_parameters = parameters
         self._solver = solver if solver is not None else SolverConfig()
-        self._calibration = (
-            calibration if calibration is not None else CalibrationConfig(batch=True)
-        )
         self._initial_densities: "dict[str, InitialDensity]" = {}
         self._parameters: "dict[str, DLParameters]" = {}
         self._calibration_details: "dict[str, dict]" = {}
@@ -434,47 +439,20 @@ class BatchPredictor:
         """The solver configuration every batched solve uses."""
         return self._solver
 
-    @property
-    def calibration_config(self) -> CalibrationConfig:
-        """The calibration configuration :meth:`fit_story` uses."""
-        return self._calibration
-
     # ------------------------------------------------------------------ #
     # Fitting
     # ------------------------------------------------------------------ #
-    def _resolve_parameters(
-        self,
-        name: str,
-        observed: DensitySurface,
-        training_times: "list[float]",
-        calibration: "CalibrationResult | Exception | None" = None,
-    ) -> "tuple[DLParameters, dict]":
-        """The story's parameters: supplied, given as ``calibration``, or calibrated."""
+    def _supplied_parameters(self, name: str) -> "DLParameters | None":
+        """The story's supplied parameters, or ``None`` to calibrate it."""
         configured = self._configured_parameters
-        if isinstance(configured, DLParameters):
-            return configured, {"calibrated": False}
         if isinstance(configured, Mapping):
             if name not in configured:
                 raise KeyError(
                     f"no parameters supplied for story {name!r}; the mapping has "
                     f"{sorted(configured)}"
                 )
-            return configured[name], {"calibrated": False}
-        if isinstance(calibration, Exception):
-            raise calibration
-        if calibration is None:
-            calibration = calibrate_dl_model(
-                observed,
-                training_times=training_times,
-                batch=self._calibration.batch,
-                backend=self._solver.backend,
-            )
-        details = {
-            "calibrated": True,
-            "loss": calibration.loss,
-            "details": calibration.details,
-        }
-        return calibration.parameters, details
+            return configured[name]
+        return configured
 
     def fit_story(
         self,
@@ -496,23 +474,15 @@ class BatchPredictor:
         name: str,
         observed: DensitySurface,
         training_times: "Sequence[float] | None",
-        calibration: "CalibrationResult | Exception | None" = None,
+        calibrated: "CalibrationResult | Exception | None" = None,
     ) -> "BatchPredictor":
-        """:meth:`fit_story`, with the story's ``calibration`` if already computed."""
-        if training_times is None:
-            story_times = default_training_times(observed)
-        else:
-            story_times = sorted(float(t) for t in training_times)
-        if not story_times:
-            raise ValueError(f"story {name!r} has no training times")
-        initial_time = story_times[0]
-        phi = InitialDensity(
-            distances=observed.distances,
-            densities=observed.profile(initial_time),
-            initial_time=initial_time,
-        )
-        parameters, details = self._resolve_parameters(
-            name, observed, story_times, calibration
+        """:meth:`fit_story`, with the story's calibration if already computed."""
+        phi, parameters, details = fit_story_state(
+            observed,
+            training_times,
+            self._supplied_parameters(name),
+            self._solver.backend,
+            calibrated,
         )
         # Commit only after every stage succeeded, so a failed fit (e.g. a
         # calibration error) leaves no half-fitted story behind and the
@@ -536,10 +506,10 @@ class BatchPredictor:
         therefore equals :meth:`fit_story` on it alone (only the
         refinement's wall-clock ``seconds`` differ), and a story that fails
         is reported in ``failures`` and leaves no state behind.  Stories
-        with supplied parameters, and sequential calibrations, have nothing
-        to share and are fitted one by one.
+        with supplied parameters have nothing to share and are fitted one by
+        one.
         """
-        if self._configured_parameters is not None or not self._calibration.batch:
+        if self._configured_parameters is not None:
             return fit_story_by_story(self.fit_story, surfaces, training_times)
         calibrations, phases = calibrate_dl_shard(
             list(surfaces.values()),

@@ -26,7 +26,7 @@ register a factory in :data:`MODELS`; :func:`~repro.models.compare.compare_model
 scores one corpus under several models (``repro compare``).
 """
 
-from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+from repro.core.config import ModelSpec, SolverConfig
 from repro.core.errors import NotFittedError
 from repro.models.base import (
     BatchFitter,
@@ -60,7 +60,6 @@ __all__ = [
     "ModelParameters",
     "ModelSpec",
     "SolverConfig",
-    "CalibrationConfig",
     "NotFittedError",
     "MODELS",
     "get_model",

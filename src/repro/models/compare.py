@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.cascade.density import DensitySurface
-from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+from repro.core.config import ModelSpec, SolverConfig
 from repro.core.prediction import PredictionResult
 from repro.models.registry import get_model
 
@@ -108,7 +108,6 @@ def compare_models(
     training_times: "Sequence[float] | None" = None,
     evaluation_times: "Sequence[float] | None" = None,
     solver: "SolverConfig | None" = None,
-    calibration: "CalibrationConfig | None" = None,
     specs: "Mapping[str, ModelSpec] | None" = None,
 ) -> ModelComparison:
     """Score one corpus under several registered models.
@@ -129,8 +128,8 @@ def compare_models(
     training_times, evaluation_times:
         The shared windows; defaults mirror the predictors (first six
         observed hours / hours 2..6).
-    solver, calibration:
-        Configs applied to every model without an explicit spec.
+    solver:
+        The solver config of every model without an explicit spec.
     specs:
         Optional per-model :class:`ModelSpec` overrides (e.g. explicit DL
         parameters).
@@ -144,11 +143,7 @@ def compare_models(
             spec = specs[name]
         else:
             spec = ModelSpec(
-                name=name,
-                solver=solver if solver is not None else SolverConfig(),
-                calibration=(
-                    calibration if calibration is not None else CalibrationConfig()
-                ),
+                name=name, solver=solver if solver is not None else SolverConfig()
             )
         comparison.results[name] = {}
         failures = comparison.failures.setdefault(name, {})

@@ -142,7 +142,6 @@ class DiffusiveLogisticPredictionModel(PredictionModel):
         predictor = DiffusionPredictor(
             parameters=spec.params.get("parameters"),
             solver=spec.solver,
-            calibration=spec.calibration,
         )
         return DLFittedModel(predictor.fit(observed, training_times))
 
@@ -152,6 +151,5 @@ class DiffusiveLogisticPredictionModel(PredictionModel):
             BatchPredictor(
                 parameters=spec.params.get("parameters"),
                 solver=spec.solver,
-                calibration=spec.calibration,
             )
         )

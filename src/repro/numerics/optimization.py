@@ -576,9 +576,9 @@ def grid_search(
 ) -> FitResult:
     """Exhaustive search over a Cartesian product of parameter values.
 
-    Used to seed :func:`least_squares_fit` when calibrating the DL model,
-    whose loss surface has multiple local minima in (d, K, growth-rate
-    parameters).
+    Used to score coarse growth-rate grids of the DL model
+    (:func:`repro.core.calibration.growth_rate_grid_result`), whose loss
+    surface has multiple local minima in (d, K, growth-rate parameters).
 
     Parameters
     ----------

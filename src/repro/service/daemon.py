@@ -258,8 +258,8 @@ class PredictionDaemon:
         evicted first); bounds trace memory over a long daemon life.
     **service_kwargs:
         Forwarded to :class:`~repro.service.service.PredictionService`
-        (workers, queue depth, shard size, autotune, ``solver=`` /
-        ``calibration=`` configs, executor -- ``executor="process"`` runs
+        (workers, queue depth, shard size, autotune, the ``solver=``
+        config, executor -- ``executor="process"`` runs
         shard solves on a crash-respawning process pool -- ...).  All jobs share this one
         service, so every manifest benefits from the same warmed operator
         caches and autotuner state; the ``stats`` event reports the

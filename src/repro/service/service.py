@@ -60,7 +60,7 @@ from enum import Enum
 from typing import AsyncIterator, Iterable, Mapping, Sequence
 
 from repro.cascade.density import DensitySurface
-from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+from repro.core.config import ModelSpec, SolverConfig
 from repro.core.parameters import DLParameters
 from repro.core.prediction import PredictionResult
 from repro.models.registry import MODELS
@@ -229,10 +229,10 @@ class PredictionService:
         Extra keyword arguments for the backend factory, e.g.
         ``{"start_method": "spawn"}`` or a ``warmup`` payload for the
         process backend.
-    solver, calibration:
-        Typed configs (:class:`~repro.core.config.SolverConfig` /
-        :class:`~repro.core.config.CalibrationConfig`); omitted, they take
-        their defaults, with batched calibration.
+    solver:
+        A :class:`~repro.core.config.SolverConfig`; omitted, the defaults.
+        DL stories without parameters are calibrated by
+        :func:`~repro.core.calibration.calibrate_dl_model`.
     max_workers:
         Number of shard solves in flight at once (the executor's pool
         size); ``None`` takes the executor's ``default_workers``: 1 on
@@ -296,7 +296,6 @@ class PredictionService:
         executor: str = "thread",
         executor_options: "Mapping[str, object] | None" = None,
         solver: "SolverConfig | None" = None,
-        calibration: "CalibrationConfig | None" = None,
         tracer: "TracerLike | None" = None,
     ) -> None:
         if max_workers is None:
@@ -326,9 +325,6 @@ class PredictionService:
                 f"{model!r}; pass model-specific options via model_params="
             )
         solver_config = solver if solver is not None else SolverConfig()
-        calibration_config = (
-            calibration if calibration is not None else CalibrationConfig(batch=True)
-        )
         params = dict(model_params or {})
         if parameters is not None:
             params["parameters"] = parameters
@@ -336,7 +332,6 @@ class PredictionService:
             name=model,
             params=params,
             solver=solver_config,
-            calibration=calibration_config,
         )
         self._sharder = CorpusSharder(
             solver=solver_config,
@@ -404,7 +399,7 @@ class PredictionService:
 
     @property
     def model_spec(self) -> ModelSpec:
-        """The default model workload (name, params, solver, calibration)."""
+        """The default model workload (name, params, solver)."""
         return self._spec
 
     def _new_autotuner(self) -> ShardAutotuner:
@@ -1023,7 +1018,7 @@ class PredictionService:
 
         The default model keeps the service's full spec (including any
         explicit DL parameters); per-story override models run with the
-        shared solver/calibration configs plus their ``model_overrides``
+        shared solver config plus their ``model_overrides``
         params -- before that mapping existed, overridden params were
         silently dropped here and override models always ran with registry
         defaults.  Specs are cached per model (they are frozen).
@@ -1036,7 +1031,6 @@ class PredictionService:
                 name=model_name,
                 params=self._model_overrides.get(model_name, {}),
                 solver=self._spec.solver,
-                calibration=self._spec.calibration,
             )
             self._override_specs[model_name] = spec
         return spec

@@ -20,9 +20,7 @@ from repro.core.calibration import (
     _Settings,
     _surface_residuals,
     calibrate_dl_model,
-    calibrate_dl_model_batched,
     choose_carrying_capacity,
-    fit_growth_rate,
     growth_rate_grid_result,
 )
 from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch
@@ -77,10 +75,17 @@ class TestChooseCarryingCapacity:
         assert choose_carrying_capacity(large) >= choose_carrying_capacity(small)
 
 
+def calibrate_growth_rate(surface, **kwargs):
+    """Calibrate r(t) alone: one diffusion candidate and a fixed K."""
+    return calibrate_dl_model(
+        surface, carrying_capacity=25.0, diffusion_candidates=(0.01,), **kwargs
+    )
+
+
 class TestFitGrowthRate:
     def test_round_trip_on_dl_generated_data(self):
         surface = synthetic_dl_surface()
-        result = fit_growth_rate(surface, diffusion_rate=0.01, carrying_capacity=25.0)
+        result = calibrate_growth_rate(surface)
         rate = result.parameters.growth_rate
         assert isinstance(rate, ExponentialDecayGrowthRate)
         # The fitted r(t) should be close to the true one over the window.
@@ -91,7 +96,7 @@ class TestFitGrowthRate:
 
     def test_predictions_with_fitted_parameters_match_surface(self):
         surface = synthetic_dl_surface()
-        result = fit_growth_rate(surface, diffusion_rate=0.01, carrying_capacity=25.0)
+        result = calibrate_growth_rate(surface)
         phi = InitialDensity.from_surface(surface)
         model = DiffusiveLogisticModel(result.parameters, points_per_unit=12, max_step=0.02)
         predicted = model.predict(phi, [4.0, 6.0])
@@ -100,17 +105,13 @@ class TestFitGrowthRate:
 
     def test_training_window_recorded(self):
         surface = synthetic_dl_surface()
-        result = fit_growth_rate(
-            surface, diffusion_rate=0.01, carrying_capacity=25.0, training_times=[1, 2, 3, 4]
-        )
+        result = calibrate_growth_rate(surface, training_times=[1, 2, 3, 4])
         assert result.training_times == (1.0, 2.0, 3.0, 4.0)
 
     def test_requires_at_least_two_training_times(self):
         surface = synthetic_dl_surface()
         with pytest.raises(ValueError):
-            fit_growth_rate(
-                surface, diffusion_rate=0.01, carrying_capacity=25.0, training_times=[1.0]
-            )
+            calibrate_growth_rate(surface, training_times=[1.0])
 
 
 class TestCalibrateDLModel:
@@ -122,6 +123,7 @@ class TestCalibrateDLModel:
             diffusion_candidates=(0.005, 0.05, 0.5),
         )
         assert result.parameters.diffusion_rate == pytest.approx(0.05)
+        assert result.details["engine"] == "batched"
         assert "diffusion_grid" in result.details
         assert result.details["carrying_capacity"] == 25.0
 
@@ -134,11 +136,6 @@ class TestCalibrateDLModel:
         surface = synthetic_dl_surface()
         with pytest.raises(ValueError, match="diffusion_candidates"):
             calibrate_dl_model(surface, diffusion_candidates=())
-
-    def test_rejects_empty_candidates_batched(self):
-        surface = synthetic_dl_surface()
-        with pytest.raises(ValueError, match="diffusion_candidates"):
-            calibrate_dl_model(surface, diffusion_candidates=(), batch=True)
 
 
 class TestBatchedCalibration:
@@ -153,8 +150,8 @@ class TestBatchedCalibration:
 
     def test_batched_engine_matches_sequential_engine(self):
         surface = synthetic_dl_surface(diffusion=0.05)
-        batched = calibrate_dl_model_batched(surface, engine="batched", **self.SMALL_GRIDS)
-        sequential = calibrate_dl_model_batched(
+        batched = calibrate_dl_model(surface, engine="batched", **self.SMALL_GRIDS)
+        sequential = calibrate_dl_model(
             surface, engine="sequential", **self.SMALL_GRIDS
         )
         assert batched.parameters.diffusion_rate == pytest.approx(
@@ -166,22 +163,9 @@ class TestBatchedCalibration:
         assert b_rate.floor == pytest.approx(s_rate.floor, abs=1e-10)
         assert batched.loss == pytest.approx(sequential.loss, abs=1e-10)
 
-    def test_batch_flag_selects_reasonable_diffusion(self):
-        surface = synthetic_dl_surface(diffusion=0.05)
-        result = calibrate_dl_model(
-            surface,
-            carrying_capacity=25.0,
-            diffusion_candidates=(0.005, 0.05, 0.5),
-            batch=True,
-        )
-        assert result.parameters.diffusion_rate == pytest.approx(0.05)
-        assert result.details["engine"] == "batched"
-        assert result.details["carrying_capacity"] == 25.0
-        assert "diffusion_grid" in result.details
-
     def test_grid_only_mode_skips_refinement(self):
         surface = synthetic_dl_surface()
-        result = calibrate_dl_model_batched(surface, refine=False, **self.SMALL_GRIDS)
+        result = calibrate_dl_model(surface, refine=False, **self.SMALL_GRIDS)
         assert result.details.get("refined") is None
         assert result.loss == result.details["grid_loss"]
         winner = result.details["grid_winner"]
@@ -190,18 +174,18 @@ class TestBatchedCalibration:
 
     def test_refinement_never_worsens_the_grid_loss(self):
         surface = synthetic_dl_surface()
-        grid_only = calibrate_dl_model_batched(surface, refine=False, **self.SMALL_GRIDS)
-        refined = calibrate_dl_model_batched(surface, refine=True, **self.SMALL_GRIDS)
+        grid_only = calibrate_dl_model(surface, refine=False, **self.SMALL_GRIDS)
+        refined = calibrate_dl_model(surface, refine=True, **self.SMALL_GRIDS)
         assert refined.loss <= grid_only.loss + 1e-12
 
     def test_rejects_unknown_engine(self):
         surface = synthetic_dl_surface()
         with pytest.raises(ValueError):
-            calibrate_dl_model_batched(surface, engine="quantum")
+            calibrate_dl_model(surface, engine="quantum")
 
     def test_refinement_is_batched_multi_start(self):
         surface = synthetic_dl_surface()
-        result = calibrate_dl_model_batched(surface, **self.SMALL_GRIDS)
+        result = calibrate_dl_model(surface, **self.SMALL_GRIDS)
         refinement = result.details["refinement"]
         assert refinement["engine"] == "batched"
         assert refinement["starts"] == 4
@@ -218,14 +202,14 @@ class TestBatchedCalibration:
 
     def test_refine_starts_configurable_and_validated(self):
         surface = synthetic_dl_surface()
-        result = calibrate_dl_model_batched(surface, refine_starts=2, **self.SMALL_GRIDS)
+        result = calibrate_dl_model(surface, refine_starts=2, **self.SMALL_GRIDS)
         assert result.details["refinement"]["starts"] == 2
         with pytest.raises(ValueError):
-            calibrate_dl_model_batched(surface, refine_starts=0, **self.SMALL_GRIDS)
+            calibrate_dl_model(surface, refine_starts=0, **self.SMALL_GRIDS)
 
     def test_records_candidate_count(self):
         surface = synthetic_dl_surface()
-        result = calibrate_dl_model_batched(surface, refine=False, **self.SMALL_GRIDS)
+        result = calibrate_dl_model(surface, refine=False, **self.SMALL_GRIDS)
         assert result.details["candidates_evaluated"] == 3 * 2 * 2 * 2
 
 
@@ -238,8 +222,8 @@ class TestBatchedCalibration:
         )
         ((_, surface),) = iter_workload(config)
         grids = dict(self.SMALL_GRIDS, diffusion_candidates=(0.005, 0.05), refine_starts=2)
-        batched = calibrate_dl_model_batched(surface, engine="batched", **grids)
-        sequential = calibrate_dl_model_batched(surface, engine="sequential", **grids)
+        batched = calibrate_dl_model(surface, engine="batched", **grids)
+        sequential = calibrate_dl_model(surface, engine="sequential", **grids)
         for result in (batched, sequential):
             refinement = result.details["refinement"]
             assert refinement["iterations"] < 40
@@ -275,7 +259,7 @@ class TestLogDecayCoordinates:
         )
         surface = synthetic_dl_surface(hours=6)
         # exp(log(3.0)) is 3.0000000000000004: the map must still be exact.
-        result = calibrate_dl_model_batched(surface, **dict(self.GRIDS, decay_grid=(3.0,)))
+        result = calibrate_dl_model(surface, **dict(self.GRIDS, decay_grid=(3.0,)))
         refinement = result.details["refinement"]
         assert refinement["iterations"] == 0
         # The seeds are the best grid row of each diffusion rate.
@@ -290,7 +274,7 @@ class TestLogDecayCoordinates:
         # The rate decays more slowly than the box allows (0.01 < 0.05) and
         # has no floor, so the fit ends with decay on its lower bound.
         surface = synthetic_dl_surface(amplitude=0.5, decay=0.01, floor=0.0, hours=6)
-        result = calibrate_dl_model_batched(surface, **self.GRIDS)
+        result = calibrate_dl_model(surface, **self.GRIDS)
         refinement = result.details["refinement"]
         assert result.parameters.growth_rate.decay == 0.05
         assert "decay" in refinement["parameters_at_bound"]
@@ -298,7 +282,7 @@ class TestLogDecayCoordinates:
 
     def test_start_parameters_lie_inside_the_bounds(self):
         surface = synthetic_dl_surface(amplitude=0.5, decay=0.01, floor=0.0, hours=6)
-        result = calibrate_dl_model_batched(surface, **self.GRIDS)
+        result = calibrate_dl_model(surface, **self.GRIDS)
         lower, upper = GROWTH_RATE_BOUNDS
         for row in result.details["refinement"]["start_parameters"]:
             assert all(low <= value <= high for value, low, high in zip(row, lower, upper))
@@ -363,7 +347,7 @@ class TestBatchResiduals:
         from repro.core import calibration
 
         surface = synthetic_dl_surface(hours=6)
-        reference = calibrate_dl_model_batched(surface, **TestBatchedCalibration.SMALL_GRIDS)
+        reference = calibrate_dl_model(surface, **TestBatchedCalibration.SMALL_GRIDS)
         calls = {"targets": 0, "isclose": 0}
         observed_targets, isclose = calibration._observed_targets, np.isclose
 
@@ -377,9 +361,9 @@ class TestBatchResiduals:
 
         monkeypatch.setattr(calibration, "_observed_targets", counting_targets)
         monkeypatch.setattr(calibration.np, "isclose", counting_isclose)
-        calibrate_dl_model_batched(surface, refine=False, **TestBatchedCalibration.SMALL_GRIDS)
+        calibrate_dl_model(surface, refine=False, **TestBatchedCalibration.SMALL_GRIDS)
         grid_only = dict(calls)
-        result = calibrate_dl_model_batched(surface, **TestBatchedCalibration.SMALL_GRIDS)
+        result = calibrate_dl_model(surface, **TestBatchedCalibration.SMALL_GRIDS)
         monkeypatch.undo()
         assert result.details["refinement"]["residual_batches"] > 1
         # The refinement's batches add no lookups to the grid's one.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cascade.density import DensitySurface
-from repro.core.calibration import CalibrationResult, fit_growth_rate
+from repro.core.calibration import CalibrationResult, calibrate_dl_model
 from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.extensions import (
     SpatiallyScaledGrowthRate,
@@ -94,38 +94,43 @@ def spatially_heterogeneous_surface(hours=8):
     )
 
 
+def uniform_calibration(observed, **kwargs):
+    """The uniform DL calibration the spatial fit starts from (d and K fixed)."""
+    return calibrate_dl_model(
+        observed, carrying_capacity=30.0, diffusion_candidates=(0.01,), **kwargs
+    )
+
+
 class TestCalibrateSpatialScaling:
     def test_improves_on_uniform_calibration(self):
         observed = spatially_heterogeneous_surface()
-        uniform = fit_growth_rate(observed, diffusion_rate=0.01, carrying_capacity=30.0)
+        uniform = uniform_calibration(observed)
         spatial = calibrate_spatial_scaling(observed, uniform)
         assert spatial.loss < uniform.loss
         assert isinstance(spatial.parameters.growth_rate, SpatiallyScaledGrowthRate)
 
     def test_recovered_scales_are_ordered_like_the_truth(self):
         observed = spatially_heterogeneous_surface()
-        uniform = fit_growth_rate(observed, diffusion_rate=0.01, carrying_capacity=30.0)
+        uniform = uniform_calibration(observed)
         spatial = calibrate_spatial_scaling(observed, uniform)
         scales = spatial.details["spatial_scaling_fit"].as_dict()
         assert scales["scale_x1"] > scales["scale_x5"]
 
     def test_requires_two_training_times(self):
         observed = spatially_heterogeneous_surface()
-        uniform = fit_growth_rate(observed, diffusion_rate=0.01, carrying_capacity=30.0)
+        uniform = uniform_calibration(observed)
         with pytest.raises(ValueError):
             calibrate_spatial_scaling(observed, uniform, training_times=[1.0])
 
     def test_base_result_window_reused_by_default(self):
         observed = spatially_heterogeneous_surface()
-        uniform = fit_growth_rate(
-            observed, diffusion_rate=0.01, carrying_capacity=30.0, training_times=[1, 2, 3, 4]
-        )
+        uniform = uniform_calibration(observed, training_times=[1, 2, 3, 4])
         spatial = calibrate_spatial_scaling(observed, uniform)
         assert spatial.training_times == (1.0, 2.0, 3.0, 4.0)
 
     def test_result_type(self):
         observed = spatially_heterogeneous_surface()
-        uniform = fit_growth_rate(observed, diffusion_rate=0.01, carrying_capacity=30.0)
+        uniform = uniform_calibration(observed)
         spatial = calibrate_spatial_scaling(observed, uniform)
         assert isinstance(spatial, CalibrationResult)
         assert spatial.details["base_loss"] == uniform.loss

@@ -9,7 +9,7 @@ from repro.baselines.linear_influence import LinearInfluenceBaseline
 from repro.baselines.logistic import PerDistanceLogisticBaseline
 from repro.baselines.sis import SISBaseline
 from repro.cascade.density import DensitySurface
-from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+from repro.core.config import ModelSpec, SolverConfig
 from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.errors import NotFittedError
 from repro.core.initial_density import InitialDensity
@@ -48,7 +48,7 @@ class TestDLAdapter:
         result = fitted.evaluate(surface, times=EVALUATION_TIMES)
 
         reference = (
-            DiffusionPredictor(solver=SOLVER, calibration=CalibrationConfig())
+            DiffusionPredictor(solver=SOLVER)
             .fit(surface, training_times=TRAINING_TIMES)
             .evaluate(surface, times=EVALUATION_TIMES)
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CalibrationConfig, ModelSpec, SolverConfig
+from repro.core.config import ModelSpec, SolverConfig
 from repro.core.errors import NotFittedError, UnknownNameError
 from repro.core.prediction import BatchPredictor, DiffusionPredictor
 from repro.models import MODELS, PredictionModel, get_model
@@ -85,8 +85,11 @@ class TestSolverConfig:
     def test_typed_configs_and_calibration_defaults(self):
         solver = SolverConfig(points_per_unit=12, backend="scipy")
         assert DiffusionPredictor(solver=solver).solver_config == solver
-        assert DiffusionPredictor().calibration_config == CalibrationConfig(batch=False)
-        assert BatchPredictor().calibration_config == CalibrationConfig(batch=True)
+        # One calibration protocol: nothing selects it.
+        with pytest.raises(TypeError):
+            DiffusionPredictor(calibration=None)
+        with pytest.raises(TypeError):
+            BatchPredictor(calibration=None)
 
 
 class TestModelSpec:

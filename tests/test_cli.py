@@ -41,7 +41,6 @@ class TestParser:
         assert args.hours == 6
         assert args.backend == "internal"
         assert args.json is None
-        assert args.sequential_calibration is False
 
     def test_unknown_backend_accepted_by_parser(self):
         # Backend names are validated against the live registry when the
@@ -185,7 +184,6 @@ class TestPredictBatch:
         assert "overall accuracy" in out
         payload = json.loads(output.read_text())
         assert payload["stories"]["s1"]["overall_accuracy"] > 0.0
-        assert payload["calibration"] == "batched"
         assert payload["backend"] == "internal"
         assert "operator" not in payload
 
@@ -216,6 +214,13 @@ class TestPredictBatch:
             main(["predict-batch", *CORPUS_ARGS, "--operator", "banded"])
         assert exit_info.value.code == 2
         assert "--operator" in capsys.readouterr().err
+
+    def test_sequential_calibration_option_is_gone(self, capsys):
+        # One calibration protocol: nothing on the command line selects one.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict-batch", *CORPUS_ARGS, "--sequential-calibration"])
+        assert exit_info.value.code == 2
+        assert "--sequential-calibration" in capsys.readouterr().err
 
     def test_skips_empty_stories_and_reports_them(self, capsys):
         # s4 has no votes in its first hour on the small corpus; the batch
@@ -428,10 +433,10 @@ class TestServeBatch:
         original = BatchPredictor._fit_story
 
         # _fit_story is what fit_story and the shard path's fit_shard share.
-        def failing(self, name, observed, training_times=None, calibration=None):
+        def failing(self, name, observed, training_times=None, calibrated=None):
             if name == "doomed":
                 raise ValueError("synthetic per-story fit failure")
-            return original(self, name, observed, training_times, calibration)
+            return original(self, name, observed, training_times, calibrated)
 
         monkeypatch.setattr(BatchPredictor, "_fit_story", failing)
         inline = {
@@ -471,7 +476,7 @@ class TestServeBatch:
         # there are none, so the exit code must stay 1.
         from repro.core.prediction import BatchPredictor
 
-        def failing(self, name, observed, training_times=None, calibration=None):
+        def failing(self, name, observed, training_times=None, calibrated=None):
             raise ValueError("synthetic per-story fit failure")
 
         monkeypatch.setattr(BatchPredictor, "_fit_story", failing)
