@@ -14,9 +14,10 @@ Three families of checks run:
 * **Correctness-equivalence** (absolute, machine-independent): the batched /
   banded / Thomas paths must still reproduce the sequential / dense
   references to tight tolerances.  Any violation fails the gate regardless
-  of timing.  Three absolute ceilings share this family: the no-op tracing
-  overhead, the solver's fixed-point iterations per time step and the LM
-  iterations of a fit whose optimum has a parameter on its bound.
+  of timing.  Four absolute ceilings share this family: the no-op tracing
+  overhead, the solver's fixed-point iterations per time step and its time
+  discretisation error against a fine-dt reference, and the LM iterations
+  of a fit whose optimum has a parameter on its bound.
 * **Speedup ratios vs the baseline** (dimensionless, machine-independent):
   each optimised-vs-reference speedup measured *within one run* must not
   fall below ``baseline / max_slowdown`` (default 1.3x).  Ratios are used
@@ -101,13 +102,21 @@ CORRECTNESS_CHECKS = (
     # no-op tracer's guarded instrumentation sites, as a fraction of the
     # measured per-story solve time, stays under 2%.
     ("tracing.noop_overhead_fraction", 0.02),
-    # The Crank-Nicolson step starts from an explicit predictor and scales
-    # its updates by the logistic reaction's Newton factor: the batched
-    # solve takes about 2.7 fixed-point iterations per step, where plain
-    # Picard iteration from the old state takes 4.7.  An iteration count
-    # does not depend on the machine, so this is an absolute ceiling, not
-    # a baseline ratio.
-    ("solver.picard_iterations_per_step", 4.0),
+    # A non-stiff Crank-Nicolson step of a logistic reaction takes the AB2
+    # predictor and one Newton-scaled corrector; only the Euler-predicted
+    # first step iterates to the fixed point.  The batched solve takes about
+    # 1.01 fixed-point iterations per step, where iterating every step to
+    # the fixed point from the same predictor took 2.09 and plain Picard
+    # iteration from the old state 4.7.  An iteration count does not
+    # depend on the machine, so this is an absolute ceiling, not a
+    # baseline ratio.
+    ("solver.picard_iterations_per_step", 1.2),
+    # Fewer iterations must not cost accuracy: the calibration-resolution
+    # solve (max_step 0.05) of the paper's s1 hop parameters stays within
+    # its second-order time discretisation error of a fine-dt reference,
+    # 5.7e-4 with or without the one-corrector step.  Deterministic
+    # numerics, so an absolute ceiling.
+    ("solver.error_vs_fine_reference", 7e-4),
     # The active-set LM step holds a parameter on its bound, a step that
     # crosses a bound puts that parameter on it, and the decay is refined
     # on a log scale: a logistic-shaped story whose floor ends at 0
@@ -196,7 +205,7 @@ def run_checks(report: dict, baseline: dict, max_slowdown: float) -> "list[tuple
             continue
         ok = value <= tolerance
         results.append(
-            (ok, f"{'ok  ' if ok else 'FAIL'} {path} = {value:.3e} (tolerance {tolerance:.0e})")
+            (ok, f"{'ok  ' if ok else 'FAIL'} {path} = {value:.3e} (tolerance {tolerance:g})")
         )
 
     for path in SPEEDUP_CHECKS:

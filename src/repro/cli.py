@@ -1079,7 +1079,13 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     # (the sharder keeps them in separate shards).
     service_model = args.model or manifest.model or "dl"
 
-    async def run():
+    # The finished jobs and the stats leave through the closure, not as the
+    # main task's result: on CPython 3.11 the teardown of ``asyncio.run``
+    # formats the finished main task, result included, as text.
+    jobs = []
+    stats = {}
+
+    async def run() -> None:
         async with PredictionService(
             solver=SolverConfig(backend=args.backend),
             max_workers=args.workers,
@@ -1088,8 +1094,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             max_shard_size=args.shard_size,
             model=service_model,
         ) as service:
-            jobs = []
-
             async def watch(job) -> None:
                 await job.finished()
                 emit(job)
@@ -1113,7 +1117,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                 for name, surface in resolved.surfaces.items()
             ]
             await asyncio.gather(*watchers)
-            return jobs, service.stats()
+            stats.update(service.stats())
 
     try:
         # Skipped stories get a record in the machine-readable stream too
@@ -1137,7 +1141,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        jobs, stats = asyncio.run(run())
+        asyncio.run(run())
     finally:
         if output_handle is not None:
             output_handle.close()

@@ -273,7 +273,10 @@ def calibrate_dl_model(
     the seeds, then one Jacobian block and one damping ladder per
     iteration) and ``n_evaluations`` the residual columns solved, which
     counts every ladder rung, including rungs past the one a start takes.
-    It also records the per-start ``converged`` flags and
+    It also records the per-start ``converged`` flags, why each start
+    stopped (``termination``: ``"gradient"``, ``"small_step"``,
+    ``"rejected_ladder"`` for a stall, ``"iteration_cap"``; see
+    :class:`~repro.numerics.optimization.MultiStartFitResult`) and
     ``parameters_at_bound``, the names of the winning start's growth-rate
     parameters that end on a ``GROWTH_RATE_BOUNDS`` bound (``"floor"`` on
     logistic-shaped stories).
@@ -683,6 +686,7 @@ def _refine_together(
             "start_parameters": [[float(v) for v in row] for row in start_parameters],
             "best_start": multi.best_start,
             "converged": [bool(flag) for flag in multi.converged],
+            "termination": list(multi.termination),
             "parameters_at_bound": [
                 name
                 for name, value, low, high in zip(

@@ -6,8 +6,8 @@ Every Crank-Nicolson step solves a linear system with the same matrix
 
 where ``A`` is the Neumann Laplacian of the grid.  During calibration the
 same (grid, dt, d) triple recurs thousands of times -- once per candidate
-parameter set, once per internal time step, once per Picard iteration -- so
-refactorizing per solve dominates the runtime.  This module holds a
+parameter set and once per corrector of every internal time step (one on a
+non-stiff step) -- so refactorizing per solve dominates the runtime.  This module holds a
 process-wide cache keyed by the *values* that determine the operator
 (``num_points``, ``spacing``, ``dt``, ``diffusion_rate``) rather than object
 identity, so the factorization is paid once per (grid, dt, d) and shared

@@ -180,7 +180,16 @@ class MultiStartFitResult:
         callback, including damping-ladder rungs that were solved but not
         taken.
     converged:
-        Per-start convergence flags.
+        Per-start convergence flags: true for the ``"gradient"`` and
+        ``"small_step"`` terminations.
+    termination:
+        Why each start stopped: ``"gradient"`` (projected gradient under
+        its tolerance), ``"small_step"`` (an accepted step moved the point
+        or the loss by less than its tolerance), ``"rejected_ladder"``
+        (every damping rung failed to lower the loss: a stall, not a
+        minimum), ``"iteration_cap"`` (still improving at
+        ``max_iterations``) or ``"non_finite_seed"`` (the seed's loss was not
+        finite, so the start never moved).
     residual_batches:
         Number of ``residual_batch`` calls: one for the seeds, then at most
         two per iteration (the Jacobian block and the damping ladder).
@@ -193,6 +202,7 @@ class MultiStartFitResult:
     iterations: int
     n_evaluations: int
     converged: np.ndarray
+    termination: "tuple[str, ...]"
     residual_batches: int
 
 
@@ -239,7 +249,8 @@ def multi_start_least_squares(
     The step is chosen from a damping ladder: rung ``k`` of a start damps by
     ``4**k`` times its current damping, and the start takes the first rung,
     in escalation order, whose loss decreases (then relaxes its damping by
-    0.3; if no rung decreases the loss, the start is converged).  All
+    0.3; if no rung decreases the loss, the start stops as stalled,
+    ``"rejected_ladder"``, and does not count as converged).  All
     ``max_step_retries`` rungs of every start are evaluated in a *second*
     ``residual_batch`` call, so an iteration costs at most two calls however
     many rungs are rejected.  The iterates are exactly those of trying one
@@ -352,7 +363,7 @@ def grouped_multi_start_least_squares(
     residual_batches = np.ones(n_groups, dtype=int)
     damping = np.full(n_starts, 1e-3)
     active = np.isfinite(losses)
-    converged = np.zeros(n_starts, dtype=bool)
+    termination = np.where(active, "iteration_cap", "non_finite_seed").astype(object)
     iterations = np.zeros(n_groups, dtype=int)
 
     for _ in range(max_iterations):
@@ -403,7 +414,7 @@ def grouped_multi_start_least_squares(
             held[s] = at_bound
             if np.max(np.abs(np.where(at_bound, 0.0, gradient))) < gradient_tolerance:
                 active[s] = False
-                converged[s] = True
+                termination[s] = "gradient"
 
         # Damped Gauss-Newton steps: the whole damping ladder of every
         # pending start (rung k damps by 4**k) is solved in one batched call,
@@ -454,14 +465,16 @@ def grouped_multi_start_least_squares(
                             step_size < step_tolerance * (1.0 + np.max(np.abs(points[s])))
                         ):
                             active[s] = False
-                            converged[s] = True
+                            termination[s] = "small_step"
                         break
                     damping[s] *= 4.0
                 else:
-                    # Damping exhausted without an accepted step: treat as
-                    # converged at the current (best-known) point.
+                    # Damping exhausted without an accepted step: the start
+                    # stays at its best-known point, stalled.
                     active[s] = False
-                    converged[s] = True
+                    termination[s] = "rejected_ladder"
+
+    converged = np.isin(termination, ("gradient", "small_step"))
 
     results: "list[MultiStartFitResult | None]" = []
     for group in range(n_groups):
@@ -491,6 +504,7 @@ def grouped_multi_start_least_squares(
                 iterations=int(iterations[group]),
                 n_evaluations=int(n_evaluations[group]),
                 converged=converged[starts],
+                termination=tuple(termination[starts]),
                 residual_batches=int(residual_batches[group]),
             )
         )

@@ -7,8 +7,9 @@ registered in :data:`EXECUTORS` here and a third, ``cluster``, in
 
 * ``thread`` -- an in-process ``ThreadPoolExecutor``, one thread by
   default.  The solver's hot loop is many short GIL-releasing calls (about
-  fifteen per Picard iteration: one stacked ``dpttrs`` f2py call plus small
-  numpy ufuncs), so a second thread does not overlap the linear algebra --
+  fifteen per corrector, and a non-stiff time step takes one: one stacked
+  ``dpttrs`` f2py call plus small numpy ufuncs), so a second thread does
+  not overlap the linear algebra --
   the two threads hand the GIL back and forth thousands of times a second.
   Measured on a 2-CPU box, two calibration jobs took 6.6 s back to back on
   one thread and 13.5 s (17.1 s CPU) on two.

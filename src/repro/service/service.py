@@ -1061,8 +1061,16 @@ def score_corpus_sync(
     so it can stream each result as it completes.
     """
 
-    async def _run() -> "dict[str, PredictionResult]":
-        async with PredictionService(**service_kwargs) as service:
-            return await service.score_corpus(surfaces, training_times, evaluation_times)
+    results: "dict[str, PredictionResult]" = {}
 
-    return asyncio.run(_run())
+    # The results leave through the closure, not as the main task's result:
+    # on CPython 3.11 the teardown of ``asyncio.run`` formats the finished
+    # main task, result included, as text.
+    async def _run() -> None:
+        async with PredictionService(**service_kwargs) as service:
+            results.update(
+                await service.score_corpus(surfaces, training_times, evaluation_times)
+            )
+
+    asyncio.run(_run())
+    return results

@@ -229,6 +229,7 @@ class TestBatchedCalibration:
             assert refinement["iterations"] < 40
             assert refinement["parameters_at_bound"] == ["floor"]
             assert refinement["converged"] == [True, True]
+            assert set(refinement["termination"]) <= {"gradient", "small_step"}
             assert result.parameters.growth_rate.floor == 0.0
         np.testing.assert_allclose(
             batched.details["refinement"]["start_parameters"],

@@ -336,7 +336,9 @@ class TestPredictedNewtonStep:
         # one Levenberg-Marquardt batch solves: four starts (one per
         # diffusion rate), each a ladder of damped steps around its iterate.
         # Plain Picard iteration from the old state took about 5.6
-        # iterations per step here.
+        # iterations per step here, and iterating every step to the fixed
+        # point from the AB2 predictor 2.7.  Every column is non-stiff
+        # (dt/2 r <= 0.05), so only the Euler-predicted first step iterates.
         from repro.core.dl_model import solve_dl_batch_states
         from repro.core.initial_density import InitialDensity
         from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
@@ -353,12 +355,15 @@ class TestPredictedNewtonStep:
         )
         metadata = solution.metadata
         assert metadata["stacked_solve"] is True
-        assert metadata["picard_iterations"] / metadata["steps"] <= 3.5
+        assert metadata["picard_iterations"] / metadata["steps"] <= 1.1
 
-    def test_converges_to_the_plain_picard_fixed_point(self):
-        # Same Crank-Nicolson fixed point: a typed reaction (predictor +
-        # Newton factor) and the same reaction behind an opaque callable
-        # (predictor, plain Picard) agree to the stopping tolerance.
+    def test_one_corrector_stays_within_the_discretisation_error(self):
+        # A typed reaction stops non-stiff AB2 steps after one Newton-scaled
+        # corrector; the same reaction behind an opaque callable iterates
+        # every step to the Crank-Nicolson fixed point.  Both must be as
+        # close to a fine-dt reference as the dt = 0.05 scheme allows, and
+        # the corrector's distance from the fixed point must be a small
+        # fraction of that discretisation error (about 1/55 here).
         typed = logistic_batch_problem([0.01, 0.05, 0.01, 0.05])
         reaction = typed.reaction
         opaque = BatchReactionDiffusionProblem(
@@ -368,12 +373,59 @@ class TestPredictedNewtonStep:
             lambda u, x, t: reaction(u, x, t),
             typed.start_time,
         )
-        solver = ReactionDiffusionSolver(max_step=0.05)
         times = [1.0, 3.0, 6.0]
+        solver = ReactionDiffusionSolver(max_step=0.05)
         newton = solver.solve_batch(typed, times)
         picard = solver.solve_batch(opaque, times)
-        assert np.max(np.abs(newton.states - picard.states)) < 1e-9
+        reference = ReactionDiffusionSolver(max_step=0.003125).solve_batch(opaque, times)
+        discretisation = np.max(np.abs(picard.states - reference.states))
+        assert discretisation < 1e-3
+        assert np.max(np.abs(newton.states - reference.states)) < 1.01 * discretisation
+        assert np.max(np.abs(newton.states - picard.states)) < discretisation / 50
         assert newton.metadata["picard_iterations"] < picard.metadata["picard_iterations"]
+
+    def test_one_corrector_keeps_second_order(self):
+        # The paper's s1 hop parameters at the calibration resolution:
+        # halving dt must quarter the error against a fine-dt reference.
+        # A first-order step (say, one corrector from an Euler predictor)
+        # would only halve it.
+        from repro.core.dl_model import DiffusiveLogisticModel
+        from repro.core.initial_density import InitialDensity
+        from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
+
+        phi = InitialDensity([1, 2, 3, 4, 5, 6], [5.0, 2.0, 2.5, 1.5, 1.0, 0.8])
+        times = [1, 2, 3, 4, 5, 6]
+
+        def states(dt):
+            model = DiffusiveLogisticModel(PAPER_S1_HOP_PARAMETERS, points_per_unit=8, max_step=dt)
+            return model.solve(phi, times).pde_solution.states
+
+        reference = states(0.003125)
+        errors = [np.max(np.abs(states(dt) - reference)) for dt in (0.1, 0.05, 0.025)]
+        assert errors[0] < 3e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.6 < coarse / fine < 4.4
+
+    def test_stiff_and_non_stiff_columns_each_equal_their_solo_solve(self):
+        # The one-corrector guard is decided per column: a stiff column
+        # (dt/2 r = 2.5) iterates to the fixed point while its non-stiff
+        # batch-mate stops after one corrector, and neither sees the other.
+        batch = 2
+        problem = logistic_batch_problem(
+            [0.01, 0.05],
+            num_points=33,
+            growth=(np.array([0.0, 1.4]), np.array([0.0, 1.5]), np.array([100.0, 0.25])),
+        )
+        solver = ReactionDiffusionSolver(max_step=0.05)
+        times = [1.0, 1.5, 2.0, 3.0]
+        batched = solver.solve_batch(problem, times)
+        alone = [solver.solve(problem.column_problem(j), times) for j in range(batch)]
+        steps = batched.metadata["steps"]
+        stiff, mild = (column.metadata["picard_iterations"] / steps for column in alone)
+        assert mild < 1.2 < 2 < stiff
+        assert batched.metadata["picard_iterations"] / steps == stiff
+        for j in range(batch):
+            assert_bit_identical(batched.states[:, :, j], alone[j].states)
 
     def test_stiff_steps_stay_finite(self):
         # r = 100 at dt = 0.05: 1 - dt/2 * r = -1.5, so an unfloored Newton

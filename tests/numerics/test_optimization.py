@@ -309,8 +309,8 @@ def one_rung_per_call_reference(
                     still_pending.append(s)
             pending = still_pending
         for s in pending:
+            # Every rung rejected: a stall, not convergence.
             active[s] = False
-            converged[s] = True
     return points, losses, iterations, converged, rejected_rungs, crossing_rungs
 
 
@@ -374,6 +374,34 @@ class TestDampingLadder:
         assert result.residual_batches == len(calls)
         assert result.residual_batches <= 1 + 2 * result.iterations
         assert result.n_evaluations == sum(calls)
+
+    def test_a_stall_is_not_convergence(self):
+        # From (-0.45, 0.2) in this box the start reaches y = 0 with an
+        # inward gradient, and every projected rung overshoots in x, so the
+        # ladder is exhausted far from the minimum; the clipped full-system
+        # step gets to 0.0009 from the same seed.
+        bounds = ([-1.0, 0.0], [1.0, 1.5])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            result = multi_start_least_squares(self.residual_batch, self.SEEDS, bounds=bounds)
+            clipped = one_rung_per_call_reference(
+                self.residual_batch, self.SEEDS, bounds, bounded_step=False
+            )
+        assert result.termination == (
+            "non_finite_seed",
+            "small_step",
+            "small_step",
+            "rejected_ladder",
+        )
+        np.testing.assert_array_equal(result.converged, [False, True, True, False])
+        assert result.start_losses[3] > 0.5 > 1e-3 > clipped[1][3]
+
+    def test_iteration_cap_is_reported(self):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            result = multi_start_least_squares(
+                self.residual_batch, self.SEEDS, bounds=self.BOUNDS, max_iterations=3
+            )
+        assert result.termination == ("non_finite_seed",) + ("iteration_cap",) * 3
+        assert not result.converged.any()
 
     def test_every_rung_is_one_call(self):
         calls: "list[int]" = []
@@ -549,6 +577,7 @@ class TestGroupedStarts:
             np.testing.assert_array_equal(fit.start_parameters, alone.start_parameters)
             np.testing.assert_array_equal(fit.start_losses, alone.start_losses)
             np.testing.assert_array_equal(fit.converged, alone.converged)
+            assert fit.termination == alone.termination
             assert fit.best_start == alone.best_start
             np.testing.assert_array_equal(fit.best.parameters, alone.best.parameters)
             assert vars(fit.best).keys() == vars(alone.best).keys()

@@ -1,4 +1,4 @@
-"""The substrate benchmark's gates: the corpus.io RSS child, the iteration ceilings, scoring
+"""The substrate benchmark's gates: the corpus.io RSS child, the iteration and solver-error ceilings, scoring
 and the lock-step shard calibration."""
 
 from __future__ import annotations
@@ -55,18 +55,45 @@ def test_rss_child_reports_its_own_peak_not_the_parents(tmp_path):
     del ballast
 
 
-@pytest.mark.parametrize("iterations, passes", [(5.6, False), (4.0, True), (2.7, True)])
+def _gate_verdict(report: dict, path: str) -> bool:
+    gate = _load("check_regression")
+    (verdict,) = [
+        ok for ok, line in gate.run_checks(report, {}, max_slowdown=1.3) if path in line
+    ]
+    return verdict
+
+
+@pytest.mark.parametrize(
+    "iterations, passes", [(5.6, False), (2.09, False), (1.25, False), (1.2, True), (1.01, True)]
+)
 def test_picard_iteration_ceiling(iterations, passes):
     # 5.6 iterations per step is what plain Picard iteration from the old
-    # state took on calibration batches; the gate must reject it.
-    gate = _load("check_regression")
+    # state took on calibration batches, and 2.09 what iterating every step
+    # to the fixed point from the AB2 predictor took; the gate must reject
+    # both.
     report = {"solver": {"picard_iterations_per_step": iterations}}
-    (verdict,) = [
-        ok
-        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
-        if "solver.picard_iterations_per_step" in line
-    ]
-    assert verdict is passes
+    assert _gate_verdict(report, "solver.picard_iterations_per_step") is passes
+
+
+@pytest.mark.parametrize(
+    "error, passes", [(5.7e-4, True), (7.5e-4, False), (2.3e-3, False), (float("nan"), False)]
+)
+def test_solver_error_ceiling(error, passes):
+    # 2.3e-3 is the error of the same solve at twice the step (max_step
+    # 0.1): a step that gives up that much accuracy fails the gate.
+    report = {"solver": {"error_vs_fine_reference": error}}
+    assert _gate_verdict(report, "solver.error_vs_fine_reference") is passes
+
+
+def test_solver_error_figure_passes_its_gate_at_the_calibration_step():
+    from repro.core.initial_density import InitialDensity
+
+    bench = _load_benchmark()
+    phi = InitialDensity.from_surface(bench._synthetic_calibration_surface())
+    error = bench.solver_error_vs_fine_reference(phi)
+    assert 1e-4 < error
+    report = {"solver": {"error_vs_fine_reference": error}}
+    assert _gate_verdict(report, "solver.error_vs_fine_reference")
 
 
 @pytest.mark.parametrize(
@@ -77,28 +104,16 @@ def test_bound_pinned_iteration_ceiling(iterations, passes):
     # the bound-pinned story, and 17 what the active-set step took before
     # steps were projected onto the box and the decay refined on a log
     # scale; the gate must reject both.
-    gate = _load("check_regression")
     report = {"refine": {"bound_pinned": {"iterations": iterations}}}
-    (verdict,) = [
-        ok
-        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
-        if "refine.bound_pinned.iterations" in line
-    ]
-    assert verdict is passes
+    assert _gate_verdict(report, "refine.bound_pinned.iterations") is passes
 
 
 @pytest.mark.parametrize("delta, passes", [(0.0, True), (2.0**-53, False), (float("nan"), False)])
 def test_scoring_delta_gate(delta, passes):
     # Array and scalar Eq. 8 scoring must agree bit for bit: one ulp of
     # difference, or a NaN cell, fails the gate.
-    gate = _load("check_regression")
     report = {"scoring": {"max_accuracy_delta_vs_scalar": delta}}
-    (verdict,) = [
-        ok
-        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
-        if "scoring.max_accuracy_delta_vs_scalar" in line
-    ]
-    assert verdict is passes
+    assert _gate_verdict(report, "scoring.max_accuracy_delta_vs_scalar") is passes
 
 
 def test_scoring_section_matches_its_scalar_reference():
@@ -110,14 +125,8 @@ def test_scoring_section_matches_its_scalar_reference():
 
 
 def _shard_gate_verdict(delta) -> bool:
-    gate = _load("check_regression")
     report = {"calibration": {"shard": {"max_parameter_delta_vs_story": delta}}}
-    (verdict,) = [
-        ok
-        for ok, line in gate.run_checks(report, {}, max_slowdown=1.3)
-        if "calibration.shard.max_parameter_delta_vs_story" in line
-    ]
-    return verdict
+    return _gate_verdict(report, "calibration.shard.max_parameter_delta_vs_story")
 
 
 @pytest.mark.parametrize("field", ["diffusion_rate", "floor", "carrying_capacity"])
