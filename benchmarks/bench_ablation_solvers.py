@@ -2,14 +2,15 @@
 
 DESIGN.md calls out two numerical design choices worth quantifying:
 
-* the time integrator (Crank-Nicolson IMEX vs explicit RK4 vs scipy LSODA),
+* the solver backend (the internal Crank-Nicolson engine vs scipy LSODA),
 * the spatial resolution (grid points per unit of distance).
 
 This benchmark solves the paper's Figure-7a problem (phi from the hour-1
 snapshot of story s1, paper parameters) with each configuration, times the
 solve with pytest-benchmark, and checks that all configurations agree on the
 hour-6 profile -- i.e. the headline results do not depend on the numerical
-scheme.
+scheme.  The internal engine at the default 20 points per unit is the
+``test_solver_ablation_grid_resolution[20]`` case.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
-from repro.numerics.integrators import make_integrator
 
 HOURS = [float(t) for t in range(1, 7)]
 
@@ -36,21 +36,6 @@ def reference_profile(phi):
         PAPER_S1_HOP_PARAMETERS, points_per_unit=60, max_step=0.005
     )
     return model.solve(phi, HOURS).profile(6.0)
-
-
-@pytest.mark.parametrize("integrator_name", ["crank_nicolson", "rk4", "explicit_euler"])
-def test_solver_ablation_integrators(benchmark, phi, reference_profile, integrator_name):
-    model = DiffusiveLogisticModel(
-        PAPER_S1_HOP_PARAMETERS,
-        points_per_unit=20,
-        max_step=0.02,
-        integrator=make_integrator(integrator_name),
-    )
-    solution = benchmark(model.solve, phi, HOURS)
-    profile = solution.profile(6.0)
-    assert np.allclose(profile, reference_profile, rtol=1e-2, atol=1e-2), (
-        f"{integrator_name} diverges from the reference solution"
-    )
 
 
 def test_solver_ablation_scipy_backend(benchmark, phi, reference_profile):

@@ -11,8 +11,13 @@ follower graph and any vote cascade.  This example builds everything by hand:
 5. forecast the next eight hours and compare against what actually happened,
    side by side with the temporal-only per-distance logistic baseline.
 
+The run ends with the paper's two self-checks on the forecast (Section II-C);
+it exits with status 1 if either fails.
+
 Run with:  python examples/custom_cascade_study.py
 """
+
+import sys
 
 import numpy as np
 
@@ -30,7 +35,7 @@ TRAINING_HOURS = [1.0, 2.0, 3.0, 4.0]
 FORECAST_HOURS = [float(t) for t in range(5, 13)]
 
 
-def main() -> None:
+def main() -> int:
     rng = np.random.default_rng(2024)
 
     # 1. A small-world follower graph: 1,200 users, each following ~6 others.
@@ -38,10 +43,11 @@ def main() -> None:
     initiator = 0
     print(f"Graph: {graph!r}")
 
-    # 2. One story's cascade: moderate follower hazard plus a front page that
-    #    promotes after 5 votes.
+    # 2. One story's cascade: a follower hazard strong enough for the story to
+    #    spread several hops within the training window, plus a front page
+    #    that promotes after 5 votes.
     config = CascadeConfig(
-        follow_hazard=0.06,
+        follow_hazard=0.3,
         reinforcement=0.4,
         interest_decay=0.15,
         front_page=FrontPageModel(promotion_threshold=5, discovery_rate=25.0, staleness_decay=0.2),
@@ -90,9 +96,14 @@ def main() -> None:
     print(f"Per-distance logistic baseline accuracy:   {baseline_table.overall_average * 100:.1f}%")
     print()
     print("Self-checks from the paper's theory (Section II-C):")
-    print(f"  0 <= I <= K everywhere:      {dl_result.diagnostics['bounds_ok']}")
-    print(f"  I non-decreasing in time:    {dl_result.diagnostics['monotone_in_time']}")
+    checks = {
+        "0 <= I <= K everywhere:  ": dl_result.diagnostics["bounds_ok"],
+        "I non-decreasing in time:": dl_result.diagnostics["monotone_in_time"],
+    }
+    for label, passed in checks.items():
+        print(f"  {label}    {passed}")
+    return 0 if all(checks.values()) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

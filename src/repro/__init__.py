@@ -8,8 +8,8 @@ as a standalone Python library:
   initial-density construction, calibration, prediction and the paper's
   accuracy metric.
 * :mod:`repro.numerics` -- the numerical substrate (splines, finite
-  differences, time integrators, reaction-diffusion solver) built from
-  scratch on numpy.
+  differences, the batched Crank-Nicolson reaction-diffusion solver) built
+  from scratch on numpy.
 * :mod:`repro.network` -- directed follower graphs, synthetic Digg-like graph
   generators and the two distance metrics (friendship hops, shared interests).
 * :mod:`repro.cascade` -- vote cascades, the stochastic cascade simulator,

@@ -37,7 +37,6 @@ from repro.core.parameters import (
     ExponentialDecayGrowthRate,
 )
 from repro.numerics.grid import UniformGrid
-from repro.numerics.integrators import TimeIntegrator
 from repro.numerics.pde_solver import (
     BatchPDESolution,
     BatchReactionDiffusionProblem,
@@ -109,14 +108,15 @@ class DLSolution:
 class DiffusiveLogisticModel:
     """The paper's PDE model for spatio-temporal information diffusion.
 
+    The internal backend steps the PDE by Crank-Nicolson with at most
+    ``max_step`` hours per step; ``"scipy"`` cross-checks it with LSODA.
+
     Parameters
     ----------
     parameters:
         The DL parameters (d, r, K).
     points_per_unit:
         Spatial resolution of the solve: grid intervals per unit of distance.
-    integrator:
-        Optional time integrator; defaults to Crank-Nicolson.
     max_step:
         Maximum internal time step in hours.
     backend:
@@ -131,7 +131,6 @@ class DiffusiveLogisticModel:
         self,
         parameters: DLParameters,
         points_per_unit: int = 20,
-        integrator: "TimeIntegrator | None" = None,
         max_step: float = 0.02,
         backend: str = "internal",
     ) -> None:
@@ -139,9 +138,7 @@ class DiffusiveLogisticModel:
             raise ValueError("points_per_unit must be at least 2")
         self._parameters = parameters
         self._points_per_unit = points_per_unit
-        self._solver = ReactionDiffusionSolver(
-            integrator=integrator, max_step=max_step, backend=backend
-        )
+        self._solver = ReactionDiffusionSolver(max_step=max_step, backend=backend)
 
     @property
     def parameters(self) -> DLParameters:

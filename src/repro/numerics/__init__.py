@@ -9,16 +9,15 @@ on:
   function phi).
 * :mod:`repro.numerics.finite_difference` -- second-order spatial operators
   with Neumann (no-flux) boundary conditions.
-* :mod:`repro.numerics.integrators` -- explicit Euler, RK4 and Crank-Nicolson
-  time steppers.
 * :mod:`repro.numerics.operator_cache` -- process-wide cache of prefactorized
   diffusion operators, keyed by (grid, dt, d, mode) and shared across solves;
   the tridiagonal Neumann operator is stored as a symmetric LDL^T (LAPACK
   ``pttrf``) or its pure-numpy Thomas twin, with dense LU as the reference
   mode.
 * :mod:`repro.numerics.backends` -- the solver backends (``"internal"``,
-  ``"scipy"``, and anything registered in ``BACKENDS`` at runtime) plus the
-  vectorised Crank-Nicolson engine behind batched solves.
+  ``"scipy"``, and anything registered in ``BACKENDS`` at runtime); the
+  internal one is the package's only time stepper, a vectorised
+  Crank-Nicolson engine that solves one problem as a batch of one.
 * :mod:`repro.numerics.pde_solver` -- a method-of-lines reaction-diffusion
   solver used by the DL model, with sequential and batched entry points.
 * :mod:`repro.numerics.ode` -- the scalar logistic equation (analytic and
@@ -31,16 +30,9 @@ on:
 from repro.numerics.grid import UniformGrid
 from repro.numerics.spline import CubicSpline, FlatEndDensityInterpolator
 from repro.numerics.finite_difference import (
-    NeumannLaplacian,
     laplacian_matrix,
     laplacian_tridiagonal,
     second_derivative,
-)
-from repro.numerics.integrators import (
-    CrankNicolsonIntegrator,
-    ExplicitEulerIntegrator,
-    RungeKutta4Integrator,
-    TimeIntegrator,
 )
 from repro.numerics.operator_cache import (
     OPERATOR_MODES,
@@ -83,14 +75,9 @@ __all__ = [
     "UniformGrid",
     "CubicSpline",
     "FlatEndDensityInterpolator",
-    "NeumannLaplacian",
     "laplacian_matrix",
     "laplacian_tridiagonal",
     "second_derivative",
-    "TimeIntegrator",
-    "ExplicitEulerIntegrator",
-    "RungeKutta4Integrator",
-    "CrankNicolsonIntegrator",
     "cache_stats",
     "clear_operator_caches",
     "crank_nicolson_operator",

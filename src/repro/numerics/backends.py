@@ -4,19 +4,20 @@
 actual time stepping to a :class:`SolverBackend` resolved by name from the
 registry in this module.  Two backends ship with the package:
 
-* ``"internal"`` -- the integrators from :mod:`repro.numerics.integrators`,
-  plus a vectorised Crank-Nicolson engine that advances every column of a
-  :class:`~repro.numerics.pde_solver.BatchReactionDiffusionProblem` in
-  lockstep.  The Neumann Laplacian is tridiagonal, so each step applies the
-  diffusion term matrix-free and solves banded systems -- O(n) memory and
-  O(n) work per step -- with the factorizations shared through
+* ``"internal"`` -- a vectorised Crank-Nicolson engine that advances every
+  column of a :class:`~repro.numerics.pde_solver.BatchReactionDiffusionProblem`
+  in lockstep; a single problem is solved as a batch of one.  The Neumann
+  Laplacian is tridiagonal, so each step applies the diffusion term
+  matrix-free and solves banded systems -- O(n) memory and O(n) work per
+  step -- with the factorizations shared through
   :mod:`repro.numerics.operator_cache` across steps, solves and calibration
   candidates.  Each step starts from a predictor -- Adams-Bashforth-2 for
   a :class:`~repro.numerics.pde_solver.LogisticReaction`, explicit Euler
   otherwise -- and corrects it with updates scaled by the logistic
   reaction's Newton factor.  A non-stiff AB2 step of a column
   (``dt/2 |r_j| < ONE_CORRECTOR_LIMIT``, even step ratio) takes one
-  corrector; every other step iterates to the Crank-Nicolson fixed point.
+  corrector; every other step iterates to the Crank-Nicolson fixed point
+  (``PICARD_TOLERANCE``, at most ``PICARD_ITERATION_CAP`` corrector solves).
   Calibration batches take about 1.03 corrector solves per step over a
   five-hour training window (2.7 when every step iterated to the fixed
   point).  The banded operator holds one block per column, so one
@@ -46,7 +47,6 @@ import numpy as np
 from repro.core.registry import Registry
 from repro.numerics import operator_cache
 from repro.numerics.finite_difference import second_derivative
-from repro.numerics.integrators import CrankNicolsonIntegrator, TimeIntegrator
 from repro.numerics.pde_solver import (
     BatchPDESolution,
     BatchReactionDiffusionProblem,
@@ -74,6 +74,12 @@ second order.  At or above the limit a lone corrector need not contract
 iterates to the fixed point.
 """
 
+PICARD_TOLERANCE = 1e-10
+"""Per-column stopping rule of an iterated step: the largest update magnitude."""
+
+PICARD_ITERATION_CAP = 12
+"""Most corrector solves an iterated step takes."""
+
 _AB2_RATIOS = (0.5, 2.0)
 """Step ratios ``dt / dt_prev`` over which the AB2 predictor's error constant
 stays bounded; a step outside them iterates to the fixed point."""
@@ -83,10 +89,8 @@ class SolverBackend(ABC):
     """Interface every reaction-diffusion backend implements.
 
     A backend turns a (possibly batched) problem plus output times into a
-    solution.  ``integrator`` and ``max_step`` are passed down from the
-    :class:`~repro.numerics.pde_solver.ReactionDiffusionSolver` facade;
-    backends that do their own stepping (like ``"scipy"``) may ignore the
-    integrator.
+    solution.  ``max_step`` is passed down from the
+    :class:`~repro.numerics.pde_solver.ReactionDiffusionSolver` facade.
     """
 
     name: str = "abstract"
@@ -97,7 +101,6 @@ class SolverBackend(ABC):
         problem: ReactionDiffusionProblem,
         times: np.ndarray,
         *,
-        integrator: TimeIntegrator,
         max_step: float,
     ) -> PDESolution:
         """Solve one problem at the (validated, sorted) output ``times``."""
@@ -107,7 +110,6 @@ class SolverBackend(ABC):
         problem: BatchReactionDiffusionProblem,
         times: np.ndarray,
         *,
-        integrator: TimeIntegrator,
         max_step: float,
     ) -> BatchPDESolution:
         """Solve a batched problem; the default solves members one by one.
@@ -116,9 +118,7 @@ class SolverBackend(ABC):
         keeps every backend usable through the batch API at sequential cost.
         """
         columns = [
-            self.solve(
-                problem.column_problem(j), times, integrator=integrator, max_step=max_step
-            )
+            self.solve(problem.column_problem(j), times, max_step=max_step)
             for j in range(problem.batch_size)
         ]
         states = np.stack([column.states for column in columns], axis=2)
@@ -163,15 +163,14 @@ def get_backend(backend: "str | SolverBackend") -> SolverBackend:
 # Internal backend
 # ---------------------------------------------------------------------- #
 class InternalBackend(SolverBackend):
-    """Method-of-lines stepping with the package's own integrators.
+    """Method-of-lines stepping with the package's Crank-Nicolson engine.
 
-    Constant-diffusion Crank-Nicolson solves (the DL model's standard
-    configuration) are routed through the batched engine with a batch of one,
-    so sequential and batched paths share the code, the iteration and the
-    cached operator factorizations.  Other integrators and time-varying
-    diffusion use the generic stepping loop.  Crank-Nicolson solutions
-    report ``metadata["picard_iterations"]``, the fixed-point iterations
-    summed over all steps (for a batch, until its last column converged).
+    Batches advance every column in lockstep (see
+    :class:`_CrankNicolsonStepper`); a single problem is solved as a batch
+    of one, so sequential and batched solves share the code, the iteration
+    and the cached operator factorizations.  Solutions report
+    ``metadata["picard_iterations"]``, the corrector solves summed over all
+    steps (for a batch, until its last column stopped).
 
     Parameters
     ----------
@@ -202,130 +201,32 @@ class InternalBackend(SolverBackend):
         problem: ReactionDiffusionProblem,
         times: np.ndarray,
         *,
-        integrator: TimeIntegrator,
         max_step: float,
     ) -> PDESolution:
-        if problem.diffusion_is_constant and isinstance(integrator, CrankNicolsonIntegrator):
-            batch_problem = _as_batch_of_one(problem)
-            batch_solution = self._solve_batch_crank_nicolson(
-                batch_problem,
-                times,
-                max_step=max_step,
-                tolerance=integrator.tolerance,
-                max_iterations=integrator.max_picard_iterations,
-            )
-            return PDESolution(
-                grid=problem.grid,
-                times=batch_solution.times,
-                states=batch_solution.states[:, :, 0].copy(),
-                metadata={
-                    "backend": self.name,
-                    "integrator": integrator.name,
-                    "steps": batch_solution.metadata["steps"],
-                    "picard_iterations": batch_solution.metadata["picard_iterations"],
-                    "max_step": max_step,
-                    "operator": batch_solution.metadata["operator"],
-                    "operator_cache": True,
-                },
-            )
-        return self._solve_stepping(problem, times, integrator, max_step)
+        batch_solution = self.solve_batch(_as_batch_of_one(problem), times, max_step=max_step)
+        return PDESolution(
+            grid=problem.grid,
+            times=batch_solution.times,
+            states=batch_solution.states[:, :, 0].copy(),
+            metadata={
+                "backend": self.name,
+                "steps": batch_solution.metadata["steps"],
+                "picard_iterations": batch_solution.metadata["picard_iterations"],
+                "max_step": max_step,
+                "operator": batch_solution.metadata["operator"],
+                "operator_cache": True,
+            },
+        )
 
     def solve_batch(
         self,
         problem: BatchReactionDiffusionProblem,
         times: np.ndarray,
         *,
-        integrator: TimeIntegrator,
         max_step: float,
-    ) -> BatchPDESolution:
-        if isinstance(integrator, CrankNicolsonIntegrator):
-            return self._solve_batch_crank_nicolson(
-                problem,
-                times,
-                max_step=max_step,
-                tolerance=integrator.tolerance,
-                max_iterations=integrator.max_picard_iterations,
-            )
-        return super().solve_batch(
-            problem, times, integrator=integrator, max_step=max_step
-        )
-
-    # ------------------------------------------------------------------ #
-    # Generic stepping loop (any integrator, any diffusion coefficient)
-    # ------------------------------------------------------------------ #
-    def _solve_stepping(
-        self,
-        problem: ReactionDiffusionProblem,
-        times: np.ndarray,
-        integrator: TimeIntegrator,
-        max_step: float,
-    ) -> PDESolution:
-        grid = problem.grid
-        laplacian = operator_cache.neumann_laplacian_matrix(grid.num_points, grid.spacing)
-        nodes = grid.nodes
-        state = problem.initial_state()
-        current_time = problem.start_time
-
-        outputs = np.empty((times.size, grid.num_points))
-        output_index = 0
-        # Emit any output times that coincide with the start time.
-        while output_index < times.size and abs(times[output_index] - current_time) < _TIME_EPS:
-            outputs[output_index] = state
-            output_index += 1
-
-        steps_taken = 0
-        constant_diffusion = problem.diffusion_is_constant
-        diffusion_matrix = None
-        if constant_diffusion:
-            diffusion_matrix = float(problem.diffusion) * laplacian
-            integrator.prepare(diffusion_matrix, max_step)
-
-        def reaction(u: np.ndarray, t: float) -> np.ndarray:
-            return problem.reaction(u, nodes, t)
-
-        while output_index < times.size:
-            target = times[output_index]
-            while current_time < target - _TIME_EPS:
-                if not constant_diffusion:
-                    d_values = problem.diffusion_at(current_time)
-                    diffusion_matrix = d_values[:, None] * laplacian
-                assert diffusion_matrix is not None
-                dt = min(max_step, target - current_time)
-                dt = integrator.suggested_dt(diffusion_matrix, dt)
-                state = integrator.step(state, current_time, dt, diffusion_matrix, reaction)
-                current_time += dt
-                steps_taken += 1
-            outputs[output_index] = state
-            output_index += 1
-
-        return PDESolution(
-            grid=grid,
-            times=times,
-            states=outputs,
-            metadata={
-                "backend": self.name,
-                "integrator": integrator.name,
-                "steps": steps_taken,
-                "max_step": max_step,
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Vectorised Crank-Nicolson engine
-    # ------------------------------------------------------------------ #
-    def _solve_batch_crank_nicolson(
-        self,
-        problem: BatchReactionDiffusionProblem,
-        times: np.ndarray,
-        *,
-        max_step: float,
-        tolerance: float,
-        max_iterations: int,
     ) -> BatchPDESolution:
         step_times, dts, rows = _step_schedule(problem.start_time, times, max_step)
-        stepper = _CrankNicolsonStepper(
-            problem, self._operator_mode, step_times, dts, tolerance, max_iterations
-        )
+        stepper = _CrankNicolsonStepper(problem, self._operator_mode, step_times, dts)
         outputs = np.empty((times.size, problem.grid.num_points, problem.batch_size))
         for step, due in enumerate(rows):
             if step:
@@ -339,7 +240,6 @@ class InternalBackend(SolverBackend):
             states=outputs,
             metadata={
                 "backend": self.name,
-                "integrator": "crank_nicolson",
                 "engine": "batched_crank_nicolson",
                 "operator": self._operator_mode,
                 "steps": len(dts),
@@ -408,10 +308,10 @@ class _CrankNicolsonStepper:
       form of Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995);
     * every other column -- stiff ones, all columns of the Euler-predicted
       first step and of uneven steps, and any column of another reaction --
-      stops once its update is below ``tolerance`` everywhere;
+      stops once its update is below ``PICARD_TOLERANCE`` everywhere;
     * a stopped column stays frozen, so its trajectory does not depend on
       the other columns; the loop ends when every column has stopped or
-      after ``max_iterations`` evaluations of ``G``.
+      after ``PICARD_ITERATION_CAP`` evaluations of ``G``.
 
     Any fixed point of the update is the Crank-Nicolson solution, so the
     predictor and the Newton factor change how many iterations an iterated
@@ -436,8 +336,6 @@ class _CrankNicolsonStepper:
         operator_mode: str,
         step_times: "list[float]",
         dts: "list[float]",
-        tolerance: float,
-        max_iterations: int,
     ) -> None:
         grid = problem.grid
         num_points, spacing = grid.num_points, grid.spacing
@@ -476,8 +374,6 @@ class _CrankNicolsonStepper:
         self._rates = rates[None, :]
         self._step_times = step_times
         self._dts = dts
-        self._tolerance = tolerance
-        self._max_iterations = max_iterations
         self.iterations = 0
 
         reaction = problem.reaction
@@ -569,9 +465,9 @@ class _CrankNicolsonStepper:
             new_time = self._step_times[k + 1]
         active = self._active
         active.fill(True)
-        tolerance = self._tolerance
+        tolerance = PICARD_TOLERANCE
         loops = self._loops[k] if typed else None
-        for _ in range(self._max_iterations):
+        for _ in range(PICARD_ITERATION_CAP):
             self.iterations += 1
             if typed:
                 # h f(v) = (h r - v h r / K) v, and the Newton factor
@@ -631,7 +527,7 @@ def _as_batch_of_one(problem: ReactionDiffusionProblem) -> BatchReactionDiffusio
     return BatchReactionDiffusionProblem(
         grid=problem.grid,
         initial_states=problem.initial_state()[:, None],
-        diffusion_rates=np.asarray([float(problem.diffusion)]),
+        diffusion_rates=np.asarray([problem.diffusion]),
         reaction=reaction,
         start_time=problem.start_time,
     )
@@ -654,7 +550,6 @@ class ScipyBackend(SolverBackend):
         problem: ReactionDiffusionProblem,
         times: np.ndarray,
         *,
-        integrator: TimeIntegrator,
         max_step: float,
     ) -> PDESolution:
         from scipy.integrate import solve_ivp
@@ -662,11 +557,11 @@ class ScipyBackend(SolverBackend):
         grid = problem.grid
         nodes = grid.nodes
         spacing = grid.spacing
+        diffusion = problem.diffusion
         state0 = problem.initial_state()
 
         def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            d_values = problem.diffusion_at(t)
-            return d_values * second_derivative(u, spacing) + problem.reaction(u, nodes, t)
+            return diffusion * second_derivative(u, spacing) + problem.reaction(u, nodes, t)
 
         t_span = (problem.start_time, float(times[-1]))
         if t_span[1] <= t_span[0]:

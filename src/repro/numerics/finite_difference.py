@@ -10,16 +10,15 @@ mirrored across the boundary, which is equivalent to the matrix
      [ ...        ]
      [ ...  2 -2 ]] / h**2
 
-This module provides both a dense matrix form (used by the Crank-Nicolson
-integrator) and a matrix-free application (used by explicit integrators and
-the scipy method-of-lines backend).
+This module provides the dense matrix (the reference ``"dense"`` operator
+mode), its tridiagonal bands (the banded and Thomas factorizations) and a
+matrix-free application (the Crank-Nicolson right-hand side and the scipy
+method-of-lines backend).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.numerics.grid import UniformGrid
 
 
 def laplacian_matrix(num_points: int, spacing: float) -> np.ndarray:
@@ -103,45 +102,3 @@ def second_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     result[-1] = 2.0 * (values[-2] - values[-1]) * inv_h2
     return result
 
-
-class NeumannLaplacian:
-    """Reusable Neumann Laplacian bound to a specific grid.
-
-    Caches the dense matrix (needed by implicit integrators) and exposes a
-    fast matrix-free :meth:`apply` for explicit stepping.
-    """
-
-    def __init__(self, grid: UniformGrid) -> None:
-        self._grid = grid
-        self._matrix: "np.ndarray | None" = None
-
-    @property
-    def grid(self) -> UniformGrid:
-        """The grid this operator is bound to."""
-        return self._grid
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense matrix representation, shared through the operator cache.
-
-        The returned array is read-only because it is shared process-wide via
-        :mod:`repro.numerics.operator_cache`; copy it before modifying.
-        """
-        if self._matrix is None:
-            from repro.numerics.operator_cache import neumann_laplacian_matrix
-
-            self._matrix = neumann_laplacian_matrix(
-                self._grid.num_points, self._grid.spacing
-            )
-        return self._matrix
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply the operator to a state vector without forming the matrix."""
-        if len(values) != self._grid.num_points:
-            raise ValueError(
-                f"state vector has {len(values)} entries, expected {self._grid.num_points}"
-            )
-        return second_derivative(values, self._grid.spacing)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.apply(values)

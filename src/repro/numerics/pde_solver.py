@@ -2,15 +2,15 @@
 
 This is the numerical engine behind the Diffusive Logistic model: it solves
 
-    u_t = d(x, t) * u_xx + f(u, x, t),    x in [l, L]
-    u_x(l, t) = u_x(L, t) = 0             (Neumann)
+    u_t = d * u_xx + f(u, x, t),    x in [l, L]
+    u_x(l, t) = u_x(L, t) = 0       (Neumann)
     u(x, t0) = u0(x)
 
 on a :class:`~repro.numerics.grid.UniformGrid`.  The time stepping itself is
 delegated to a pluggable :class:`~repro.numerics.backends.SolverBackend`
-resolved by name from the backend registry (``"internal"`` uses the
-integrators in this package, ``"scipy"`` delegates to ``solve_ivp``); new
-backends can be registered without touching this module.
+resolved by name from the backend registry (``"internal"`` is the package's
+Crank-Nicolson engine, ``"scipy"`` delegates to ``solve_ivp``); new backends
+can be registered without touching this module.
 
 Two problem shapes are supported:
 
@@ -40,13 +40,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.numerics.grid import UniformGrid
-from repro.numerics.integrators import CrankNicolsonIntegrator, TimeIntegrator
 
 if TYPE_CHECKING:
     from repro.numerics.backends import SolverBackend
-
-DiffusionCoefficient = Callable[[np.ndarray, float], np.ndarray]
-"""d(x, t): vectorised over the grid nodes, returns per-node diffusion rates."""
 
 ReactionTerm = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 """f(u, x, t): vectorised reaction term."""
@@ -145,7 +141,7 @@ class ReactionDiffusionProblem:
         Callable ``u0(x)`` evaluated on the grid nodes, or an array of nodal
         values of matching length.
     diffusion:
-        Either a constant diffusion rate ``d`` or a callable ``d(x, t)``.
+        The constant diffusion rate ``d`` (positive; stored as a float).
     reaction:
         Callable ``f(u, x, t)`` giving the reaction contribution to ``u_t``.
     start_time:
@@ -154,9 +150,17 @@ class ReactionDiffusionProblem:
 
     grid: UniformGrid
     initial_condition: "Callable[[np.ndarray], np.ndarray] | np.ndarray"
-    diffusion: "float | DiffusionCoefficient"
+    diffusion: float
     reaction: ReactionTerm
     start_time: float = 1.0
+
+    def __post_init__(self) -> None:
+        if callable(self.diffusion):
+            raise TypeError("diffusion must be a constant rate, not a callable")
+        diffusion = float(self.diffusion)
+        if not diffusion > 0:
+            raise ValueError(f"the diffusion rate must be positive, got {self.diffusion}")
+        object.__setattr__(self, "diffusion", diffusion)
 
     def initial_state(self) -> np.ndarray:
         """Evaluate the initial condition on the grid."""
@@ -170,23 +174,6 @@ class ReactionDiffusionProblem:
                 f"initial condition has shape {state.shape}, expected {nodes.shape}"
             )
         return state.copy()
-
-    def diffusion_at(self, time: float) -> np.ndarray:
-        """Per-node diffusion coefficients at ``time``."""
-        nodes = self.grid.nodes
-        if callable(self.diffusion):
-            values = np.asarray(self.diffusion(nodes, time), dtype=float)
-            if values.shape != nodes.shape:
-                raise ValueError(
-                    f"diffusion coefficient has shape {values.shape}, expected {nodes.shape}"
-                )
-            return values
-        return np.full(nodes.shape, float(self.diffusion))
-
-    @property
-    def diffusion_is_constant(self) -> bool:
-        """True when the diffusion rate does not depend on x or t."""
-        return not callable(self.diffusion)
 
 
 @dataclass(frozen=True)
@@ -429,21 +416,20 @@ def validated_output_times(output_times: Sequence[float], start_time: float) -> 
 
 
 class ReactionDiffusionSolver:
-    """Method-of-lines solver with pluggable time integration and backends.
+    """Method-of-lines solver with pluggable backends.
+
+    The ``"internal"`` backend steps by Crank-Nicolson, which is
+    unconditionally stable for the diffusion part and therefore robust
+    across the parameter sweeps in the benchmarks.
 
     Parameters
     ----------
-    integrator:
-        A :class:`~repro.numerics.integrators.TimeIntegrator`; defaults to
-        Crank-Nicolson, which is unconditionally stable for the diffusion
-        part and therefore robust across the parameter sweeps in the
-        benchmarks.
     max_step:
         Upper bound on the internal time step (in the same units as the
         output times, i.e. hours for the DL model).
     backend:
-        Either the name of a registered backend (``"internal"`` uses the
-        integrators in this package; ``"scipy"`` delegates to
+        Either the name of a registered backend (``"internal"`` is the
+        package's Crank-Nicolson engine; ``"scipy"`` delegates to
         :func:`scipy.integrate.solve_ivp`) or a
         :class:`~repro.numerics.backends.SolverBackend` instance.  Unknown
         names raise :class:`~repro.core.errors.UnknownNameError` listing the
@@ -453,7 +439,6 @@ class ReactionDiffusionSolver:
 
     def __init__(
         self,
-        integrator: "TimeIntegrator | None" = None,
         max_step: float = 0.05,
         backend: "str | SolverBackend" = "internal",
     ) -> None:
@@ -461,14 +446,8 @@ class ReactionDiffusionSolver:
 
         if max_step <= 0:
             raise ValueError(f"max_step must be positive, got {max_step}")
-        self._integrator = integrator if integrator is not None else CrankNicolsonIntegrator()
         self._max_step = max_step
         self._backend = get_backend(backend)
-
-    @property
-    def integrator(self) -> TimeIntegrator:
-        """The time integrator in use (internal backend only)."""
-        return self._integrator
 
     @property
     def backend(self) -> str:
@@ -498,9 +477,7 @@ class ReactionDiffusionSolver:
         is returned verbatim as the initial condition.
         """
         times = validated_output_times(output_times, problem.start_time)
-        return self._backend.solve(
-            problem, times, integrator=self._integrator, max_step=self._max_step
-        )
+        return self._backend.solve(problem, times, max_step=self._max_step)
 
     def solve_batch(
         self, problem: BatchReactionDiffusionProblem, output_times: Sequence[float]
@@ -513,6 +490,4 @@ class ReactionDiffusionSolver:
         back to solving the members one by one.
         """
         times = validated_output_times(output_times, problem.start_time)
-        return self._backend.solve_batch(
-            problem, times, integrator=self._integrator, max_step=self._max_step
-        )
+        return self._backend.solve_batch(problem, times, max_step=self._max_step)

@@ -8,7 +8,6 @@ from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS, dl_parameters
 from repro.core.properties import check_solution_bounds, check_strictly_increasing
-from repro.numerics.integrators import RungeKutta4Integrator
 from repro.numerics.ode import LogisticCurve
 
 PHI = InitialDensity([1, 2, 3, 4, 5], [5.0, 2.0, 2.5, 1.5, 1.0])
@@ -88,13 +87,6 @@ class TestPaperProperties:
         )
         solution = model.solve(PHI, [80.0])
         assert np.allclose(solution.profile(80.0), 25.0, atol=0.2)
-
-    def test_rk4_integrator_agrees_with_crank_nicolson(self):
-        cn = self._solve()
-        rk4 = self._solve(integrator=RungeKutta4Integrator())
-        assert np.allclose(
-            cn.profile(6.0), rk4.profile(6.0), rtol=1e-3, atol=1e-3
-        )
 
     def test_scipy_backend_agrees_with_internal(self):
         cn = self._solve()

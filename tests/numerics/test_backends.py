@@ -11,8 +11,11 @@ from repro.numerics.backends import (
     get_backend,
 )
 from repro.numerics.grid import UniformGrid
-from repro.numerics.integrators import RungeKutta4Integrator
-from repro.numerics.operator_cache import cache_stats, clear_operator_caches
+from repro.numerics.operator_cache import (
+    cache_stats,
+    clear_operator_caches,
+    neumann_laplacian_matrix,
+)
 from repro.numerics.pde_solver import (
     BatchReactionDiffusionProblem,
     LogisticReaction,
@@ -182,15 +185,6 @@ class TestBatchedEngine:
         )
         assert np.allclose(internal.states, via_scipy.states, rtol=2e-3, atol=1e-4)
 
-    def test_rk4_batch_falls_back_to_sequential(self):
-        problem = dl_like_batch_problem(batch=2)
-        solver = ReactionDiffusionSolver(
-            integrator=RungeKutta4Integrator(), max_step=0.01
-        )
-        batched = solver.solve_batch(problem, [1.0, 1.5])
-        assert batched.metadata["engine"] == "sequential_fallback"
-        assert batched.states.shape == (2, 21, 2)
-
 
 class TestOperatorCache:
     def test_repeated_solves_hit_the_operator_cache(self):
@@ -214,9 +208,7 @@ class TestOperatorCache:
         assert cache_stats()["crank_nicolson_operator"]["misses"] == misses_after_batch
 
     def test_cached_laplacian_is_read_only(self):
-        from repro.numerics.finite_difference import NeumannLaplacian
-
-        matrix = NeumannLaplacian(UniformGrid(0.0, 1.0, 11)).matrix
+        matrix = neumann_laplacian_matrix(11, 0.1)
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.numerics.finite_difference import (
-    NeumannLaplacian,
     laplacian_matrix,
     laplacian_tridiagonal,
     second_derivative,
@@ -119,33 +118,6 @@ class TestSecondDerivative:
             second_derivative(np.array([1.0, 2.0]), -0.5)
         with pytest.raises(ValueError):
             second_derivative(np.ones((2, 2, 2)), 0.1)
-
-
-class TestNeumannLaplacian:
-    def test_matrix_is_cached(self):
-        operator = NeumannLaplacian(UniformGrid(0.0, 1.0, 11))
-        assert operator.matrix is operator.matrix
-
-    def test_apply_matches_matrix(self, rng):
-        grid = UniformGrid(1.0, 5.0, 33)
-        operator = NeumannLaplacian(grid)
-        values = rng.normal(size=grid.num_points)
-        assert np.allclose(operator.apply(values), operator.matrix @ values)
-
-    def test_call_is_apply(self, rng):
-        grid = UniformGrid(1.0, 5.0, 9)
-        operator = NeumannLaplacian(grid)
-        values = rng.normal(size=grid.num_points)
-        assert np.allclose(operator(values), operator.apply(values))
-
-    def test_rejects_wrong_length(self):
-        operator = NeumannLaplacian(UniformGrid(0.0, 1.0, 11))
-        with pytest.raises(ValueError):
-            operator.apply(np.zeros(10))
-
-    def test_grid_accessor(self):
-        grid = UniformGrid(0.0, 1.0, 11)
-        assert NeumannLaplacian(grid).grid is grid
 
 
 @settings(max_examples=40, deadline=None)
