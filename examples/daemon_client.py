@@ -12,8 +12,8 @@ address for ``tcp:HOST:PORT`` and nothing else changes):
 2. connect a :class:`repro.service.DaemonClient` and submit two jobs --
    manifests of inline cascade surfaces -- streaming each per-story
    ``result`` event as its shard completes,
-3. query job ``status`` and daemon ``stats`` (service counters, autotuner
-   state, telemetry snapshot) over the same connection,
+3. query job ``status`` and daemon ``stats`` (service counters, shard
+   size, telemetry snapshot) over the same connection,
 4. shut the daemon down gracefully (it drains every running job first).
 
 Run with:  python examples/daemon_client.py
@@ -78,13 +78,12 @@ async def main() -> None:
     with tempfile.TemporaryDirectory() as tmpdir:
         socket_path = os.path.join(tmpdir, "repro-daemon.sock")
         address = f"unix:{socket_path}"
-        # In production: run `repro daemon --listen unix:<path> --autotune`
-        # (or --listen tcp:HOST:PORT) as its own process and skip straight
-        # to DaemonClient.connect(address).
+        # In production: run `repro daemon --listen unix:<path>` (or
+        # --listen tcp:HOST:PORT; --shard-size N caps each batched solve) as
+        # its own process and skip straight to DaemonClient.connect(address).
         daemon = PredictionDaemon(
             parameters=PAPER_S1_HOP_PARAMETERS,
             solver=SolverConfig(points_per_unit=12, max_step=0.02),
-            autotune=True,
         )
         server = asyncio.ensure_future(daemon.serve(address))
         while not os.path.exists(socket_path):
@@ -106,9 +105,8 @@ async def main() -> None:
             print(
                 f"daemon stats: {stats['jobs']['total']} jobs, "
                 f"{service['stories_solved']} stories in "
-                f"{service['shards_solved']} shards, "
-                f"autotuned shard size {service['autotuner']['recommended_size']} "
-                f"(EWMA {service['autotuner']['ewma_story_seconds'] * 1e3:.1f} ms/story)"
+                f"{service['shards_solved']} shards "
+                f"(at most {service['max_shard_size']} stories per shard)"
             )
             print(f"shutting down: {await client.shutdown()}")
         await server

@@ -30,7 +30,7 @@ Five subcommands cover the common workflows without writing any Python:
     makes job lifecycles survive a crash (a restarted daemon reports the
     dead process's in-flight jobs as ``interrupted``), ``--max-client-jobs``
     / ``--max-client-stories`` bound each client's share of the queue,
-    ``--autotune`` sizes shards from observed solve times, ``--timeout``
+    ``--shard-size`` caps the stories per batched solve, ``--timeout``
     sets a default per-story wall-clock deadline, and ``--executor
     process --workers N`` runs shard solves on a crash-respawning process
     pool instead of in-process threads (``serve-batch`` takes the same
@@ -218,6 +218,34 @@ def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """The PredictionService options shared by serve-batch and daemon."""
+    from repro.service.service import DEFAULT_MAX_SHARD_SIZE, DEFAULT_QUEUE_DEPTH
+
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=(
+            "number of shard solves in flight at once (worker pool size; "
+            "default: the executor's, 1 for 'thread', 4 otherwise)"
+        ),
+    )
+    _add_executor_argument(parser)
+    parser.add_argument(
+        "--queue-depth",
+        type=int,
+        default=DEFAULT_QUEUE_DEPTH,
+        help="backpressure bound: maximum queued+running stories",
+    )
+    parser.add_argument(
+        "--shard-size",
+        type=int,
+        default=DEFAULT_MAX_SHARD_SIZE,
+        help="maximum stories advanced together in one batched solve",
+    )
+
+
 def _corpus_config(args: argparse.Namespace) -> SyntheticDiggConfig:
     return SyntheticDiggConfig(
         num_users=args.users,
@@ -327,28 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
             "overrides the manifest's 'hours' (default 6)"
         ),
     )
-    serve_batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "number of shard solves in flight at once (worker pool size; "
-            "default: the executor's, 1 for 'thread', 4 otherwise)"
-        ),
-    )
-    _add_executor_argument(serve_batch)
-    serve_batch.add_argument(
-        "--queue-depth",
-        type=int,
-        default=128,
-        help="backpressure bound: maximum queued+running stories",
-    )
-    serve_batch.add_argument(
-        "--shard-size",
-        type=int,
-        default=32,
-        help="maximum stories advanced together in one batched solve",
-    )
+    _add_service_arguments(serve_batch)
     serve_batch.add_argument(
         "--output",
         metavar="PATH",
@@ -452,36 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
             "connection across its in-flight jobs"
         ),
     )
-    daemon.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "number of shard solves in flight at once (worker pool size; "
-            "default: the executor's, 1 for 'thread', 4 otherwise)"
-        ),
-    )
-    _add_executor_argument(daemon)
-    daemon.add_argument(
-        "--queue-depth",
-        type=int,
-        default=128,
-        help="backpressure bound: maximum queued+running stories",
-    )
-    daemon.add_argument(
-        "--shard-size",
-        type=int,
-        default=32,
-        help="maximum stories advanced together in one batched solve",
-    )
-    daemon.add_argument(
-        "--autotune",
-        action="store_true",
-        help=(
-            "size shards from an EWMA of observed per-story solve times "
-            "(--shard-size then caps the autotuner's range)"
-        ),
-    )
+    _add_service_arguments(daemon)
     daemon.add_argument(
         "--timeout",
         type=float,
@@ -565,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a running daemon's stats snapshot as JSON",
         description=(
             "Connect to a daemon (Unix socket or TCP), request its stats "
-            "event (job counts, service counters incl. autotuner state, "
+            "event (job counts, service counters incl. the shard size, "
             "telemetry registry snapshot) and print it as indented JSON."
         ),
     )
@@ -1295,7 +1273,6 @@ def _command_daemon(args: argparse.Namespace) -> int:
         executor_options=executor_options,
         queue_depth=args.queue_depth,
         max_shard_size=args.shard_size,
-        autotune=args.autotune,
         model=args.model,
     )
     try:
@@ -1309,7 +1286,7 @@ def _command_daemon(args: argparse.Namespace) -> int:
                 f"daemon listening on {address} "
                 f"({args.workers} {args.executor} workers, {fleet}"
                 f"queue depth {args.queue_depth}, "
-                f"{'autotuned' if args.autotune else 'fixed'} shards)",
+                f"shard size {args.shard_size})",
                 file=sys.stderr,
             )
         asyncio.run(daemon.serve(address))

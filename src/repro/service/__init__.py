@@ -5,9 +5,8 @@ job queue so whole corpora of cascades are scored concurrently:
 
 * :mod:`repro.service.sharding` -- group stories by the spatial signature
   (grid, dt, backend, model name) that lets them share one batched solve
-  and its cached operator factorizations, plus the
-  :class:`ShardAutotuner` that sizes shards from observed solve times.
-  Stories scored by different models never share a shard.
+  and its cached operator factorizations.  Stories scored by different
+  models never share a shard.
 * :mod:`repro.service.service` -- the :class:`PredictionService`: bounded
   async worker pool with submit/await/stream APIs, per-job status and
   wall-clock timeouts, cancellation, bounded shard retry with bisection,
@@ -105,7 +104,7 @@ from repro.service.service import (
     score_corpus_sync,
 )
 from repro.service.session import ClientQuota, ClientSession
-from repro.service.sharding import CorpusSharder, Shard, ShardAutotuner, ShardKey
+from repro.service.sharding import CorpusSharder, Shard, ShardKey
 from repro.service.telemetry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.tracing import (
     NOOP_TRACER,
@@ -143,7 +142,6 @@ from repro.service.transport import (
 __all__ = [
     "CorpusSharder",
     "Shard",
-    "ShardAutotuner",
     "ShardKey",
     "ClusterExecutionBackend",
     "ClusterShardError",

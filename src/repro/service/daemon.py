@@ -46,7 +46,7 @@ terminated, UTF-8).  Requests carry an ``op`` field:
     ``interrupted``.
 ``{"op": "stats"}``
     One ``stats`` event: daemon uptime and job counts, the service's
-    counters (including autotuner state when enabled) and the full
+    counters (including its fixed ``max_shard_size``) and the full
     telemetry-registry snapshot.
 ``{"op": "trace", "id": "job-1"}``
     One ``trace`` event: the job's trace id and its buffered span records
@@ -258,11 +258,11 @@ class PredictionDaemon:
         evicted first); bounds trace memory over a long daemon life.
     **service_kwargs:
         Forwarded to :class:`~repro.service.service.PredictionService`
-        (workers, queue depth, shard size, autotune, the ``solver=``
+        (workers, queue depth, shard size, the ``solver=``
         config, executor -- ``executor="process"`` runs
         shard solves on a crash-respawning process pool -- ...).  All jobs share this one
         service, so every manifest benefits from the same warmed operator
-        caches and autotuner state; the ``stats`` event reports the
+        caches; the ``stats`` event reports the
         executor kind and worker-pool size the daemon is actually running
         with.
 

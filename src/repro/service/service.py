@@ -34,10 +34,6 @@ whole corpora of cascades:
 * **telemetry** -- a :class:`~repro.service.telemetry.MetricsRegistry`
   (job/shard/story counters, queue-depth gauge, solve-time histograms) is
   updated throughout; the daemon exposes it over its ``stats`` command.
-* **autotuning** -- with ``autotune=True`` shard sizes follow a
-  :class:`~repro.service.sharding.ShardAutotuner`: an EWMA of observed
-  per-story solve times sizes each batch to a target latency instead of the
-  fixed ``max_shard_size`` grouping.
 
 Results are numerically identical to running the model's direct synchronous
 path on the same corpus (``BatchPredictor`` for ``dl``, ``fit`` +
@@ -73,7 +69,7 @@ from repro.service.execution import (
     create_executor,
     executor_default_workers,
 )
-from repro.service.sharding import CorpusSharder, ShardAutotuner, ShardKey
+from repro.service.sharding import CorpusSharder, ShardKey
 from repro.service.telemetry import MetricsRegistry
 from repro.service.tracing import NOOP_TRACER, Span, TraceContext, TracerLike
 
@@ -243,8 +239,9 @@ class PredictionService:
         Backpressure bound: the maximum number of jobs queued or running
         before :meth:`submit` suspends.
     max_shard_size:
-        Largest number of stories solved in one batch; bigger shards
-        amortize factorizations further but increase per-batch latency.
+        Largest number of stories solved in one batch (``None`` solves each
+        signature's whole queue at once); bigger shards amortize
+        factorizations further but increase per-batch latency.
     job_timeout:
         Default wall-clock deadline (seconds, from submission) applied to
         every job that does not carry its own; ``None`` disables deadlines.
@@ -253,18 +250,6 @@ class PredictionService:
         failure before it is failed outright; each retry splits the failing
         shard in half, so the default bisects a poisoned story out of any
         default-sized shard.
-    autotune:
-        When True (or when ``autotuner`` is given), shard sizes follow a
-        :class:`~repro.service.sharding.ShardAutotuner` fed with observed
-        solve times instead of the fixed ``max_shard_size``;
-        ``max_shard_size`` then only caps the autotuner's range.  Each
-        model gets its own autotuner (per-story costs differ by orders of
-        magnitude between models, so one shared EWMA would miscalibrate
-        mixed traffic).
-    autotuner:
-        An explicitly configured autotuner instance for the *default*
-        model (implies ``autotune``); other models autotune with
-        default-configured instances.
     metrics:
         A :class:`~repro.service.telemetry.MetricsRegistry` to update; one
         is created when omitted (see :attr:`metrics`).
@@ -286,8 +271,6 @@ class PredictionService:
         max_shard_size: "int | None" = DEFAULT_MAX_SHARD_SIZE,
         job_timeout: "float | None" = None,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        autotune: bool = False,
-        autotuner: "ShardAutotuner | None" = None,
         metrics: "MetricsRegistry | None" = None,
         *,
         model: str = "dl",
@@ -304,6 +287,8 @@ class PredictionService:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if max_shard_size is not None and max_shard_size < 1:
+            raise ValueError(f"max_shard_size must be >= 1, got {max_shard_size}")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
         if max_shard_retries < 0:
@@ -333,11 +318,8 @@ class PredictionService:
             params=params,
             solver=solver_config,
         )
-        self._sharder = CorpusSharder(
-            solver=solver_config,
-            model=model,
-            max_shard_size=max_shard_size,
-        )
+        # Only key_for() is used: _next_batch chunks by max_shard_size.
+        self._sharder = CorpusSharder(solver=solver_config, model=model)
         self._model_overrides = {
             name: dict(params) for name, params in (model_overrides or {}).items()
         }
@@ -349,18 +331,6 @@ class PredictionService:
         self._max_shard_size = max_shard_size
         self._job_timeout = job_timeout
         self._max_shard_retries = max_shard_retries
-        # One autotuner per model: shards are per-model, and per-story solve
-        # costs differ by orders of magnitude between models (a logistic fit
-        # vs a DL calibration), so a shared EWMA would miscalibrate every
-        # model's shard size in mixed traffic.  An explicitly supplied
-        # autotuner serves the default model; other models lazily get their
-        # own default-configured instance (_autotuner_for).
-        self._autotune = autotune or autotuner is not None
-        self._autotuners: "dict[str, ShardAutotuner]" = {}
-        if self._autotune:
-            self._autotuners[model] = (
-                autotuner if autotuner is not None else self._new_autotuner()
-            )
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._shard_seconds = self._metrics.histogram("service.shard_solve_seconds")
         self._story_seconds = self._metrics.histogram("service.story_solve_seconds")
@@ -401,25 +371,6 @@ class PredictionService:
     def model_spec(self) -> ModelSpec:
         """The default model workload (name, params, solver)."""
         return self._spec
-
-    def _new_autotuner(self) -> ShardAutotuner:
-        return ShardAutotuner(
-            max_size=self._max_shard_size if self._max_shard_size is not None else 64
-        )
-
-    def _autotuner_for(self, model: str) -> "ShardAutotuner | None":
-        """The model's autotuner (lazily created), or None when disabled."""
-        if not self._autotune:
-            return None
-        tuner = self._autotuners.get(model)
-        if tuner is None:
-            tuner = self._autotuners[model] = self._new_autotuner()
-        return tuner
-
-    @property
-    def autotuner(self) -> "ShardAutotuner | None":
-        """The default model's shard autotuner, when autotuning is enabled."""
-        return self._autotuners.get(self._spec.name) if self._autotune else None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -680,15 +631,6 @@ class PredictionService:
             if self._backend is not None
             else {"executor": self._executor_name, "workers": self._max_workers}
         )
-        if self._autotune:
-            default = self._autotuners.get(self._spec.name)
-            if default is not None:
-                stats["autotuner"] = default.snapshot()
-            if len(self._autotuners) > 1 or default is None:
-                stats["autotuner_by_model"] = {
-                    name: tuner.snapshot()
-                    for name, tuner in sorted(self._autotuners.items())
-                }
         return stats
 
     # ------------------------------------------------------------------ #
@@ -696,13 +638,6 @@ class PredictionService:
     # ------------------------------------------------------------------ #
     def _has_pending(self) -> bool:
         return bool(self._requeued) or any(self._pending.values())
-
-    def _shard_size_limit(self, model: str) -> "int | None":
-        """The batch bound in force: autotuned (per model) when enabled, else fixed."""
-        tuner = self._autotuner_for(model)
-        if tuner is not None:
-            return tuner.recommended_size()
-        return self._max_shard_size
 
     def _next_batch(self) -> "list[PredictionJob]":
         """Pop the next shard batch (requeued halves first, then oldest key)."""
@@ -721,7 +656,7 @@ class PredictionService:
             if not queued:
                 del self._pending[key]
                 continue
-            size = self._shard_size_limit(key.model) or len(queued)
+            size = self._max_shard_size or len(queued)
             batch = queued[:size]
             remainder = queued[size:]
             if remainder:
@@ -942,9 +877,6 @@ class PredictionService:
             self._metrics.histogram(
                 "service.shard_solve_seconds", labels=worker_label
             ).observe(elapsed)
-            tuner = self._autotuner_for(jobs[0].key.model)
-            if tuner is not None:
-                tuner.observe(len(jobs), elapsed)
             solved = 0
             for job in jobs:
                 if job.done:

@@ -18,7 +18,6 @@ stories.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -91,119 +90,6 @@ class Shard:
 
     def __len__(self) -> int:
         return len(self.surfaces)
-
-
-class ShardAutotuner:
-    """Size shards from an EWMA of observed per-story solve times.
-
-    A fixed shard size is wrong in both directions: when stories are cheap
-    (parameters supplied, operators cached) large shards amortize best, but
-    when each story pays a cold calibration a large shard turns into one
-    multi-second batch that starves the queue and inflates per-story latency.
-    The autotuner closes that loop: after every shard solve the service calls
-    :meth:`observe` with the story count and wall time, an exponentially
-    weighted moving average tracks the per-story cost, and
-    :meth:`recommended_size` returns the largest shard that stays within the
-    target per-shard latency budget.
-
-    Parameters
-    ----------
-    target_shard_seconds:
-        Latency budget one shard solve should stay under; the recommended
-        size is ``target / ewma_story_seconds`` clamped to the bounds.
-    alpha:
-        EWMA smoothing factor in (0, 1]; higher reacts faster, lower
-        smooths noisy timings harder.
-    min_size, max_size:
-        Clamp bounds of the recommendation.  ``min_size`` keeps the pipeline
-        moving even when stories look arbitrarily expensive; ``max_size``
-        caps batch memory no matter how cheap they look.
-    initial_story_seconds:
-        Prior for the per-story cost before the first observation, so the
-        very first recommendation is already sensible.
-
-    Thread-safety: ``observe`` runs on the event-loop thread after each
-    shard completes, but a lock is taken anyway so external monitoring
-    threads may read ``ewma_story_seconds`` / call ``recommended_size``
-    concurrently.
-    """
-
-    def __init__(
-        self,
-        target_shard_seconds: float = 0.5,
-        alpha: float = 0.3,
-        min_size: int = 1,
-        max_size: int = 64,
-        initial_story_seconds: float = 0.05,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if target_shard_seconds <= 0:
-            raise ValueError(
-                f"target_shard_seconds must be > 0, got {target_shard_seconds}"
-            )
-        if min_size < 1 or max_size < min_size:
-            raise ValueError(
-                f"need 1 <= min_size <= max_size, got [{min_size}, {max_size}]"
-            )
-        if initial_story_seconds <= 0:
-            raise ValueError(
-                f"initial_story_seconds must be > 0, got {initial_story_seconds}"
-            )
-        self._target = float(target_shard_seconds)
-        self._alpha = float(alpha)
-        self._min_size = int(min_size)
-        self._max_size = int(max_size)
-        self._ewma = float(initial_story_seconds)
-        self._observations = 0
-        self._lock = threading.Lock()
-
-    @property
-    def ewma_story_seconds(self) -> float:
-        """Current smoothed estimate of one story's solve time."""
-        with self._lock:
-            return self._ewma
-
-    @property
-    def observations(self) -> int:
-        """How many shard solves have been observed."""
-        with self._lock:
-            return self._observations
-
-    def observe(self, stories: int, seconds: float) -> None:
-        """Fold one shard solve (``stories`` stories in ``seconds``) into the EWMA."""
-        if stories < 1:
-            raise ValueError(f"stories must be >= 1, got {stories}")
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        per_story = seconds / stories
-        with self._lock:
-            self._ewma += self._alpha * (per_story - self._ewma)
-            self._observations += 1
-
-    def recommended_size(self) -> int:
-        """Largest shard expected to finish within the latency target."""
-        with self._lock:
-            # Floor the divisor: observe() accepts seconds == 0 (clock
-            # granularity on very fast solves), and with alpha == 1 the EWMA
-            # can then be exactly 0 -- which must recommend the max, not
-            # raise ZeroDivisionError inside the dispatcher.
-            size = int(self._target / max(self._ewma, 1e-9))
-        return max(self._min_size, min(self._max_size, size))
-
-    def snapshot(self) -> dict:
-        """Plain-dict state for the daemon's ``stats`` command."""
-        with self._lock:
-            ewma, observations = self._ewma, self._observations
-        return {
-            "target_shard_seconds": self._target,
-            "alpha": self._alpha,
-            "min_size": self._min_size,
-            "max_size": self._max_size,
-            "ewma_story_seconds": ewma,
-            "observations": observations,
-            "recommended_size": self.recommended_size(),
-        }
 
 
 class CorpusSharder:

@@ -143,38 +143,6 @@ class TestMixedModelCorpus:
                 results[name].predicted.values, reference.predicted.values
             )
 
-    def test_mixed_models_autotune_independently(self, corpus):
-        # Per-story costs differ by orders of magnitude between models, so
-        # each model must feed its own EWMA -- one shared autotuner would
-        # let cheap logistic solves inflate DL shard sizes.
-        async def run():
-            async with PredictionService(
-                parameters=PAPER_S1_HOP_PARAMETERS,
-                solver=SOLVER,
-                autotune=True,
-            ) as service:
-                jobs = [
-                    await service.submit(
-                        name,
-                        surface,
-                        TRAINING_TIMES,
-                        EVALUATION_TIMES,
-                        model="logistic" if name == "story0" else None,
-                    )
-                    for name, surface in corpus.items()
-                ]
-                for job in jobs:
-                    await job.wait()
-                return service.stats()
-
-        stats = asyncio.run(run())
-        by_model = stats["autotuner_by_model"]
-        assert set(by_model) == {"dl", "logistic"}
-        assert by_model["logistic"]["observations"] >= 1
-        assert by_model["dl"]["observations"] >= 1
-        # The default model's tuner is still exposed as stats["autotuner"].
-        assert stats["autotuner"] == by_model["dl"]
-
     def test_sharder_separates_models(self, corpus):
         sharder = CorpusSharder(solver=SOLVER)
         shards = sharder.shard(

@@ -27,6 +27,7 @@ from repro.service import (
     execution,
     open_corpus,
 )
+from repro.service.service import DEFAULT_MAX_SHARD_SIZE
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -381,7 +382,7 @@ class TestStatusAndStats:
 
     def test_stats_exposes_service_counters_and_telemetry(self, tmp_path):
         async def run():
-            async with running_daemon(tmp_path, autotune=True) as (socket_path, _):
+            async with running_daemon(tmp_path) as (socket_path, _):
                 async with await DaemonClient.connect(socket_path) as client:
                     await collect_submission(
                         client, manifest_payload(inline_story("a"))
@@ -391,7 +392,7 @@ class TestStatusAndStats:
         stats = asyncio.run(run())
         assert stats["uptime_seconds"] > 0.0
         assert stats["service"]["succeeded"] == 1
-        assert stats["service"]["autotuner"]["observations"] == 1
+        assert stats["service"]["max_shard_size"] == DEFAULT_MAX_SHARD_SIZE
         # The worker-pool identity travels through daemon-stats, so
         # operators can tell a process-backed daemon from a thread-backed
         # one without reading its launch flags.

@@ -29,7 +29,6 @@ from repro.service import (
     JobTimeoutError,
     MetricsRegistry,
     PredictionService,
-    ShardAutotuner,
     execution,
 )
 
@@ -423,36 +422,3 @@ class TestTelemetryWiring:
         assert snapshot["service.shard_solve_seconds"]["count"] >= 3
         assert snapshot["service.story_solve_seconds"]["sum"] > 0.0
         assert snapshot["service.queue_depth"] == 0.0  # everything settled
-
-
-class TestAutotunedService:
-    def test_autotuner_observes_and_resizes(self, surfaces):
-        # A tiny latency target with a generous prior: after the first few
-        # observations of real (fast) solves the recommendation must move
-        # away from the prior, and every result must still be correct.
-        autotuner = ShardAutotuner(
-            target_shard_seconds=10.0, initial_story_seconds=10.0, max_size=4
-        )
-
-        async def run():
-            async with PredictionService(
-                parameters=PAPER_S1_HOP_PARAMETERS, autotuner=autotuner
-            ) as service:
-                assert service.autotuner is autotuner
-                results = await service.score_corpus(
-                    surfaces, TRAINING_TIMES, EVALUATION_TIMES
-                )
-                return results, service.stats()
-
-        results, stats = asyncio.run(run())
-        assert set(results) == set(surfaces)
-        assert autotuner.observations >= 2  # prior size 1 forces several shards
-        assert autotuner.ewma_story_seconds < 10.0  # moved toward reality
-        assert autotuner.recommended_size() == 4  # fast solves -> max size
-        assert stats["autotuner"]["observations"] == autotuner.observations
-
-    def test_autotune_flag_builds_capped_autotuner(self):
-        service = PredictionService(autotune=True, max_shard_size=16)
-        assert service.autotuner is not None
-        assert service.autotuner.snapshot()["max_size"] == 16
-        assert PredictionService().autotuner is None

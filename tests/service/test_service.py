@@ -358,6 +358,14 @@ class TestBackpressure:
             PredictionService(queue_depth=0)
         with pytest.raises(ValueError):
             PredictionService(max_workers=0)
+        with pytest.raises(ValueError, match="max_shard_size"):
+            PredictionService(max_shard_size=0)
+
+    def test_shard_size_is_the_only_sizing_option(self):
+        # The fixed max_shard_size is the one shard-size policy; there is no
+        # adaptive alternative to switch on.
+        with pytest.raises(TypeError):
+            PredictionService(autotune=True)
 
     def test_submit_parked_during_close_is_rejected_not_stranded(
         self, corpus_surfaces

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cascade.density import DensitySurface
 from repro.core.config import SolverConfig
-from repro.service import CorpusSharder, ShardAutotuner, ShardKey
+from repro.service import CorpusSharder, ShardKey
 
 
 def make_surface(distances, times, scale=1.0):
@@ -85,64 +85,3 @@ class TestShardGrouping:
 
     def test_empty_corpus_gives_no_shards(self):
         assert CorpusSharder().shard({}) == []
-
-
-class TestShardAutotuner:
-    def test_prior_drives_first_recommendation(self):
-        autotuner = ShardAutotuner(
-            target_shard_seconds=1.0, initial_story_seconds=0.1, max_size=64
-        )
-        assert autotuner.observations == 0
-        assert autotuner.recommended_size() == 10  # 1.0s budget / 0.1s per story
-
-    def test_ewma_tracks_observations(self):
-        autotuner = ShardAutotuner(alpha=0.5, initial_story_seconds=0.1)
-        autotuner.observe(stories=10, seconds=3.0)  # 0.3s per story
-        assert autotuner.ewma_story_seconds == pytest.approx(0.2)  # half-way
-        autotuner.observe(stories=10, seconds=3.0)
-        assert autotuner.ewma_story_seconds == pytest.approx(0.25)
-        assert autotuner.observations == 2
-
-    def test_cheap_stories_grow_shards_expensive_shrink(self):
-        autotuner = ShardAutotuner(
-            target_shard_seconds=0.5, alpha=1.0, min_size=2, max_size=32
-        )
-        autotuner.observe(stories=4, seconds=0.02)  # 5 ms/story -> budget fits 100
-        assert autotuner.recommended_size() == 32  # clamped to max
-        autotuner.observe(stories=4, seconds=4.0)  # 1 s/story -> budget fits 0
-        assert autotuner.recommended_size() == 2  # clamped to min
-
-    def test_snapshot_is_plain_and_consistent(self):
-        autotuner = ShardAutotuner(target_shard_seconds=2.0, max_size=16)
-        autotuner.observe(stories=5, seconds=1.0)
-        snapshot = autotuner.snapshot()
-        assert snapshot["observations"] == 1
-        assert snapshot["max_size"] == 16
-        assert snapshot["recommended_size"] == autotuner.recommended_size()
-        assert snapshot["ewma_story_seconds"] == autotuner.ewma_story_seconds
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ShardAutotuner(alpha=0.0)
-        with pytest.raises(ValueError, match="target_shard_seconds"):
-            ShardAutotuner(target_shard_seconds=0.0)
-        with pytest.raises(ValueError, match="min_size <= max_size"):
-            ShardAutotuner(min_size=8, max_size=4)
-        with pytest.raises(ValueError, match="initial_story_seconds"):
-            ShardAutotuner(initial_story_seconds=0.0)
-
-    def test_invalid_observations_rejected(self):
-        autotuner = ShardAutotuner()
-        with pytest.raises(ValueError, match="stories"):
-            autotuner.observe(stories=0, seconds=1.0)
-        with pytest.raises(ValueError, match="seconds"):
-            autotuner.observe(stories=1, seconds=-1.0)
-
-    def test_zero_second_observations_recommend_max_not_crash(self):
-        # seconds == 0 is legal (clock granularity on very fast solves); with
-        # alpha = 1 the EWMA becomes exactly 0 and the recommendation must be
-        # the max size, not a ZeroDivisionError inside the dispatcher.
-        autotuner = ShardAutotuner(alpha=1.0, max_size=32)
-        autotuner.observe(stories=4, seconds=0.0)
-        assert autotuner.ewma_story_seconds == 0.0
-        assert autotuner.recommended_size() == 32

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cascade.dataset import CascadeDataset
 from repro.cli import build_parser, main
+from repro.service.service import DEFAULT_MAX_SHARD_SIZE, DEFAULT_QUEUE_DEPTH
 
 # Small, fast corpus arguments reused by every CLI invocation in these tests.
 CORPUS_ARGS = ["--users", "900", "--background-stories", "25", "--seed", "1234"]
@@ -509,12 +510,20 @@ class TestDaemonCommands:
     def test_daemon_parser_defaults(self):
         args = build_parser().parse_args(["daemon"])
         assert args.listen == "stdio"
-        assert args.workers is None  # the executor's default pool size
-        assert args.queue_depth == 128
-        assert args.shard_size == 32
-        assert args.autotune is False
         assert args.timeout is None
         assert args.backend == "internal"
+        # serve-batch and daemon share one declaration of the service options,
+        # defaulting to the service's own constants.
+        for argv in (["daemon"], ["serve-batch", "--manifest", "m.json"]):
+            args = build_parser().parse_args(argv)
+            assert args.workers is None  # the executor's default pool size
+            assert args.queue_depth == DEFAULT_QUEUE_DEPTH
+            assert args.shard_size == DEFAULT_MAX_SHARD_SIZE
+
+    def test_daemon_has_no_autotune_flag(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["daemon", "--autotune"])
+        assert exit_info.value.code == 2
 
     def test_daemon_workers_default_to_the_executor(self, monkeypatch):
         import repro.service
