@@ -873,19 +873,6 @@ def _warn_skipped(story: str) -> None:
     )
 
 
-def _story_payload(result) -> dict:
-    """Machine-readable per-story result shared by predict-batch and serve-batch.
-
-    One format across every transport: this is exactly the payload the
-    daemon streams (:func:`repro.service.story_result_payload` -- model
-    name, overall accuracy, structured ``to_json_dict`` parameters,
-    per-distance accuracies), so batch pipelines parse one shape.
-    """
-    from repro.service import story_result_payload
-
-    return story_result_payload(result)
-
-
 def _command_predict_batch(args: argparse.Namespace) -> int:
     from repro.core.prediction import BatchPredictionResult
     from repro.models import get_model
@@ -947,6 +934,9 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
         print(f"{story}: parameters = {fitter.parameters_for(story)}", file=report)
 
     if args.json is not None:
+        # The daemon's per-story payload, so batch pipelines parse one shape.
+        from repro.service import story_result_payload
+
         payload = {
             "metric": args.metric,
             "hours": args.hours,
@@ -954,7 +944,9 @@ def _command_predict_batch(args: argparse.Namespace) -> int:
             "model": args.model,
             "overall_accuracy": results.overall_accuracy,
             "skipped_stories": skipped,
-            "stories": {story: _story_payload(results[story]) for story in surfaces},
+            "stories": {
+                story: story_result_payload(results[story]) for story in surfaces
+            },
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.json == "-":
@@ -975,6 +967,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         ManifestError,
         PredictionService,
         open_corpus,
+        story_result_payload,
     )
 
     name_error = _check_names(args, [args.model])
@@ -1038,7 +1031,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             payload = {
                 "story": job.name,
                 "status": job.status.value,
-                **_story_payload(job.result),
+                **story_result_payload(job.result),
             }
         else:
             payload = {

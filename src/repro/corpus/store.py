@@ -19,7 +19,7 @@ instead:
 Reads are **lazy**: :meth:`CorpusStore.handle` returns a picklable
 :class:`LazySurface` that carries only the story's axes and metadata; the
 values matrix stays on disk until a shard solve materialises the handle
-(``solve_shard_payload`` calls :meth:`LazySurface.load`), so scoring a
+(``solve_shard_report`` calls :meth:`LazySurface.load`), so scoring a
 corpus through the service holds at most one shard's worth of surfaces per
 worker rather than the whole corpus.
 

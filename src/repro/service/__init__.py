@@ -78,7 +78,6 @@ from repro.service.execution import (
     WorkerCrashError,
     create_executor,
     executor_default_workers,
-    solve_shard_payload,
     solve_shard_report,
 )
 from repro.service.logs import (
@@ -156,7 +155,6 @@ __all__ = [
     "WorkerCrashError",
     "create_executor",
     "executor_default_workers",
-    "solve_shard_payload",
     "solve_shard_report",
     "NOOP_TRACER",
     "NoOpTracer",

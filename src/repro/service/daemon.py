@@ -100,7 +100,7 @@ from typing import AsyncIterator
 from repro.core.errors import DaemonConnectionError, QuotaExceededError, UnknownNameError
 from repro.core.prediction import PredictionResult
 from repro.models.registry import MODELS
-from repro.service.execution import solve_shard_report
+from repro.service import execution
 from repro.service.journal import FSYNC_POLICIES, JobJournal, ReplayedJob
 from repro.service.logs import log_job_event, service_logger
 from repro.service.manifest import ManifestError, open_corpus
@@ -253,9 +253,6 @@ class PredictionDaemon:
         Directory spans are additionally exported to as JSON lines
         (``spans.jsonl``), one record per finished span.  Implies
         ``trace=True``.
-    trace_capacity:
-        Ring-buffer capacity of the in-memory tracer (oldest spans are
-        evicted first); bounds trace memory over a long daemon life.
     **service_kwargs:
         Forwarded to :class:`~repro.service.service.PredictionService`
         (workers, queue depth, shard size, the ``solver=``
@@ -280,7 +277,6 @@ class PredictionDaemon:
         resume: bool = False,
         trace: bool = False,
         trace_dir: "str | None" = None,
-        trace_capacity: int = 4096,
         **service_kwargs,
     ) -> None:
         if default_timeout is not None and default_timeout <= 0:
@@ -303,7 +299,7 @@ class PredictionDaemon:
         self._resume = bool(resume)
         self._journal: "JobJournal | None" = None
         self._tracer: TracerLike = (
-            Tracer(capacity=trace_capacity, export_dir=trace_dir)
+            Tracer(export_dir=trace_dir)
             if (trace or trace_dir is not None)
             else NOOP_TRACER
         )
@@ -644,8 +640,11 @@ class PredictionDaemon:
             )
             return
         try:
+            # Looked up through the module at call time, as the thread and
+            # process backends do, so a patched ``solve_shard_report``
+            # reaches worker daemons too.
             report = await asyncio.get_running_loop().run_in_executor(
-                None, solve_shard_report, payload
+                None, execution.solve_shard_report, payload
             )
         except Exception as error:
             # The router maps this error event onto the shard's bisection

@@ -17,20 +17,20 @@ registered in :data:`EXECUTORS` here and a third, ``cluster``, in
   cross the process boundary pickled; each worker process lazily builds
   and reuses its *own* operator cache (the cache module is process-global,
   so a worker's second shard with the same spatial signature hits warm
-  factorizations), and a warm-up hook on worker init imports the numerics
-  stack -- optionally pre-solving a representative payload -- so the first
-  real shard does not pay cold-start twice.
+  factorizations), and each worker imports the model registry on init, so
+  built-in models resolve under any start method.
 
 Every backend honours one shard contract: :meth:`ExecutionBackend.solve`
 takes a picklable :class:`ShardPayload` (story surfaces plus the
 :class:`~repro.core.config.ModelSpec`, never live fitter/service objects)
 and returns ``(worker_label, ShardSolveReport)``, produced wherever the
-shard runs by :func:`solve_shard_report`.  That in turn resolves the
-numerics through the module-level :func:`solve_shard_payload`, so results
-are bit-identical across backends by construction (the equivalence tests
-and the benchmark's ``service.scaling`` section assert the delta is
-exactly zero), and patching ``solve_shard_payload`` injects a fault into
-every backend at once.
+shard runs by the one function :func:`solve_shard_report`.  Results are
+therefore bit-identical across backends by construction (the equivalence
+tests and the benchmark's ``service.scaling`` section assert the delta is
+exactly zero).  Every backend, the cluster worker op included, looks the
+function up through this module when a shard runs, so patching
+``execution.solve_shard_report`` injects a fault into every backend at
+once.
 
 Crash hardening: when a process worker dies mid-shard (OOM kill, segfault,
 ``kill -9``), ``ProcessPoolExecutor`` marks the whole pool broken and
@@ -87,7 +87,7 @@ class ShardPayload:
     observed surfaces (numpy arrays plus plain metadata).  Surfaces may be
     lazy :class:`~repro.corpus.store.LazySurface` handles -- also plain
     picklable data (store path + row, no open mmaps) -- which
-    :func:`solve_shard_payload` materialises in the worker.  No live
+    :func:`solve_shard_report` materialises in the worker.  No live
     fitter, service or event-loop objects ever cross the boundary.
     """
 
@@ -117,18 +117,6 @@ class ShardSolveReport:
     phase_seconds: "dict[str, float]" = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-
-
-@dataclass
-class _SolveInstrumentation:
-    """Ambient per-solve instrumentation state (thread-local)."""
-
-    tracer: TracerLike
-    parent: "TraceContext | None"
-    report: ShardSolveReport
-
-
-_ACTIVE = threading.local()
 
 
 def _operator_cache_counts() -> "tuple[int, int]":
@@ -214,9 +202,7 @@ def _record_fit_spans(
         return
 
 
-def solve_shard_payload(
-    payload: ShardPayload,
-) -> "dict[str, object]":
+def solve_shard_report(payload: ShardPayload) -> ShardSolveReport:
     """Solve one shard payload: the single shard-numerics path of the service.
 
     Resolves the shard's model from the registry, fits the shard through
@@ -224,22 +210,23 @@ def solve_shard_payload(
     fails maps to its own exception without poisoning shard-mates; for
     ``dl`` the calibrations refine in lock-step) and evaluates every fitted
     story in one joint call -- for ``dl`` that is the batched
-    spatial-group solve.  Every
-    backend lands here, which is what makes their results bit-identical:
-    the backends only choose *where* this function runs, never *how* it
-    computes.
+    spatial-group solve.  Every backend's worker runs this function, which
+    is what makes their results bit-identical: the backends only choose
+    *where* it runs, never *how* it computes.
 
-    When invoked under :func:`solve_shard_report`, phase timings and spans
-    are recorded through the ambient instrumentation state; called directly
-    (tests, warm-up) it behaves exactly as before -- a plain dict in, plain
-    dict out numerics function with zero tracing overhead.
+    The fit/evaluate wall times and the operator-cache delta across the
+    solve are always measured (they feed always-on telemetry).  When the
+    payload carries a trace context, a local collecting
+    :class:`~repro.service.tracing.Tracer` records the solve's spans and
+    returns them in ``report.spans``; the service ingests them and they
+    re-parent under its shard span.
     """
     from repro.models.registry import get_model
 
-    inst: "_SolveInstrumentation | None" = getattr(_ACTIVE, "current", None)
-    tracer: TracerLike = inst.tracer if inst is not None else NOOP_TRACER
-    parent = inst.parent if inst is not None else None
-    traced = tracer.enabled
+    collector = Tracer(capacity=512) if payload.trace is not None else None
+    tracer: TracerLike = collector if collector is not None else NOOP_TRACER
+    report = ShardSolveReport(outcomes={})
+    hits_before, misses_before = _operator_cache_counts()
 
     key = payload.key
     fitter = get_model(key.model).batch_fitter(payload.spec)
@@ -250,72 +237,30 @@ def solve_shard_payload(
         name: materialize_surface(surface)
         for name, surface in payload.surfaces.items()
     }
-    fit_t0 = time.perf_counter() if inst is not None else 0.0
-    fit_span = (
-        tracer.span("solve.fit", parent=parent, attributes={"stories": len(surfaces)})
-        if traced
-        else None
+    fit_t0 = time.perf_counter()
+    fit_span = tracer.span(
+        "solve.fit", parent=payload.trace, attributes={"stories": len(surfaces)}
     )
     shard = fitter.fit_shard(surfaces, key.training_times)
-    outcomes: "dict[str, object]" = dict(shard.failures)
+    report.outcomes.update(shard.failures)
     fitted = [name for name in surfaces if name not in shard.failures]
-    if traced:
-        _record_fit_spans(tracer, fit_span, fitter, list(surfaces), shard)
-    if fit_span is not None:
-        fit_span.finish()
-    if inst is not None:
-        inst.report.phase_seconds["fit"] = time.perf_counter() - fit_t0
+    if collector is not None:
+        _record_fit_spans(collector, fit_span.context, fitter, list(surfaces), shard)
+    fit_span.finish()
+    report.phase_seconds["fit"] = time.perf_counter() - fit_t0
     if fitted:
-        evaluate_span = (
-            tracer.span(
-                "solve.evaluate", parent=parent, attributes={"stories": len(fitted)}
-            )
-            if traced
-            else None
+        evaluate_span = tracer.span(
+            "solve.evaluate", parent=payload.trace, attributes={"stories": len(fitted)}
         )
-        evaluate_t0 = time.perf_counter() if inst is not None else 0.0
+        evaluate_t0 = time.perf_counter()
         results = fitter.evaluate(
             {name: surfaces[name] for name in fitted},
             times=key.evaluation_times,
         )
-        if inst is not None:
-            inst.report.phase_seconds["evaluate"] = (
-                time.perf_counter() - evaluate_t0
-            )
-        if evaluate_span is not None:
-            evaluate_span.finish()
+        report.phase_seconds["evaluate"] = time.perf_counter() - evaluate_t0
+        evaluate_span.finish()
         for name in fitted:
-            outcomes[name] = results[name]
-    return outcomes
-
-
-def solve_shard_report(payload: ShardPayload) -> ShardSolveReport:
-    """Solve a shard with instrumentation; what every backend's worker runs.
-
-    When the payload carries a trace context, a local collecting
-    :class:`~repro.service.tracing.Tracer` records the solve's spans and
-    returns them in ``report.spans``; the service ingests them and they
-    re-parent under its shard span.  Phase wall times and the
-    operator-cache delta are measured either way (they feed always-on
-    histograms), and the numerics route through the module-level
-    :func:`solve_shard_payload` name so monkeypatched fault injection
-    intercepts every backend identically.
-    """
-    collector = Tracer(capacity=512) if payload.trace is not None else None
-    active: TracerLike = collector if collector is not None else NOOP_TRACER
-    report = ShardSolveReport(outcomes={})
-    hits_before, misses_before = _operator_cache_counts()
-    inst = _SolveInstrumentation(tracer=active, parent=payload.trace, report=report)
-    previous = getattr(_ACTIVE, "current", None)
-    _ACTIVE.current = inst
-    try:
-        # Resolved via the module global on purpose: monkeypatching
-        # ``execution.solve_shard_payload`` (crash injection, fault tests)
-        # must intercept the instrumented path too.
-        outcomes = solve_shard_payload(payload)
-    finally:
-        _ACTIVE.current = previous
-    report.outcomes = outcomes
+            report.outcomes[name] = results[name]
     hits_after, misses_after = _operator_cache_counts()
     report.cache_hits = max(hits_after - hits_before, 0)
     report.cache_misses = max(misses_after - misses_before, 0)
@@ -413,26 +358,15 @@ class ThreadExecutionBackend(ExecutionBackend):
         return await asyncio.get_running_loop().run_in_executor(self._pool, entry)
 
 
-def _process_worker_init(warmup: "bytes | None") -> None:
-    """Per-worker warm-up, run once when a pool process starts.
+def _process_worker_init() -> None:
+    """Run once when a pool process starts: import the model registry.
 
     Importing :mod:`repro.models` pulls the whole numerics stack (numpy,
     scipy, the solver and operator-cache modules) *and* registers the
     built-in models -- required under the ``spawn`` start method, where
-    children do not inherit the parent's registry state.  An optional
-    pickled :class:`ShardPayload` is then solved and discarded, populating
-    this process's operator cache with the corpus's factorizations so the
-    worker's first real shard starts warm.  Warm-up failures are swallowed:
-    a broken warm-up payload must degrade to a cold first shard, never kill
-    the worker (which would mark the whole pool broken).
+    children do not inherit the parent's registry state.
     """
     import repro.models  # noqa: F401 - imported for its registration side effect
-
-    if warmup:
-        try:
-            solve_shard_payload(pickle.loads(warmup))
-        except Exception:  # noqa: BLE001 - warm-up is best-effort by design
-            pass
 
 
 def _solve_pickled_payload(data: bytes) -> "tuple[str, ShardSolveReport]":
@@ -474,9 +408,6 @@ class ProcessExecutionBackend(ExecutionBackend):
     start_method:
         Multiprocessing start method (``fork`` / ``spawn`` /
         ``forkserver``); ``None`` picks ``fork`` where available.
-    warmup:
-        Optional :class:`ShardPayload` each new worker solves (and
-        discards) on init, pre-populating its operator cache.
     """
 
     kind = "process"
@@ -485,16 +416,10 @@ class ProcessExecutionBackend(ExecutionBackend):
         self,
         max_workers: int,
         start_method: "str | None" = None,
-        warmup: "ShardPayload | None" = None,
     ) -> None:
         super().__init__(max_workers)
         self._start_method = start_method or _default_start_method()
         self._context = multiprocessing.get_context(self._start_method)
-        self._warmup_bytes = (
-            pickle.dumps(warmup, protocol=pickle.HIGHEST_PROTOCOL)
-            if warmup is not None
-            else None
-        )
         self._pool: "ProcessPoolExecutor | None" = None
         self._lock = threading.Lock()
         self._closed = False
@@ -516,7 +441,6 @@ class ProcessExecutionBackend(ExecutionBackend):
             max_workers=self.workers,
             mp_context=self._context,
             initializer=_process_worker_init,
-            initargs=(self._warmup_bytes,),
         )
 
     def start(self) -> None:

@@ -24,9 +24,10 @@ whole corpora of cascades:
 * **backpressure** -- at most ``queue_depth`` jobs may be queued or running;
   further ``submit`` calls suspend until capacity frees up, so an unbounded
   producer cannot exhaust memory.
-* **timeouts** -- each job may carry a wall-clock deadline (per submit or a
-  service-wide default); a job past its deadline completes as ``TIMED_OUT``
-  immediately, without stalling its shard-mates or later jobs.
+* **timeouts** -- each submit may carry a wall-clock deadline (the daemon
+  fills in its ``default_timeout``); a job past its deadline completes as
+  ``TIMED_OUT`` immediately, without stalling its shard-mates or later
+  jobs.
 * **retry / requeue** -- a shard-wide solve failure does not sink the whole
   shard: the shard is split in half and both halves are requeued (bounded
   by ``max_shard_retries`` attempts per job), so a single poisoned story is
@@ -223,8 +224,7 @@ class PredictionService:
         ``"cluster"`` (a worker-daemon fleet).
     executor_options:
         Extra keyword arguments for the backend factory, e.g.
-        ``{"start_method": "spawn"}`` or a ``warmup`` payload for the
-        process backend.
+        ``{"start_method": "spawn"}`` for the process backend.
     solver:
         A :class:`~repro.core.config.SolverConfig`; omitted, the defaults.
         DL stories without parameters are calibrated by
@@ -242,9 +242,6 @@ class PredictionService:
         Largest number of stories solved in one batch (``None`` solves each
         signature's whole queue at once); bigger shards amortize
         factorizations further but increase per-batch latency.
-    job_timeout:
-        Default wall-clock deadline (seconds, from submission) applied to
-        every job that does not carry its own; ``None`` disables deadlines.
     max_shard_retries:
         How many times one job may be requeued after a shard-wide solve
         failure before it is failed outright; each retry splits the failing
@@ -269,7 +266,6 @@ class PredictionService:
         max_workers: "int | None" = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_shard_size: "int | None" = DEFAULT_MAX_SHARD_SIZE,
-        job_timeout: "float | None" = None,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         metrics: "MetricsRegistry | None" = None,
         *,
@@ -289,8 +285,6 @@ class PredictionService:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if max_shard_size is not None and max_shard_size < 1:
             raise ValueError(f"max_shard_size must be >= 1, got {max_shard_size}")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
         if max_shard_retries < 0:
             raise ValueError(
                 f"max_shard_retries must be >= 0, got {max_shard_retries}"
@@ -329,7 +323,6 @@ class PredictionService:
         self._max_workers = max_workers
         self._queue_depth = queue_depth
         self._max_shard_size = max_shard_size
-        self._job_timeout = job_timeout
         self._max_shard_retries = max_shard_retries
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._shard_seconds = self._metrics.histogram("service.shard_solve_seconds")
@@ -495,7 +488,7 @@ class PredictionService:
         job reaches a terminal status.
 
         ``timeout`` is this job's wall-clock deadline in seconds, measured
-        from enqueue (``None`` falls back to the service's ``job_timeout``).
+        from enqueue; ``None`` sets no deadline.
         A job past its deadline completes as ``TIMED_OUT`` the moment the
         deadline fires -- even while its shard is still solving -- so no
         waiter is ever stalled by one slow story.
@@ -538,7 +531,7 @@ class PredictionService:
             name=name,
             surface=surface,
             key=key,
-            timeout=timeout if timeout is not None else self._job_timeout,
+            timeout=timeout,
             trace=trace,
             _service=self,
         )
@@ -929,12 +922,16 @@ class PredictionService:
         with the worker label -- their trace/span ids already point at the
         shard span that rode out in the payload, so they re-parent with no
         rewriting.  Phase wall times feed the per-phase histograms, and the
-        operator-cache delta lands as shard-span attributes.
+        operator-cache delta feeds the ``numerics.operator_cache_hits`` /
+        ``numerics.operator_cache_misses`` counters and the shard-span
+        attributes.
         """
         for phase, seconds in report.phase_seconds.items():
             self._metrics.histogram(
                 "service.solve_phase_seconds", labels={"phase": phase}
             ).observe(seconds)
+        self._metrics.counter("numerics.operator_cache_hits").inc(report.cache_hits)
+        self._metrics.counter("numerics.operator_cache_misses").inc(report.cache_misses)
         if self._tracer.enabled and report.spans:
             self._tracer.ingest(
                 [dict(record, attributes=dict(record.get("attributes") or {}, worker=worker))

@@ -8,7 +8,7 @@ The load-bearing properties mirror the other backend tests:
   restarts), losing a worker moves only that worker's shard keys, and
   workers-file parsing reports errors with file:line;
 * routing shards over real worker daemons is bit-identical to the thread
-  executor -- the cluster decides *where* ``solve_shard_payload`` runs,
+  executor -- the cluster decides *where* ``solve_shard_report`` runs,
   never *how* it computes;
 * SIGKILLing one of two worker daemons mid-job reroutes its in-flight
   shards through the service's bisection-retry path and the job still

@@ -287,13 +287,13 @@ class TestSubmission:
         assert stats["service"]["stories_solved"] == 2
 
     def test_story_timeout_streams_timed_out_result(self, tmp_path, monkeypatch):
-        original = execution.solve_shard_payload
+        original = execution.solve_shard_report
 
         def slow(payload):
             time.sleep(0.5)
             return original(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", slow)
+        monkeypatch.setattr(execution, "solve_shard_report", slow)
 
         async def run():
             async with running_daemon(tmp_path) as (socket_path, _):
@@ -309,6 +309,33 @@ class TestSubmission:
         assert accepted["timeout"] == 0.1
         assert results["slowpoke"]["status"] == "timed_out"
         assert "deadline" in results["slowpoke"]["error"]
+        assert job_event["stories"]["timed_out"] == 1
+
+    def test_default_timeout_applies_to_submits_without_one(
+        self, tmp_path, monkeypatch
+    ):
+        original = execution.solve_shard_report
+
+        def slow(payload):
+            time.sleep(0.5)
+            return original(payload)
+
+        monkeypatch.setattr(execution, "solve_shard_report", slow)
+
+        async def run():
+            async with running_daemon(tmp_path, default_timeout=0.1) as (
+                socket_path,
+                _,
+            ):
+                async with await DaemonClient.connect(socket_path) as client:
+                    return await collect_submission(
+                        client, manifest_payload(inline_story("slowpoke"))
+                    )
+
+        accepted, results, job_event, errors = asyncio.run(run())
+        assert not errors
+        assert accepted["timeout"] == 0.1
+        assert results["slowpoke"]["status"] == "timed_out"
         assert job_event["stories"]["timed_out"] == 1
 
 
@@ -564,13 +591,13 @@ class TestClientQuota:
         assert not ClientQuota(max_jobs=3).unlimited
 
     def test_job_quota_rejects_second_inflight_submit(self, tmp_path, monkeypatch):
-        original = execution.solve_shard_payload
+        original = execution.solve_shard_report
 
         def slow(payload):
             time.sleep(0.6)
             return original(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", slow)
+        monkeypatch.setattr(execution, "solve_shard_report", slow)
 
         async def run():
             quota = ClientQuota(max_jobs=1)

@@ -7,7 +7,7 @@ The load-bearing properties:
   construction time;
 * the ``process`` backend is bit-identical to the ``thread`` backend for
   every registered model -- the backends choose *where*
-  :func:`solve_shard_payload` runs, never *how* it computes;
+  :func:`solve_shard_report` runs, never *how* it computes;
 * shard payloads survive the pickling boundary, including under the
   ``spawn`` start method where workers inherit nothing;
 * a worker death mid-shard breaks only the in-flight shards: the pool is
@@ -30,16 +30,19 @@ from repro.core.dl_model import DiffusiveLogisticModel
 from repro.core.errors import UnknownNameError
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import PAPER_S1_HOP_PARAMETERS
+import repro.service
 from repro.service import (
     EXECUTORS,
     PredictionService,
+    ProcessExecutionBackend,
     ShardPayload,
+    ShardSolveReport,
     ThreadExecutionBackend,
     WorkerCrashError,
     create_executor,
     executor_default_workers,
     score_corpus_sync,
-    solve_shard_payload,
+    solve_shard_report,
 )
 from repro.service import execution
 from repro.service.sharding import CorpusSharder
@@ -131,6 +134,10 @@ class TestExecutorRegistry:
         assert backend.workers == 2
         assert backend.start_method == "spawn"
         assert backend.describe()["start_method"] == "spawn"
+
+    def test_process_backend_has_no_warmup_option(self):
+        with pytest.raises(TypeError):
+            ProcessExecutionBackend(1, warmup=None)
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -256,13 +263,25 @@ class TestShardPayloadPickling:
         assert restored.spec == payload.spec
         assert set(restored.surfaces) == set(payload.surfaces)
 
-        reference = solve_shard_payload(payload)
-        round_tripped = solve_shard_payload(restored)
+        reference = solve_shard_report(payload).outcomes
+        round_tripped = solve_shard_report(restored).outcomes
         for name in corpus:
             assert np.array_equal(
                 round_tripped[name].predicted.values,
                 reference[name].predicted.values,
             )
+
+    def test_direct_solve_returns_the_full_report(self, corpus):
+        # One shard-solve function: called directly it returns the same
+        # report every backend ships, phase times and cache delta included.
+        report = solve_shard_report(
+            shard_payload_for("dl", corpus, {"parameters": PAPER_S1_HOP_PARAMETERS})
+        )
+        assert isinstance(report, ShardSolveReport)
+        assert set(report.outcomes) == set(corpus)
+        assert set(report.phase_seconds) == {"fit", "evaluate"}
+        assert report.spans == []  # no trace context, no spans
+        assert "solve_shard_payload" not in repro.service.__all__
 
     def test_spawned_worker_solves_a_payload(self, corpus):
         # The strictest pickling check: a spawn-context child shares no
@@ -301,7 +320,7 @@ class TestWorkerCrashRecovery:
         # bisected retries then solve normally.  Forked workers inherit the
         # patched module, so the crash happens on the far side of the pool.
         flag = tmp_path / "crashed-once"
-        real = execution.solve_shard_payload
+        real = execution.solve_shard_report
 
         def crash_once(payload):
             if not flag.exists():
@@ -309,7 +328,7 @@ class TestWorkerCrashRecovery:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", crash_once)
+        monkeypatch.setattr(execution, "solve_shard_report", crash_once)
 
         async def run():
             async with PredictionService(
@@ -339,14 +358,14 @@ class TestWorkerCrashRecovery:
         # A story that *always* kills its worker must end up failing alone
         # (bisection separates it from its shard-mates), every shard-mate
         # must still succeed, and the service must stay usable afterwards.
-        real = execution.solve_shard_payload
+        real = execution.solve_shard_report
 
         def crash_on_poison(payload):
             if "poison" in payload.surfaces:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", crash_on_poison)
+        monkeypatch.setattr(execution, "solve_shard_report", crash_on_poison)
         surfaces = dict(corpus)
         surfaces["poison"] = surfaces["story0"]
 

@@ -57,8 +57,8 @@ def surfaces():
 
 
 def slow_solver(delay: float):
-    """A solve_shard_payload wrapper that sleeps before delegating."""
-    original = execution.solve_shard_payload
+    """A solve_shard_report wrapper that sleeps before delegating."""
+    original = execution.solve_shard_report
 
     def solve(payload):
         time.sleep(delay)
@@ -72,7 +72,7 @@ class TestTimeouts:
         # One slow worker: the second job's deadline fires while it is still
         # queued behind the first.  It must complete as TIMED_OUT right then;
         # the first job must be untouched.
-        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
+        monkeypatch.setattr(execution, "solve_shard_report", slow_solver(0.4))
 
         async def run():
             async with PredictionService(
@@ -103,7 +103,7 @@ class TestTimeouts:
         assert stats["timed_out"] == 1 and stats["succeeded"] == 1
 
     def test_mid_solve_timeout_discards_late_result(self, surfaces, monkeypatch):
-        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
+        monkeypatch.setattr(execution, "solve_shard_report", slow_solver(0.4))
 
         async def run():
             async with PredictionService(
@@ -130,22 +130,6 @@ class TestTimeouts:
         assert result is None
         assert metrics["service.late_results_discarded"] == 1
 
-    def test_service_default_timeout_applies(self, surfaces, monkeypatch):
-        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.4))
-
-        async def run():
-            async with PredictionService(
-                parameters=PAPER_S1_HOP_PARAMETERS, job_timeout=0.1
-            ) as service:
-                job = await service.submit(
-                    "story0", surfaces["story0"], TRAINING_TIMES, EVALUATION_TIMES
-                )
-                assert job.timeout == 0.1
-                with pytest.raises(JobTimeoutError):
-                    await job.wait()
-
-        asyncio.run(run())
-
     def test_completed_job_is_not_expired_later(self, surfaces):
         # A generous deadline on a fast job: the timer is cancelled on
         # completion and must never flip a SUCCEEDED job to TIMED_OUT.
@@ -167,8 +151,9 @@ class TestTimeouts:
         assert asyncio.run(run()) is JobStatus.SUCCEEDED
 
     def test_invalid_timeouts_rejected(self, surfaces):
-        with pytest.raises(ValueError, match="job_timeout"):
-            PredictionService(job_timeout=0.0)
+        # Deadlines are per submit; the service has no default of its own.
+        with pytest.raises(TypeError):
+            PredictionService(job_timeout=1.0)
 
         async def run():
             async with PredictionService() as service:
@@ -184,7 +169,7 @@ class TestTimeouts:
 class TestShardRetry:
     @staticmethod
     def poisoned_solver(poison_name: str):
-        original = execution.solve_shard_payload
+        original = execution.solve_shard_report
 
         def solve(payload):
             if poison_name in payload.surfaces:
@@ -200,11 +185,11 @@ class TestShardRetry:
         # Four stories share one shard; the whole-shard solve raises whenever
         # the poisoned story is aboard.  Bisection must deliver every mate
         # and fail only the poison, once its retry budget is spent.  The
-        # patched solve_shard_payload runs in a pool thread, a forked
+        # patched solve_shard_report runs in a pool thread, a forked
         # process worker or an in-process worker daemon (whose error event
         # reaches the router as a ClusterShardError).
         monkeypatch.setattr(
-            execution, "solve_shard_payload", self.poisoned_solver("poison")
+            execution, "solve_shard_report", self.poisoned_solver("poison")
         )
 
         async def run():
@@ -250,7 +235,7 @@ class TestShardRetry:
 
     def test_zero_retries_fails_whole_shard(self, surfaces, monkeypatch):
         monkeypatch.setattr(
-            execution, "solve_shard_payload", self.poisoned_solver("poison")
+            execution, "solve_shard_report", self.poisoned_solver("poison")
         )
 
         async def run():
@@ -277,7 +262,7 @@ class TestShardRetry:
     def test_transient_failure_recovers_on_retry(self, surfaces, monkeypatch):
         # The first solve attempt fails shard-wide, every later one works:
         # all jobs must succeed after one requeue round.
-        original = execution.solve_shard_payload
+        original = execution.solve_shard_report
         calls = {"n": 0}
 
         def flaky(payload):
@@ -286,7 +271,7 @@ class TestShardRetry:
                 raise RuntimeError("transient backend hiccup")
             return original(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", flaky)
+        monkeypatch.setattr(execution, "solve_shard_report", flaky)
 
         async def run():
             async with PredictionService(
@@ -332,7 +317,7 @@ class TestDrainAndShutdown:
         assert asyncio.run(run()) is JobStatus.SUCCEEDED
 
     def test_abort_close_cancels_queued_jobs(self, surfaces, monkeypatch):
-        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.3))
+        monkeypatch.setattr(execution, "solve_shard_report", slow_solver(0.3))
 
         async def run():
             service = PredictionService(
@@ -376,7 +361,7 @@ class TestDrainAndShutdown:
     ):
         # Satellite: cancelling a job whose shard is mid-solve must be a
         # no-op (returns False), and the job must still deliver its result.
-        monkeypatch.setattr(execution, "solve_shard_payload", slow_solver(0.3))
+        monkeypatch.setattr(execution, "solve_shard_report", slow_solver(0.3))
 
         async def run():
             async with PredictionService(

@@ -201,11 +201,11 @@ class TestTracerCore:
 
 
 class TestServicePropagation:
-    def run_service(self, surfaces, tracer, **kwargs):
+    def run_service(self, surfaces, tracer, max_shard_size=8, **kwargs):
         async def run():
             async with PredictionService(
                 parameters=PAPER_S1_HOP_PARAMETERS,
-                max_shard_size=8,
+                max_shard_size=max_shard_size,
                 tracer=tracer,
                 **kwargs,
             ) as service:
@@ -319,6 +319,26 @@ class TestServicePropagation:
         # fit inside the shard's fit span.
         assert sum(r["duration"] for r in story_fits) + refine["duration"] <= fit["duration"]
 
+    def test_operator_cache_counters_sum_the_shard_reports(self, surfaces):
+        # Each shard report's operator-cache delta lands both on its
+        # shard.solve span and in the always-on numerics counters; on the
+        # default one-thread executor the two tallies must agree.
+        from repro.numerics import clear_operator_caches
+
+        clear_operator_caches()
+        tracer = Tracer()
+        jobs, parent, metrics = self.run_service(surfaces, tracer, max_shard_size=2)
+        assert all(job.status is JobStatus.SUCCEEDED for job in jobs)
+        shards = [
+            r for r in tracer.spans(parent.trace_id) if r["name"] == "shard.solve"
+        ]
+        assert len(shards) == 2
+        hits = sum(r["attributes"]["cache_hits"] for r in shards)
+        misses = sum(r["attributes"]["cache_misses"] for r in shards)
+        assert misses > 0  # the caches were cold
+        assert metrics["numerics.operator_cache_hits"] == hits
+        assert metrics["numerics.operator_cache_misses"] == misses
+
     def test_phase_histograms_populate_without_tracing(self, surfaces):
         async def run():
             async with PredictionService(
@@ -364,7 +384,7 @@ class TestBisectionRetryLinkage:
         # The first shard-wide attempt fails; the bisected halves must
         # carry retry_of and parent themselves under the failed shard's
         # span instead of starting fresh trees.
-        original = execution.solve_shard_payload
+        original = execution.solve_shard_report
         calls = {"n": 0}
 
         def flaky(payload):
@@ -373,7 +393,7 @@ class TestBisectionRetryLinkage:
                 raise RuntimeError("transient backend hiccup")
             return original(payload)
 
-        monkeypatch.setattr(execution, "solve_shard_payload", flaky)
+        monkeypatch.setattr(execution, "solve_shard_report", flaky)
         tracer = Tracer()
 
         async def run():
