@@ -17,8 +17,8 @@ equal accuracy*, not by computing something different).  Three further
 dimensions cover the PR-2/PR-3 machinery:
 
 * ``operator`` -- per-step cost of one Crank-Nicolson solve on a fine grid
-  (n = 4000) under each operator factorization mode (``dense`` / ``banded`` /
-  ``thomas``), with the maximum state delta of each mode against the dense
+  (n = 4000) under each operator factorization mode (``dense`` /
+  ``banded``), with the maximum state delta of ``banded`` against the dense
   reference.
 * ``calibration.shard`` -- a 7-story calibrating shard through
   ``BatchPredictor.fit_shard`` (lock-step LM refinement) vs 7
@@ -382,7 +382,7 @@ def run_operator_mode_benchmark(num_points: int = 4000, quick: bool = False) -> 
 
     report = {"num_points": num_points, "max_step": max_step, "steps": steps}
     dense_states = None
-    for mode in ("dense", "banded", "thomas"):
+    for mode in ("dense", "banded"):
         clear_operator_caches()
         solver = ReactionDiffusionSolver(
             max_step=max_step, backend=InternalBackend(operator_mode=mode)
@@ -1329,7 +1329,7 @@ def run_batched_solver_benchmark(quick: bool = False) -> dict:
       calibration runs' diagnostics).
     * ``solver`` -- one batched forward solve of N parameter candidates vs N
       sequential solves of the same candidates.
-    * ``operator`` -- dense vs banded vs Thomas factorizations of the
+    * ``operator`` -- dense vs banded factorizations of the
       Crank-Nicolson operator at n = 4000 (see
       :func:`run_operator_mode_benchmark`).
     * ``service`` -- corpus throughput of the async prediction service vs

@@ -12,8 +12,8 @@ performance or the numerical equivalence of the optimised paths regressed::
 Three families of checks run:
 
 * **Correctness-equivalence** (absolute, machine-independent): the batched /
-  banded / Thomas paths must still reproduce the sequential / dense
-  references to tight tolerances.  Any violation fails the gate regardless
+  banded paths must still reproduce the sequential / dense references to
+  tight tolerances.  Any violation fails the gate regardless
   of timing.  Four absolute ceilings share this family: the no-op tracing
   overhead, the solver's fixed-point iterations per time step and its time
   discretisation error against a fine-dt reference, and the LM iterations
@@ -65,7 +65,6 @@ CORRECTNESS_CHECKS = (
     ("refine.max_parameter_delta", 1e-8),
     ("solver.max_state_delta", 1e-10),
     ("operator.banded.max_state_delta_vs_dense", 1e-10),
-    ("operator.thomas.max_state_delta_vs_dense", 1e-10),
     # The async service reorganises scheduling, never numerics: per-story
     # results must match the synchronous BatchPredictor exactly.
     ("service.max_result_delta_vs_batch", 1e-12),

@@ -47,9 +47,7 @@ from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch_states
 from repro.core.initial_density import InitialDensity
 from repro.core.parameters import DLParameters, ExponentialDecayGrowthRate
 from repro.numerics.optimization import (
-    FitResult,
     grid_candidates,
-    grid_search,
     grouped_multi_start_least_squares,
     sum_of_squares,
 )
@@ -744,48 +742,3 @@ def _select_refinement_seeds(
         if index not in chosen:
             chosen.append(index)
     return chosen
-
-
-def growth_rate_grid_result(
-    observed: DensitySurface,
-    diffusion_rate: float,
-    carrying_capacity: float,
-    amplitude_grid: Sequence[float] = DEFAULT_AMPLITUDE_GRID,
-    decay_grid: Sequence[float] = DEFAULT_DECAY_GRID,
-    floor_grid: Sequence[float] = DEFAULT_FLOOR_GRID,
-    training_times: "Sequence[float] | None" = None,
-    points_per_unit: int = 6,
-    max_step: float = 0.1,
-) -> FitResult:
-    """Coarse grid search over (a, b, c) -- used to seed or sanity-check fits.
-
-    Exposed separately because the FIG-6 benchmark reports how close the
-    recovered growth-rate curve is to the paper's published Equation 7.
-    """
-    if training_times is None:
-        training_times = default_training_times(observed)
-    training = _training_surface(observed, training_times)
-    initial_density = InitialDensity.from_surface(training)
-    target_times = [float(t) for t in training.times[1:]]
-
-    def objective(theta: np.ndarray) -> float:
-        amplitude, decay, floor = theta
-        parameters = DLParameters(
-            diffusion_rate=diffusion_rate,
-            growth_rate=ExponentialDecayGrowthRate(
-                amplitude=float(amplitude),
-                decay=float(decay),
-                floor=float(floor),
-                reference_time=initial_density.initial_time,
-            ),
-            carrying_capacity=carrying_capacity,
-        )
-        residuals = _prediction_residuals(
-            parameters, initial_density, training, target_times, points_per_unit, max_step
-        )
-        return float(0.5 * np.dot(residuals, residuals))
-
-    return grid_search(
-        objective,
-        {"amplitude": amplitude_grid, "decay": decay_grid, "floor": floor_grid},
-    )

@@ -122,7 +122,7 @@ class DiffusiveLogisticModel:
     backend:
         A registered backend name (``"internal"`` or ``"scipy"``) or a
         :class:`~repro.numerics.backends.SolverBackend` instance, such as
-        ``InternalBackend(operator_mode="thomas")`` for a reference
+        ``InternalBackend(operator_mode="dense")`` for a reference
         factorization (see
         :class:`~repro.numerics.pde_solver.ReactionDiffusionSolver`).
     """

@@ -12,8 +12,7 @@ on:
 * :mod:`repro.numerics.operator_cache` -- process-wide cache of prefactorized
   diffusion operators, keyed by (grid, dt, d, mode) and shared across solves;
   the tridiagonal Neumann operator is stored as a symmetric LDL^T (LAPACK
-  ``pttrf``) or its pure-numpy Thomas twin, with dense LU as the reference
-  mode.
+  ``pttrf``), with dense LU as the reference mode.
 * :mod:`repro.numerics.backends` -- the solver backends (``"internal"``,
   ``"scipy"``, and anything registered in ``BACKENDS`` at runtime); the
   internal one is the package's only time stepper, a vectorised
@@ -38,7 +37,6 @@ from repro.numerics.operator_cache import (
     OPERATOR_MODES,
     BandedFactorization,
     DenseFactorization,
-    ThomasFactorization,
     cache_stats,
     clear_operator_caches,
     crank_nicolson_operator,
@@ -63,10 +61,8 @@ from repro.numerics.optimization import (
     FitResult,
     MultiStartFitResult,
     grid_candidates,
-    grid_search,
     grouped_multi_start_least_squares,
     least_squares_fit,
-    mean_relative_error,
     multi_start_least_squares,
     sum_of_squares,
 )
@@ -84,7 +80,6 @@ __all__ = [
     "OPERATOR_MODES",
     "DenseFactorization",
     "BandedFactorization",
-    "ThomasFactorization",
     "ReactionDiffusionProblem",
     "BatchReactionDiffusionProblem",
     "LogisticReaction",
@@ -105,7 +100,5 @@ __all__ = [
     "least_squares_fit",
     "multi_start_least_squares",
     "grouped_multi_start_least_squares",
-    "grid_search",
     "sum_of_squares",
-    "mean_relative_error",
 ]

@@ -24,9 +24,8 @@ registry in this module.  Two backends ship with the package:
   in-place LAPACK ``pttrs`` call per corrector solves every column of the
   batch, whatever its mix of diffusion rates (see
   :class:`_CrankNicolsonStepper`).  An instance built with
-  ``InternalBackend(operator_mode="thomas")`` (pure-numpy recurrences) or
-  ``"dense"`` (LU) is a reference for cross-checking; those solve one
-  diffusion rate at a time.
+  ``InternalBackend(operator_mode="dense")`` (LU) is a reference for
+  cross-checking; it solves one diffusion rate at a time.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
   cross-validation in tests and the solver ablation benchmark.  It has no
   native batched mode and falls back to solving batch members one by one.
@@ -176,7 +175,7 @@ class InternalBackend(SolverBackend):
     ----------
     operator_mode:
         Factorization used for the Crank-Nicolson operator: ``"banded"``
-        (the default), or the ``"thomas"`` and ``"dense"`` references.
+        (the default), or the ``"dense"`` reference.
         Fixed at construction.  See
         :func:`repro.numerics.operator_cache.crank_nicolson_operator`.
     """
@@ -321,13 +320,13 @@ class _CrankNicolsonStepper:
     schedule, so batch-mates still cannot change a column's trajectory.
 
     Layout: the state is column-major in the problem's own column order.
-    With the banded operator on a grid of at least 3 points, it is,
-    flattened, one right-hand side for the block-diagonal operator of
+    With the banded operator it is, flattened, one right-hand side for the
+    block-diagonal operator of
     :func:`~repro.numerics.operator_cache.stacked_crank_nicolson_operator`
     (one block per column), and one in-place ``pttrs`` call solves every
     column.  An iteration whose right-hand side holds a non-finite value is
     solved one diffusion rate at a time instead (a NaN would cross the zero
-    couplings between blocks), as are the ``thomas`` and ``dense`` modes.
+    couplings between blocks), as is the ``dense`` mode.
     """
 
     def __init__(
@@ -344,7 +343,7 @@ class _CrankNicolsonStepper:
         distinct = np.unique(rates)
         selectors = [_column_selector(np.flatnonzero(rates == rate)) for rate in distinct]
         self.groups = len(distinct)
-        self.stacked = operator_mode == "banded" and num_points >= 3
+        self.stacked = operator_mode == "banded"
 
         # Operators for every step size, looked up once per solve.
         self._factors: "dict[float, tuple[list, object]]" = {}

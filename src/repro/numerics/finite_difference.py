@@ -11,7 +11,7 @@ mirrored across the boundary, which is equivalent to the matrix
      [ ...  2 -2 ]] / h**2
 
 This module provides the dense matrix (the reference ``"dense"`` operator
-mode), its tridiagonal bands (the banded and Thomas factorizations) and a
+mode), its tridiagonal bands (the banded factorization) and a
 matrix-free application (the Crank-Nicolson right-hand side and the scipy
 method-of-lines backend).
 """

@@ -13,7 +13,7 @@ process-wide cache keyed by the *values* that determine the operator
 identity, so the factorization is paid once per (grid, dt, d) and shared
 across time steps, solves, calibration candidates and batch columns.
 
-The Neumann Laplacian is tridiagonal, so three factorization *modes* are
+The Neumann Laplacian is tridiagonal, so two factorization *modes* are
 offered through :func:`crank_nicolson_operator`:
 
 ``"banded"`` (the default for the Crank-Nicolson engine)
@@ -23,10 +23,6 @@ offered through :func:`crank_nicolson_operator`:
     and last row makes it symmetric positive definite, and a solve halves
     the same rows of the right-hand side; halving is exact.  No general LU
     (``gttrs``) is used.
-``"thomas"``
-    The same ``L D L^T`` recurrences in pure numpy, with no scipy
-    dependency -- the twin the equivalence tests cross-check ``banded``
-    against.
 ``"dense"``
     The original dense LU (:func:`scipy.linalg.lu_factor`), kept as the
     reference implementation the equivalence tests and the substrate
@@ -48,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-OPERATOR_MODES = ("dense", "banded", "thomas")
+OPERATOR_MODES = ("dense", "banded")
 """Factorization modes accepted by :func:`crank_nicolson_operator`."""
 
 
@@ -170,30 +166,34 @@ class BandedFactorization:
     ``pttrs`` call.  ``pttrs`` keeps no division on its dependency chain, so
     it runs about twice as fast as a general tridiagonal LU solve.
 
-    Grids with fewer than 3 points and bands that halving does not make
-    symmetric positive definite are solved by the pure-numpy
-    :class:`ThomasFactorization` twin instead.
+    Every grid of two or more points takes this path.  Bands that halving
+    does not make symmetric with a positive diagonal raise ``ValueError``;
+    a Crank-Nicolson operator always qualifies, since a problem's diffusion
+    rate is positive.  Symmetric bands that are not positive definite raise
+    :class:`numpy.linalg.LinAlgError`.
     """
 
     mode = "banded"
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
-        self._factor: "tuple[np.ndarray, np.ndarray] | None" = None
-        self._pttrs = None
-        self._twin: "ThomasFactorization | None" = None
-        self._block = int(np.asarray(diag).size)
-        symmetric = _halved_symmetric_bands(sub, diag, sup) if self._block >= 3 else None
-        if symmetric is not None:
-            from scipy.linalg.lapack import dpttrf, dpttrs
+        symmetric = _halved_symmetric_bands(sub, diag, sup)
+        if symmetric is None:
+            raise ValueError(
+                "bands must become symmetric with a positive diagonal once their "
+                "first and last row are halved"
+            )
+        from scipy.linalg.lapack import dpttrf, dpttrs
 
-            pivots, multipliers, info = dpttrf(*symmetric)
-            if info == 0:
-                self._factor = (pivots, multipliers)
-                # Bound once: the per-solve import lookup costs as much as a
-                # small solve's arithmetic.
-                self._pttrs = dpttrs
-                return
-        self._twin = ThomasFactorization(sub, diag, sup)
+        pivots, multipliers, info = dpttrf(*symmetric)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"halved bands are not positive definite (pttrf info={info})"
+            )
+        self._factor = (pivots, multipliers)
+        # Bound once: the per-solve import lookup costs as much as a small
+        # solve's arithmetic.
+        self._pttrs = dpttrs
+        self._block = int(pivots.size)
 
     @classmethod
     def block_diagonal(
@@ -211,7 +211,7 @@ class BandedFactorization:
         NaN).
         """
         size = blocks[0]._block
-        if any(block._factor is None or block._block != size for block in blocks):
+        if any(block._block != size for block in blocks):
             raise ValueError("blocks must be LDL^T factorizations of one size")
         pivots = np.stack([block._factor[0] for block in blocks])
         multipliers = np.zeros((len(blocks), size))
@@ -219,7 +219,6 @@ class BandedFactorization:
         stacked = cls.__new__(cls)
         stacked._factor = (pivots[layout].ravel(), multipliers[layout].ravel()[:-1])
         stacked._pttrs = blocks[0]._pttrs
-        stacked._twin = None
         stacked._block = size
         return stacked
 
@@ -228,17 +227,14 @@ class BandedFactorization:
         return {**self.__dict__, "_pttrs": None}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._factor is not None:
-            from scipy.linalg.lapack import dpttrs
+        from scipy.linalg.lapack import dpttrs
 
-            self._pttrs = dpttrs
+        self.__dict__.update(state)
+        self._pttrs = dpttrs
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the stored factors."""
-        if self._twin is not None:
-            return self._twin.nbytes
         return sum(int(array.nbytes) for array in self._factor)
 
     def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -248,92 +244,16 @@ class BandedFactorization:
         ``rhs`` is returned; a Fortran-contiguous float64 ``rhs`` is solved
         in place, without a copy.
         """
-        if self._twin is not None:
-            solution = self._twin.solve(rhs)
-        else:
-            in_place = overwrite and rhs.dtype == np.float64 and rhs.flags.f_contiguous
-            work = rhs if in_place else np.array(rhs, dtype=float, order="F")
-            _halve_block_ends(work, self._block)
-            solution, info = self._pttrs(*self._factor, work, overwrite_b=True)
-            if info != 0:  # pragma: no cover - cannot happen for a valid factorization
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (pttrs info={info})")
+        in_place = overwrite and rhs.dtype == np.float64 and rhs.flags.f_contiguous
+        work = rhs if in_place else np.array(rhs, dtype=float, order="F")
+        _halve_block_ends(work, self._block)
+        solution, info = self._pttrs(*self._factor, work, overwrite_b=True)
+        if info != 0:  # pragma: no cover - cannot happen for a valid factorization
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed (pttrs info={info})")
         if overwrite and not np.may_share_memory(solution, rhs):
             rhs[...] = solution
             return rhs
         return solution
-
-
-class ThomasFactorization:
-    """Pure-numpy tridiagonal ``L D U`` elimination, the twin of :class:`BandedFactorization`.
-
-    ``L`` and ``U`` are unit bidiagonal and ``D`` holds the pivots; each is
-    computed once, so repeated solves cost one forward and one backward
-    sweep (O(n) each, vectorised across right-hand-side columns).  When
-    halving the first and last row makes the bands symmetric positive
-    definite -- every Crank-Nicolson operator -- the factors are the
-    ``L D L^T`` of that matrix, computed with the recurrences of LAPACK
-    ``pttrf``/``pttrs``, so the ``thomas`` and ``banded`` modes take the same
-    arithmetic.  Other bands are eliminated as they are.  No pivoting is
-    performed, so the matrix must be (strictly) diagonally dominant --
-    which every Crank-Nicolson operator ``I - dt/2 * d * A`` is, since the
-    diagonal is ``1 + |off-diagonals|``.
-    """
-
-    mode = "thomas"
-
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
-        sub = np.asarray(sub, dtype=float)
-        diag = np.asarray(diag, dtype=float)
-        sup = np.asarray(sup, dtype=float)
-        n = diag.size
-        if sub.shape != (n - 1,) or sup.shape != (n - 1,):
-            raise ValueError(
-                f"bands must have shapes ({n - 1},), ({n},), ({n - 1},); "
-                f"got {sub.shape}, {diag.shape}, {sup.shape}"
-            )
-        symmetric = _halved_symmetric_bands(sub, diag, sup)
-        self._halve = symmetric is not None
-        if symmetric is not None:
-            diag, sub = symmetric
-            sup = sub
-        lower = np.empty(n - 1)
-        pivots = diag.copy()
-        for i in range(n - 1):
-            if pivots[i] == 0.0:
-                raise np.linalg.LinAlgError(
-                    "zero pivot in Thomas factorization (matrix must be "
-                    "diagonally dominant; no pivoting is performed)"
-                )
-            lower[i] = sub[i] / pivots[i]
-            pivots[i + 1] -= lower[i] * sup[i]
-        if pivots[-1] == 0.0:
-            raise np.linalg.LinAlgError("zero pivot in Thomas factorization")
-        self._lower = lower
-        self._pivots = pivots
-        # Symmetric bands have U = L^T: the same multipliers.
-        self._upper = lower if symmetric is not None else sup / pivots[:-1]
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the stored factors."""
-        arrays = {id(a): a for a in (self._lower, self._pivots, self._upper)}
-        return sum(int(array.nbytes) for array in arrays.values())
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side ``(n,)`` or a column block ``(n, k)``."""
-        n = self._pivots.size
-        y = np.array(rhs, dtype=float)
-        if y.shape[0] != n:
-            raise ValueError(f"rhs has leading dimension {y.shape[0]}, expected {n}")
-        lower, pivots, upper = self._lower, self._pivots, self._upper
-        if self._halve:
-            y[[0, -1]] *= 0.5
-        for i in range(1, n):
-            y[i] -= y[i - 1] * lower[i - 1]
-        y[n - 1] /= pivots[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = y[i] / pivots[i] - y[i + 1] * upper[i]
-        return y
 
 
 @lru_cache(maxsize=512)
@@ -348,8 +268,8 @@ def crank_nicolson_operator(
 
     Returns an object with a ``solve(rhs)`` method accepting one right-hand
     side ``(n,)`` or a block of columns ``(n, k)``, plus ``mode`` and
-    ``nbytes`` attributes.  Banded and Thomas factorizations store O(n)
-    data; the dense mode shares the factors of :func:`crank_nicolson_factor`.
+    ``nbytes`` attributes.  Banded factorizations store O(n) data; the
+    dense mode shares the factors of :func:`crank_nicolson_factor`.
     """
     if mode not in OPERATOR_MODES:
         raise ValueError(
@@ -359,10 +279,7 @@ def crank_nicolson_operator(
         raise ValueError(f"dt must be positive, got {dt}")
     if mode == "dense":
         return DenseFactorization(*crank_nicolson_factor(num_points, spacing, dt, diffusion_rate))
-    bands = _crank_nicolson_bands(num_points, spacing, dt, diffusion_rate)
-    if mode == "banded":
-        return BandedFactorization(*bands)
-    return ThomasFactorization(*bands)
+    return BandedFactorization(*_crank_nicolson_bands(num_points, spacing, dt, diffusion_rate))
 
 
 def stacked_crank_nicolson_operator(
@@ -381,8 +298,6 @@ def stacked_crank_nicolson_operator(
     assembled per call in O(k n) (:meth:`BandedFactorization.block_diagonal`).
     A single rate is the plain cached operator.
     """
-    if num_points < 3:
-        raise ValueError(f"stacked operators need at least 3 grid points, got {num_points}")
     distinct, layout = np.unique(np.asarray(diffusion_rates, dtype=float), return_inverse=True)
     blocks = [
         crank_nicolson_operator(num_points, spacing, dt, float(rate), "banded")

@@ -21,9 +21,10 @@ s1.  For the reproduction we additionally provide automated calibration
   :func:`grouped_multi_start_least_squares` runs the starts of several
   independent problems (a shard's calibrations) in the same lock-step
   calls and returns one result per problem.
-* :func:`grid_search` -- coarse exhaustive search used to seed the local
-  optimiser (the DL objective is non-convex in (d, r-parameters, K)).
-* loss helpers (:func:`sum_of_squares`, :func:`mean_relative_error`).
+* :func:`grid_candidates` -- the Cartesian-product candidates of a coarse
+  grid, scored in batched solves to seed the local optimiser (the DL
+  objective is non-convex in (d, r-parameters, K)).
+* the loss helper :func:`sum_of_squares`.
 """
 
 from __future__ import annotations
@@ -47,29 +48,11 @@ calibration seed is pinned to).  Implementations are expected to evaluate all
 rows together -- that is the whole point of the batched refinement.
 """
 
-ScalarObjective = Callable[[np.ndarray], float]
-"""Maps a parameter vector to a scalar loss."""
-
 
 def sum_of_squares(residuals: np.ndarray) -> float:
     """0.5 * sum of squared residuals (the canonical least-squares loss)."""
     residuals = np.asarray(residuals, dtype=float)
     return 0.5 * float(np.dot(residuals, residuals))
-
-
-def mean_relative_error(predicted: np.ndarray, actual: np.ndarray, epsilon: float = 1e-12) -> float:
-    """Mean of |predicted - actual| / |actual| over all finite entries.
-
-    This mirrors the paper's prediction-accuracy definition (Equation 8) with
-    accuracy = 1 - relative error; see :mod:`repro.core.accuracy` for the
-    exact reproduction of the paper's tables.
-    """
-    predicted = np.asarray(predicted, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
-    denominator = np.maximum(np.abs(actual), epsilon)
-    return float(np.mean(np.abs(predicted - actual) / denominator))
 
 
 @dataclass
@@ -570,9 +553,7 @@ def grid_candidates(
 
     ``candidates`` has shape ``(n_candidates, n_params)`` with one row per
     point of the Cartesian product, ordered like :func:`itertools.product`.
-    Shared by :func:`grid_search` (which evaluates rows one at a time) and
-    the batched calibration path (which evaluates all rows in vectorised
-    solves).
+    The calibration grid stage scores every row in vectorised solves.
     """
     names = tuple(parameter_grid.keys())
     if not names:
@@ -582,58 +563,3 @@ def grid_candidates(
         raise ValueError("every parameter must have at least one candidate value")
     candidates = np.asarray(list(product(*value_lists)), dtype=float)
     return names, candidates
-
-
-def grid_search(
-    objective: ScalarObjective,
-    parameter_grid: Mapping[str, Sequence[float]],
-) -> FitResult:
-    """Exhaustive search over a Cartesian product of parameter values.
-
-    Used to score coarse growth-rate grids of the DL model
-    (:func:`repro.core.calibration.growth_rate_grid_result`), whose loss
-    surface has multiple local minima in (d, K, growth-rate parameters).
-
-    Parameters
-    ----------
-    objective:
-        Scalar loss evaluated on a parameter vector (ordered as the keys of
-        ``parameter_grid``).
-    parameter_grid:
-        Mapping from parameter name to the candidate values to try.
-
-    Returns
-    -------
-    FitResult
-        The best point found; ``success`` is True whenever the grid is
-        non-empty and at least one evaluation returned a finite loss.
-    """
-    names, candidates = grid_candidates(parameter_grid)
-
-    best_loss = np.inf
-    best_params: "np.ndarray | None" = None
-    evaluations = 0
-    for params in candidates:
-        loss = float(objective(params))
-        evaluations += 1
-        if np.isfinite(loss) and loss < best_loss:
-            best_loss = loss
-            best_params = params
-
-    if best_params is None:
-        return FitResult(
-            parameters=candidates[0].copy(),
-            loss=np.inf,
-            success=False,
-            n_evaluations=evaluations,
-            message="no finite loss found on the grid",
-            names=names,
-        )
-    return FitResult(
-        parameters=best_params,
-        loss=best_loss,
-        success=True,
-        n_evaluations=evaluations,
-        message="grid search complete",
-        names=names,
-    )

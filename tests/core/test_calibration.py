@@ -21,7 +21,6 @@ from repro.core.calibration import (
     _surface_residuals,
     calibrate_dl_model,
     choose_carrying_capacity,
-    growth_rate_grid_result,
 )
 from repro.core.dl_model import DiffusiveLogisticModel, solve_dl_batch
 from repro.core.initial_density import InitialDensity
@@ -372,21 +371,3 @@ class TestBatchResiduals:
         assert grid_only["targets"] == 1
         assert result.loss == reference.loss
         assert result.parameters == reference.parameters
-
-
-class TestGridSearchHelper:
-    def test_grid_result_prefers_parameters_near_truth(self):
-        surface = synthetic_dl_surface()
-        result = growth_rate_grid_result(
-            surface,
-            diffusion_rate=0.01,
-            carrying_capacity=25.0,
-            amplitude_grid=(0.5, 1.4, 2.5),
-            decay_grid=(0.5, 1.5, 3.0),
-            floor_grid=(0.05, 0.25, 0.5),
-        )
-        assert result.success
-        best = result.as_dict()
-        assert best["amplitude"] == pytest.approx(1.4)
-        assert best["decay"] == pytest.approx(1.5)
-        assert best["floor"] == pytest.approx(0.25)

@@ -220,7 +220,7 @@ class TestOperatorModes:
         batched = solver.solve_batch(dl_like_batch_problem(batch=2), [2.0])
         assert batched.metadata["operator"] == "banded"
 
-    @pytest.mark.parametrize("mode", ["dense", "banded", "thomas"])
+    @pytest.mark.parametrize("mode", ["dense", "banded"])
     def test_explicit_mode_reported_in_metadata(self, mode):
         solver = ReactionDiffusionSolver(
             max_step=0.05, backend=InternalBackend(operator_mode=mode)
@@ -228,7 +228,7 @@ class TestOperatorModes:
         batched = solver.solve_batch(dl_like_batch_problem(batch=2), [2.0])
         assert batched.metadata["operator"] == mode
 
-    @pytest.mark.parametrize("mode", ["banded", "thomas"])
+    @pytest.mark.parametrize("mode", ["banded"])
     def test_modes_match_dense_reference(self, mode):
         problem = dl_like_batch_problem(batch=5)
         times = [1.0, 2.0, 4.0]
@@ -241,15 +241,15 @@ class TestOperatorModes:
         assert np.max(np.abs(other.states - dense.states)) < 1e-12
 
     def test_unknown_mode_rejected(self):
-        for mode in ("auto", "sparse-qr"):
+        for mode in ("auto", "sparse-qr", "thomas"):
             with pytest.raises(ValueError, match="unknown operator mode"):
                 InternalBackend(operator_mode=mode)
 
     def test_mode_is_fixed_at_construction(self):
-        backend = InternalBackend(operator_mode="thomas")
+        backend = InternalBackend(operator_mode="dense")
         with pytest.raises(AttributeError):
-            backend.operator_mode = "dense"
-        assert backend.operator_mode == "thomas"
+            backend.operator_mode = "banded"
+        assert backend.operator_mode == "dense"
 
     def test_single_solve_metadata_reports_operator(self):
         problem = dl_like_batch_problem(batch=2).column_problem(0)
@@ -505,23 +505,23 @@ class TestStackedSolve:
             assert_bit_identical(batched.states[:, :, j], alone[j].states)
 
     @pytest.mark.parametrize(
-        "diffusion_rates, num_points, stacked",
-        [([0.01, 0.01, 0.05], 21, True), ([0.01, 0.05, 0.01, 0.05], 2, False)],
+        "diffusion_rates, num_points",
+        [([0.01, 0.01, 0.05], 21), ([0.01, 0.05, 0.01, 0.05], 2)],
         ids=["unequal-groups", "two-point-grid"],
     )
-    def test_falls_back_to_per_group_solves(self, diffusion_rates, num_points, stacked):
-        # Unequal diffusion groups are one stacked call (one block per
-        # column); only a grid under 3 points solves group by group.
+    def test_every_banded_batch_is_one_stacked_call(self, diffusion_rates, num_points):
+        # Unequal diffusion groups and the smallest grid are each one
+        # stacked call (one block per column).
         problem = logistic_batch_problem(diffusion_rates, num_points=num_points)
         solver = ReactionDiffusionSolver(max_step=0.05)
         times = [1.0, 2.0]
         batched = solver.solve_batch(problem, times)
-        assert batched.metadata["stacked_solve"] is stacked
+        assert batched.metadata["stacked_solve"] is True
         for j in range(problem.batch_size):
             alone = solver.solve(problem.column_problem(j), times)
             assert_bit_identical(batched.states[:, :, j], alone.states)
 
-    @pytest.mark.parametrize("mode", ["dense", "thomas"])
+    @pytest.mark.parametrize("mode", ["dense"])
     def test_other_operator_modes_solve_per_group(self, mode):
         problem = logistic_batch_problem([0.01, 0.05])
         batched = ReactionDiffusionSolver(

@@ -9,7 +9,6 @@ from repro.numerics.finite_difference import laplacian_matrix
 from repro.numerics.operator_cache import (
     OPERATOR_MODES,
     BandedFactorization,
-    ThomasFactorization,
     cache_stats,
     clear_operator_caches,
     crank_nicolson_factor,
@@ -104,16 +103,15 @@ class TestBandedEquivalence:
             with pytest.raises(ValueError):
                 band[0] = 1.0
 
-    @pytest.mark.parametrize("mode", ["banded", "thomas"])
     @pytest.mark.parametrize("num_points", [2, 3, 17, 64])
-    def test_modes_match_dense_solve_on_neumann_boundaries(self, mode, num_points):
+    def test_modes_match_dense_solve_on_neumann_boundaries(self, num_points):
         """The Neumann ghost nodes make the boundary rows nonsymmetric; the
-        banded/Thomas paths must reproduce the dense solution there too."""
+        banded path must reproduce the dense solution there too."""
         spacing, dt, diffusion = 0.31, 0.04, 0.07
         rng = np.random.default_rng(num_points)
         rhs = rng.normal(size=(num_points, 3))
         expected = np.linalg.solve(dense_lhs(num_points, spacing, dt, diffusion), rhs)
-        operator = crank_nicolson_operator(num_points, spacing, dt, diffusion, mode)
+        operator = crank_nicolson_operator(num_points, spacing, dt, diffusion, "banded")
         assert np.max(np.abs(operator.solve(rhs) - expected)) < 1e-12
         # Single right-hand sides take the same path as column blocks.
         assert np.max(np.abs(operator.solve(rhs[:, 0]) - expected[:, 0])) < 1e-12
@@ -135,59 +133,9 @@ class TestBandedEquivalence:
         num_points = 2000
         dense = crank_nicolson_operator(num_points, 0.05, 0.02, 0.05, "dense")
         banded = crank_nicolson_operator(num_points, 0.05, 0.02, 0.05, "banded")
-        thomas = crank_nicolson_operator(num_points, 0.05, 0.02, 0.05, "thomas")
         assert dense.nbytes > num_points**2 * 8  # O(n^2)
         assert banded.nbytes < num_points * 8 * 8  # O(n)
-        assert thomas.nbytes < num_points * 8 * 8
         clear_operator_caches()
-
-
-class TestThomasFactorization:
-    def test_rejects_mismatched_band_lengths(self):
-        with pytest.raises(ValueError):
-            ThomasFactorization(np.ones(3), np.ones(3), np.ones(2))
-
-    def test_rejects_singular_matrix(self):
-        # diag chosen so the first pivot eliminates to zero.
-        with pytest.raises(np.linalg.LinAlgError):
-            ThomasFactorization(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
-
-    @given(
-        n=st.integers(min_value=2, max_value=40),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_solve_on_diagonally_dominant_systems(self, n, seed):
-        """Property test: Thomas output equals np.linalg.solve on random
-        strictly diagonally dominant tridiagonal systems (where the
-        pivot-free elimination is provably stable)."""
-        rng = np.random.default_rng(seed)
-        sub = rng.uniform(-1.0, 1.0, n - 1)
-        sup = rng.uniform(-1.0, 1.0, n - 1)
-        off_row_sums = np.zeros(n)
-        off_row_sums[1:] += np.abs(sub)
-        off_row_sums[:-1] += np.abs(sup)
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        diag = sign * (off_row_sums + rng.uniform(0.5, 2.0, n))
-        matrix = np.diag(diag)
-        matrix += np.diag(sub, -1) + np.diag(sup, 1)
-        rhs = rng.normal(size=n)
-
-        solution = ThomasFactorization(sub, diag, sup).solve(rhs)
-        expected = np.linalg.solve(matrix, rhs)
-        scale = np.max(np.abs(expected)) + 1.0
-        assert np.max(np.abs(solution - expected)) < 1e-9 * scale
-
-    def test_banded_factorization_agrees_with_thomas(self):
-        rng = np.random.default_rng(7)
-        n = 31
-        sub = rng.uniform(-0.3, 0.3, n - 1)
-        sup = rng.uniform(-0.3, 0.3, n - 1)
-        diag = 1.0 + np.abs(sub).sum() + rng.uniform(0.5, 1.0, n)
-        rhs = rng.normal(size=(n, 4))
-        banded = BandedFactorization(sub, diag, sup).solve(rhs)
-        thomas = ThomasFactorization(sub, diag, sup).solve(rhs)
-        assert np.max(np.abs(banded - thomas)) < 1e-11
 
 
 class TestStackedOperator:
@@ -241,10 +189,6 @@ class TestStackedOperator:
         plain = crank_nicolson_operator(11, 0.1, 0.05, 0.02, "banded")
         assert stacked_crank_nicolson_operator(11, 0.1, 0.05, (0.02,)) is plain
 
-    def test_rejects_grids_below_three_points(self):
-        with pytest.raises(ValueError):
-            stacked_crank_nicolson_operator(2, 0.5, 0.05, self.RATES)
-
     def test_overwrite_writes_a_copied_solution_back(self):
         # A C-ordered block cannot be solved in place; the solution is
         # still written over it.
@@ -273,16 +217,15 @@ class TestSymmetricLDLSolve:
         expected = np.linalg.solve(matrix, rhs)
         scale = np.linalg.cond(matrix) * (np.max(np.abs(expected)) + 1.0)
         bands = (np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1))
-        for factorization in (BandedFactorization(*bands), ThomasFactorization(*bands)):
-            solution = factorization.solve(rhs)
-            assert np.max(np.abs(solution - expected)) < 1e-13 * scale
+        solution = BandedFactorization(*bands).solve(rhs)
+        assert np.max(np.abs(solution - expected)) < 1e-13 * scale
         # The right-hand side is left as it was (the halving works on a copy).
         np.testing.assert_array_equal(
             rhs, np.random.default_rng(seed).normal(size=(num_points, columns))
         )
 
     @given(
-        num_points=st.integers(min_value=3, max_value=30),
+        num_points=st.integers(min_value=2, max_value=30),
         rates=st.lists(st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.1]), min_size=2, max_size=8),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -302,9 +245,12 @@ class TestSymmetricLDLSolve:
         stacked.solve(rhs.reshape(-1, order="F"), overwrite=True)
         assert np.max(np.abs(rhs - expected)) < 1e-12 * (np.max(np.abs(expected)) + 1.0)
 
-    def test_crank_nicolson_bands_take_the_lapack_ldl_path(self):
-        operator = crank_nicolson_operator(17, 0.25, 0.05, 0.02, "banded")
-        assert operator._twin is None
-        # Bands that halving does not symmetrize go through the numpy twin.
-        general = BandedFactorization(np.full(4, 0.3), np.full(5, 2.0), np.full(4, -0.1))
-        assert general._twin is not None
+    def test_rejects_bands_that_halving_does_not_symmetrize(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            BandedFactorization(np.full(4, 0.3), np.full(5, 2.0), np.full(4, -0.1))
+
+    def test_rejects_halved_bands_that_are_not_positive_definite(self):
+        # Neumann-shaped bands halve to the symmetric [[.5, 1, 0], [1, 1, 1],
+        # [0, 1, .5]], whose second LDL^T pivot is negative.
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            BandedFactorization(np.array([1.0, 2.0]), np.ones(3), np.array([2.0, 1.0]))

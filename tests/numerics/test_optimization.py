@@ -5,10 +5,8 @@ import pytest
 
 from repro.numerics.optimization import (
     FitResult,
-    grid_search,
     grouped_multi_start_least_squares,
     least_squares_fit,
-    mean_relative_error,
     multi_start_least_squares,
     sum_of_squares,
 )
@@ -20,24 +18,6 @@ class TestLossHelpers:
 
     def test_sum_of_squares_zero(self):
         assert sum_of_squares(np.zeros(5)) == 0.0
-
-    def test_mean_relative_error_exact(self):
-        predicted = np.array([1.0, 2.0, 4.0])
-        actual = np.array([1.0, 2.0, 4.0])
-        assert mean_relative_error(predicted, actual) == 0.0
-
-    def test_mean_relative_error_values(self):
-        predicted = np.array([1.1, 1.8])
-        actual = np.array([1.0, 2.0])
-        assert mean_relative_error(predicted, actual) == pytest.approx(0.1)
-
-    def test_mean_relative_error_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_relative_error(np.zeros(3), np.zeros(4))
-
-    def test_mean_relative_error_handles_zero_actual(self):
-        value = mean_relative_error(np.array([1.0]), np.array([0.0]))
-        assert np.isfinite(value)
 
 
 class TestLeastSquaresFit:
@@ -591,36 +571,6 @@ class TestGroupedStarts:
     def test_rejects_mismatched_groups(self):
         with pytest.raises(ValueError, match="groups"):
             grouped_multi_start_least_squares(self.problem(0), self.SEEDS[0], [0])
-
-
-class TestGridSearch:
-    def test_finds_minimum_of_quadratic(self):
-        def objective(theta):
-            return (theta[0] - 2.0) ** 2 + (theta[1] + 1.0) ** 2
-
-        result = grid_search(
-            objective,
-            {"a": np.linspace(-3, 3, 13), "b": np.linspace(-3, 3, 13)},
-        )
-        assert result.success
-        assert result.parameters[0] == pytest.approx(2.0)
-        assert result.parameters[1] == pytest.approx(-1.0)
-        assert result.n_evaluations == 169
-
-    def test_result_as_dict(self):
-        result = grid_search(lambda theta: theta[0] ** 2, {"x": [-1.0, 0.0, 1.0]})
-        assert result.as_dict() == {"x": 0.0}
-
-    def test_handles_all_nan_objective(self):
-        result = grid_search(lambda theta: float("nan"), {"x": [0.0, 1.0]})
-        assert not result.success
-        assert result.loss == np.inf
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            grid_search(lambda theta: 0.0, {})
-        with pytest.raises(ValueError):
-            grid_search(lambda theta: 0.0, {"x": []})
 
 
 class TestFitResult:

@@ -1,5 +1,5 @@
-"""The substrate benchmark's gates: the corpus.io RSS child, the iteration and solver-error ceilings, scoring
-and the lock-step shard calibration."""
+"""The substrate benchmark's gates: the corpus.io RSS child, the iteration and solver-error ceilings, scoring,
+the banded operator and the lock-step shard calibration."""
 
 from __future__ import annotations
 
@@ -114,6 +114,17 @@ def test_scoring_delta_gate(delta, passes):
     # difference, or a NaN cell, fails the gate.
     report = {"scoring": {"max_accuracy_delta_vs_scalar": delta}}
     assert _gate_verdict(report, "scoring.max_accuracy_delta_vs_scalar") is passes
+
+
+@pytest.mark.parametrize(
+    "delta, passes", [(0.0, True), (1.1e-13, True), (1e-9, False), (float("nan"), False)]
+)
+def test_operator_delta_gate(delta, passes):
+    # The banded LDL^T solve matches dense LU to rounding (about 1e-13 at
+    # n = 4000); a delta at the scale of a wrong boundary row, or a NaN
+    # state, fails the gate.
+    report = {"operator": {"banded": {"max_state_delta_vs_dense": delta}}}
+    assert _gate_verdict(report, "operator.banded.max_state_delta_vs_dense") is passes
 
 
 def test_scoring_section_matches_its_scalar_reference():
